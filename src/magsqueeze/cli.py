@@ -14,7 +14,7 @@ import numpy as np
 
 from . import scenarios
 from .config import load_config
-from .errors import ConfigError, NumericalError, TruncationError
+from .errors import ConfigError, DimensionError, FrameError, NumericalError, TruncationError
 from .model import squeezing_parameter
 from .observables import wigner, wigner_negativity_volume
 from .states import superposition_pm
@@ -111,9 +111,7 @@ def _run_wigner(args):
     grid = wigner(ket, ax, ax, pad_to=max(len(ket), 420))
     base = os.path.join(cfg.run.output_dir, f"wigner_{args.state}")
     grid.to_csv(base + ".csv")
-    with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(grid.descriptor(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    grid.to_json(base + ".json")
     neg = wigner_negativity_volume(grid)
     print(f"wigner[{args.state}]: negativity volume {neg:.6f}, grid at {base}.csv")
     return 0
@@ -156,7 +154,7 @@ def main(argv=None):
         if args.command == "converge":
             return _run_converge(args)
         raise ConfigError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, DimensionError, FrameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, TruncationError) as exc:

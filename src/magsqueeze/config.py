@@ -157,7 +157,10 @@ def load_config(path=None, env=None):
                 raise ConfigError(f"physical.{key}: unknown parameter")
             updates[key] = parse_quantity(text, _PHYSICAL_UNITS[key], f"physical.{key}")
         params = replace(params, **updates)
-        params.validate()
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise ConfigError(f"physical: {exc}") from None
 
     geom_vals = {"side_length": 10.0, "current": 0.4, "sphere_radius": 0.5,
                  "sphere_x": 0.0, "sphere_y": 0.0, "sphere_z": 0.0}

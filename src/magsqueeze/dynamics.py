@@ -9,29 +9,32 @@ Master-equation convention: for channels (o_k, w_k),
 i.e. the stored weight w multiplies the "2 o rho o^dag - {o^dag o, rho}"
 form directly.  A bare loss channel (m, kappa/2) then gives <n> ~ e^{-kappa t}.
 
-The conditional run dispatches on structure rather than brute force:
+The effective model, H_cs = h(t) (x) sb_x with the thermal magnon pair and
+w L[sb_x], leaves the sb_x blocks <s|rho|r> of the joint state uncoupled;
+w L[sb_x] only damps the s != r block, at 4w.  The conditional runs
+dispatch on that structure:
 
-* no dissipation + sb_x eigenstate qubit -> exact sector propagator
+* sb_x eigenstate qubit, no dissipation -> exact sector propagator
   (closed form; the time-dependent two-photon Hamiltonian factors as
   H(t) = V H(0) V^dag with V = e^{+i Delta n t}, so
   U(t) = e^{+i Delta n t} e^{-i(H(0) + Delta n) t});
-* dissipation + sb_x eigenstate qubit -> magnon-only master equation
-  (the sb_x dissipator acts trivially inside an sb_x sector, so the
-  qubit factor stays pinned; verified against the joint solve in tests);
-* anything else -> full joint master equation.
+* any other effective run -> one master equation on the N x N magnon
+  blocks the start fills (one for an sb_x eigenstate, else three),
+  assembled into the 2N joint state at sample times;
+* full models -> dense joint master equation.
 """
 
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DimensionError, NumericalError, StiffnessError
 from .model import (
-    build_H_cs,
+    build_H_cs,  # not called here; benchmark/spans.py traces dynamics.build_H_cs
     build_H_rot,
     build_H_tot,
     derive,
@@ -101,7 +104,6 @@ def build_dissipators_full(params, space, qubit_basis="dressed"):
     """
     d = derive(params)
     n = _fock_dim(space)
-    m = annihilation(n)
     eye_m = np.eye(n, dtype=complex)
     if qubit_basis == "dressed":
         s_minus, s_plus, s_z = SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
@@ -115,9 +117,7 @@ def build_dissipators_full(params, space, qubit_basis="dressed"):
     else:
         raise DimensionError(f"unknown qubit_basis {qubit_basis!r}")
     return LindbladSpec(
-        channels=[
-            (kron(m, IDENTITY_2), d.kappa * (d.n_bar_m + 1.0) / 2.0),
-            (kron(m.conj().T, IDENTITY_2), d.kappa * d.n_bar_m / 2.0),
+        channels=_magnon_channels_on_joint(params, n) + [
             (kron(eye_m, s_minus), d.gamma * (d.n_bar_q + 1.0) / 2.0),
             (kron(eye_m, s_plus), d.gamma * d.n_bar_q / 2.0),
             (kron(eye_m, s_z), d.gamma_phi / 4.0),
@@ -125,24 +125,27 @@ def build_dissipators_full(params, space, qubit_basis="dressed"):
     )
 
 
+def _sx_weight(d):
+    """Weight w of the effective model's drive-frame qubit channel w L[sb_x]."""
+    return d.gamma * (2.0 * d.n_bar_q + 1.0) / 8.0
+
+
 def build_dissipators_effective(params, space):
     """Thermal magnon pair + the drive-frame qubit channel gamma(2n_q+1)/8 L[sb_x];
     no pure-dephasing channel in the effective model."""
-    d = derive(params)
     n = _fock_dim(space)
-    m = annihilation(n)
-    eye_m = np.eye(n, dtype=complex)
-    return LindbladSpec(
-        channels=[
-            (kron(m, IDENTITY_2), d.kappa * (d.n_bar_m + 1.0) / 2.0),
-            (kron(m.conj().T, IDENTITY_2), d.kappa * d.n_bar_m / 2.0),
-            (kron(eye_m, SIGMA_X), d.gamma * (2.0 * d.n_bar_q + 1.0) / 8.0),
-        ]
-    )
+    sx = (kron(np.eye(n, dtype=complex), SIGMA_X), _sx_weight(derive(params)))
+    return LindbladSpec(channels=_magnon_channels_on_joint(params, n) + [sx])
+
+
+def _magnon_channels_on_joint(params, fock_dim):
+    return [(kron(o, IDENTITY_2), w)
+            for o, w in magnon_thermal_dissipators(params, fock_dim).channels]
 
 
 def magnon_thermal_dissipators(params, fock_dim):
-    """Magnon-only thermal pair, for sector-reduced effective runs."""
+    """Magnon-only thermal pair: the magnon channels of every model, and all
+    of the effective model's channels on its sb_x blocks."""
     d = derive(params)
     m = annihilation(fock_dim)
     return LindbladSpec(
@@ -157,8 +160,17 @@ def magnon_thermal_dissipators(params, fock_dim):
 # master-equation integrator
 
 
-def _lindblad_rhs(h_of_t, channels):
-    """Return f(t, rho_flat) for the vectorized master equation."""
+def _lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
+    """Return (f(t, y), dim) for the vectorized master equation.
+
+    y stacks one dim x dim block X per (s, r) in sectors, evolving as
+
+        dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
+
+    with A_s = -i s H(t) - sum_k w_k o_k^dag o_k: the <s|.|r> sb_x block of
+    a joint state under H (x) sb_x.  The single (+1, +1) block is the plain
+    master equation for H.
+    """
     jumps = [(o, 2.0 * w) for o, w in channels]
     sink = None
     for o, w in channels:
@@ -169,28 +181,50 @@ def _lindblad_rhs(h_of_t, channels):
         if sink is None:
             raise DimensionError("need a Hamiltonian or at least one channel")
         h_of_t = np.zeros_like(sink)
-    static_h = h_of_t if isinstance(h_of_t, np.ndarray) else None
-    if static_h is not None:
-        a_static = -1.0j * static_h - (0.0 if sink is None else sink)
-        dim = static_h.shape[0]
-    else:
-        probe = h_of_t(0.0)
-        dim = probe.shape[0]
+    signs = {s for pair in sectors for s in pair}
+
+    def generators(h):
+        a = -1.0j * h
+        out = {s: a if s > 0 else -a for s in signs}
+        return out if sink is None else {s: x - sink for s, x in out.items()}
+
+    static = isinstance(h_of_t, np.ndarray)
+    a_static = generators(h_of_t) if static else None
+    dim = (h_of_t if static else h_of_t(0.0)).shape[0]
 
     def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        if static_h is not None:
-            a = a_static
-        else:
-            a = -1.0j * h_of_t(t)
-            if sink is not None:
-                a = a - sink
-        out = a @ rho + rho @ a.conj().T
-        for o, tw in jumps:
-            out += tw * (o @ rho) @ o.conj().T
-        return out.ravel()
+        a = a_static if static else generators(h_of_t(t))
+        out = []
+        for x, (s, r) in zip(y.reshape(len(sectors), dim, dim), sectors):
+            dx = a[s] @ x + x @ a[r].conj().T
+            for o, tw in jumps:
+                dx += tw * (o @ x) @ o.conj().T
+            if s != r:
+                dx -= pair_rate * x
+            out.append(dx.ravel())
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rhs, dim
+
+
+_SX_KETS = {+1: KET_PLUS_X, -1: KET_MINUS_X}
+
+
+# Scale of each stored <s|rho|r> block.  An s != r block also stands for its
+# adjoint; storing it times sqrt(2) makes the stack's Euclidean norm the joint
+# state's Hilbert-Schmidt norm, so the solver's error control weighs the
+# coherences as a dense joint run does.
+_BLOCK_WEIGHT = {(1, 1): 1.0, (-1, -1): 1.0, (1, -1): math.sqrt(2.0)}
+
+
+def _joint_from_blocks(blocks, sectors):
+    """Stored sb_x blocks -> joint matrix, kron(magnon, qubit) order in the
+    dressed {g, e} basis; an s != r block also supplies its adjoint."""
+    joint = 0.0
+    for x, (s, r) in zip(blocks, sectors):
+        term = kron(x / _BLOCK_WEIGHT[s, r], np.outer(_SX_KETS[s], _SX_KETS[r].conj()))
+        joint = joint + (term if s == r else term + term.conj().T)
+    return joint
 
 
 def _rk4_fixed(rhs, y0, t_grid, step):
@@ -214,15 +248,20 @@ def _rk4_fixed(rhs, y0, t_grid, step):
 
 
 def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
-                  store_states=False):
+                  store_states=False, sectors=((1, 1),), pair_rate=0.0):
     """Integrate the master equation and monitor state sanity at samples.
 
     h           static matrix, or callable t -> matrix, or None
     dissipators LindbladSpec (may be empty)
-    rho0        StateDensity (frame tag propagated to outputs)
+    rho0        StateDensity (frame tag propagated to outputs); its matrix
+                stacks one block per entry of sectors
     solver      SolverConfig; sample_times required
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
                 merged into the observables series
+    sectors     (s, r) sb_x signs of the blocks (see _lindblad_rhs); several
+                blocks are a joint state under h (x) sb_x, which the monitor,
+                hook and stored states see assembled as the 2N joint matrix.
+    pair_rate   decay of the blocks with s != r (4w for w L[sb_x])
 
     Trace drift beyond 1e-8 warns; eigenvalues below -1e-6 abort.
     """
@@ -234,10 +273,11 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         raise DimensionError("sample_times must be strictly increasing")
 
     channels = dissipators.active() if dissipators is not None else []
-    rhs, dim = _lindblad_rhs(h, channels)
-    if rho0.matrix.shape[0] != dim:
+    rhs, dim = _lindblad_rhs(h, channels, sectors, pair_rate)
+    shape = rho0.matrix.shape
+    if shape[-2:] != (dim, dim) or rho0.matrix.size != len(sectors) * dim * dim:
         raise DimensionError(
-            f"rho0 dimension {rho0.matrix.shape[0]} != generator dimension {dim}"
+            f"rho0 shape {shape} != {len(sectors)} block(s) of generator dimension {dim}"
         )
 
     y0 = rho0.matrix.astype(complex).ravel()
@@ -286,7 +326,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     max_trace_drift = 0.0
     min_eig = np.inf
     for t, y in zip(t_grid, ys):
-        rho = y.reshape(dim, dim)
+        blocks = y.reshape(len(sectors), dim, dim)
+        rho = blocks[0] if len(sectors) == 1 else _joint_from_blocks(blocks, sectors)
         rho = 0.5 * (rho + rho.conj().T)
         drift = abs(np.trace(rho).real - 1.0)
         max_trace_drift = max(max_trace_drift, drift)
@@ -367,24 +408,29 @@ def postselect_qubit(rho_joint, outcome):
 # conditional squeezing protocol
 
 
-def _sector_hamiltonian_factory(params, fock_dim, sector, delta_eff):
-    """Magnon-only two-photon Hamiltonian in an sb_x sector (+1 or -1)."""
+def _sector_hamiltonian(params, fock_dim, delta_eff, sector=+1):
+    """Two-photon Hamiltonian of the sb_x = sector block,
+
+        h(t) = c [e^{-2i Delta t} m^2 + e^{+2i Delta t} m^dag^2],  c = -(g_cs/2) sector.
+
+    Returns (h(0), h, Delta): h is the matrix h(0) when Delta = 0, else the
+    callable t -> h(t).
+    """
     d = derive(params)
     delta = d.Delta_eff if delta_eff is None else float(delta_eff)
     m = annihilation(fock_dim)
     m2 = m @ m
     m2d = m2.conj().T
     c = -(d.g_cs / 2.0) * float(sector)
-
+    h0 = c * (m2 + m2d)
     if delta == 0.0:
-        static = c * (m2 + m2d)
-        return static, delta
+        return h0, h0, delta
 
     def h_of_t(t):
         ph = np.exp(-2.0j * delta * t)
         return c * (ph * m2 + np.conj(ph) * m2d)
 
-    return h_of_t, delta
+    return h0, h_of_t, delta
 
 
 def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
@@ -393,12 +439,7 @@ def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
     Uses H(t) = V H(0) V^dag with V = e^{+i Delta n t}:
     psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.
     """
-    d = derive(params)
-    delta = d.Delta_eff if delta_eff is None else float(delta_eff)
-    m = annihilation(fock_dim)
-    m2 = m @ m
-    c = -(d.g_cs / 2.0) * float(sector)
-    h0 = c * (m2 + m2.conj().T)
+    h0, _, delta = _sector_hamiltonian(params, fock_dim, delta_eff, sector)
     n_diag = np.arange(fock_dim, dtype=float)
     gen = h0 + delta * np.diag(n_diag)
     evals, vecs = herm_eig(gen)
@@ -413,6 +454,28 @@ def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
     return out
 
 
+def _effective_model(params, qubit_init, fock_dim, delta_eff):
+    """Effective model on the sb_x blocks that |0>(x)|qubit_init> fills: one
+    (s, s) block for an sb_x eigenstate, else (+,+), (-,-) and (+,-), whose
+    adjoint is not stored.  Returns (h, dissipators, rho0, evolve_master
+    keywords).  The stack is renormalized to unit trace, which removes the
+    rounding of the basis change: a pinned start is exactly |0><0|.
+    """
+    _, h, _ = _sector_hamiltonian(params, fock_dim, delta_eff)
+    rho4 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim).matrix.reshape(
+        fock_dim, 2, fock_dim, 2)
+    split = {
+        (s, r): np.einsum("a,iajb,b->ij", _SX_KETS[s].conj(), rho4, _SX_KETS[r])
+        for s, r in ((1, 1), (-1, -1), (1, -1))
+    }
+    sectors = tuple(sr for sr, x in split.items() if np.any(x))
+    norm = sum(np.trace(split[sr]).real for sr in sectors if sr[0] == sr[1])
+    blocks = np.array([split[sr] * _BLOCK_WEIGHT[sr] for sr in sectors]) / norm
+    blockwise = {"sectors": sectors, "pair_rate": 4.0 * _sx_weight(derive(params))}
+    return (h, magnon_thermal_dissipators(params, fock_dim),
+            StateDensity(blocks, frame="drive_interaction"), blockwise)
+
+
 def _magnon_metrics(rho_m):
     qv = min_quadrature_variance(rho_m)
     n = rho_m.shape[0]
@@ -424,6 +487,32 @@ def _magnon_metrics(rho_m):
         "theta_star": qv.angle,
         "n_magnon": n_exp,
     }
+
+
+_METRIC_KEYS = ("p_plus", "zeta_sq", "squeezing_db", "theta_star", "n_magnon")
+
+
+def _pinned_metrics(t, rho_m):
+    """Sample hook of a pinned sb_x sector: its own magnon state's metrics."""
+    out = _magnon_metrics(rho_m)
+    out["p_plus"] = 1.0
+    return out
+
+
+def _plus_x_metrics(params, frame_tag, transform_chain):
+    """Sample hook: joint state -> drive_interaction frame -> sb_x = +1
+    postselection -> p_plus and the magnon metrics."""
+
+    def hook(t, rho_joint):
+        state = StateDensity(rho_joint, frame=frame_tag, time=float(t))
+        for target in transform_chain:
+            state = frame_transform(state, target, params)
+        p, rho_m = postselect_qubit(state, "plus_x")
+        out = _magnon_metrics(rho_m.matrix)
+        out["p_plus"] = p
+        return out
+
+    return hook
 
 
 def default_sample_times(t_max=150.0, dt=0.5):
@@ -465,80 +554,33 @@ def conditional_squeezing_run(
     }
 
     if model == "effective":
-        dissipative = len(build_dissipators_effective(params, fock_dim).active()) > 0
-        sector = {"plus_x": +1, "minus_x": -1}.get(qubit_init)
+        h, dissipators, rho0, blockwise = _effective_model(
+            params, qubit_init, fock_dim, delta_eff
+        )
+        sectors = blockwise["sectors"]
+        dissipative = bool(dissipators.active()) or blockwise["pair_rate"] > 0.0
 
-        if sector is not None and not dissipative:
+        if len(sectors) == 1 and not dissipative:
             # exact closed-form sector propagation
-            psis = _sector_exact_states(params, fock_dim, sector, delta_eff, sample_times)
-            series = {"p_plus": [], "zeta_sq": [], "squeezing_db": [],
-                      "theta_star": [], "n_magnon": []}
-            states = [] if store_states else None
-            for t, psi in zip(sample_times, psis):
-                rho_m = np.outer(psi, psi.conj())
-                metrics = _magnon_metrics(rho_m)
-                series["p_plus"].append(1.0)
-                for k in ("zeta_sq", "squeezing_db", "theta_star", "n_magnon"):
-                    series[k].append(metrics[k])
-                if store_states:
-                    states.append(
-                        StateDensity(rho_m, frame="drive_interaction", time=float(t))
-                    )
-            meta["path"] = "sector_exact"
+            psis = _sector_exact_states(params, fock_dim, sectors[0][0], delta_eff,
+                                        sample_times)
+            rhos = [np.outer(psi, psi.conj()) for psi in psis]
+            samples = [_pinned_metrics(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
             return TrajectoryResult(
                 times=sample_times.copy(),
-                observables={k: np.asarray(v) for k, v in series.items()},
-                states=states,
+                observables={k: np.asarray([s[k] for s in samples]) for k in _METRIC_KEYS},
+                states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
+                        for t, rho_m in zip(sample_times, rhos)] if store_states else None,
                 frame="drive_interaction",
-                metadata=meta,
+                metadata=dict(meta, path="sector_exact"),
             )
 
-        if sector is not None:
-            # dissipative, but the qubit stays pinned in its sb_x sector:
-            # magnon-only master equation (exact reduction, tested vs joint)
-            h_sector, _ = _sector_hamiltonian_factory(params, fock_dim, sector, delta_eff)
-            rho0 = StateDensity(
-                np.zeros((fock_dim, fock_dim), dtype=complex),
-                frame="drive_interaction",
-            )
-            rho0.matrix[0, 0] = 1.0
-            cfg = solver or SolverConfig()
-            cfg = SolverConfig(
-                method=cfg.method,
-                rel_tol=cfg.rel_tol,
-                abs_tol=cfg.abs_tol,
-                max_step=cfg.max_step,
-                sample_times=sample_times,
-            )
-
-            def hook(t, rho_m):
-                out = _magnon_metrics(rho_m)
-                out["p_plus"] = 1.0
-                return out
-
-            result = evolve_master(
-                h_sector,
-                magnon_thermal_dissipators(params, fock_dim),
-                rho0,
-                solver=cfg,
-                sample_hook=hook,
-                store_states=store_states,
-            )
-            result.metadata.update(meta, path="sector_master_equation")
-            return result
-
-        # generic qubit state: joint evolution under H_cs
-        d_eff = d.Delta_eff
-
-        def h_joint(t):
-            return build_H_cs(params, t, fock_dim, delta_eff=d_eff)
-
-        h = build_H_cs(params, 0.0, fock_dim, delta_eff=d_eff) if d_eff == 0.0 else h_joint
-        rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
-        rho0.frame = "drive_interaction"
-        dissipators = build_dissipators_effective(params, fock_dim)
-        frame_tag = "drive_interaction"
-        transform_chain = []
+        if len(sectors) == 1:
+            meta["path"] = "sector_master_equation"
+            hook = _pinned_metrics
+        else:
+            meta["path"] = "joint_master_equation"
+            hook = _plus_x_metrics(params, "drive_interaction", [])
     elif model in ("full_lab", "full_rotating"):
         n = fock_dim
         m = annihilation(n)
@@ -576,35 +618,20 @@ def conditional_squeezing_run(
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
         rho0.frame = frame_tag
         dissipators = build_dissipators_full(params, fock_dim, qubit_basis=qubit_basis)
+        blockwise = {}
+        meta["path"] = "joint_master_equation"
+        hook = _plus_x_metrics(params, frame_tag, transform_chain)
     else:
         raise DimensionError(f"unknown model {model!r}")
 
-    cfg = solver or SolverConfig()
-    max_step = cfg.max_step
+    cfg = replace(solver or SolverConfig(), sample_times=sample_times)
     if model == "full_lab":
         # the 3 GHz drive needs explicit step limiting
-        max_step = min(max_step, 0.01) if max_step else 0.01
-    cfg = SolverConfig(
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=max_step,
-        sample_times=sample_times,
-    )
+        cfg.max_step = min(cfg.max_step, 0.01) if cfg.max_step else 0.01
 
-    def hook(t, rho_joint):
-        state = StateDensity(rho_joint, frame=frame_tag, time=float(t))
-        for target in transform_chain:
-            state = frame_transform(state, target, params)
-        p, rho_m = postselect_qubit(state, "plus_x")
-        out = _magnon_metrics(rho_m.matrix)
-        out["p_plus"] = p
-        return out
-
-    result = evolve_master(
-        h, dissipators, rho0, solver=cfg, sample_hook=hook, store_states=store_states
-    )
-    result.metadata.update(meta, path="joint_master_equation")
+    result = evolve_master(h, dissipators, rho0, solver=cfg, sample_hook=hook,
+                           store_states=store_states, **blockwise)
+    result.metadata.update(meta)
     return result
 
 
@@ -704,24 +731,8 @@ def conditional_superposition_run(
     """
     sample_times = np.asarray(sample_times, dtype=float)
     d = derive(params, delta_eff_override=delta_eff)
-
-    def h_joint(t):
-        return build_H_cs(params, t, fock_dim, delta_eff=d.Delta_eff)
-
-    h = (
-        build_H_cs(params, 0.0, fock_dim, delta_eff=d.Delta_eff)
-        if d.Delta_eff == 0.0
-        else h_joint
-    )
-    rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=fock_dim)
-    rho0.frame = "drive_interaction"
-    cfg = solver or SolverConfig()
-    cfg = SolverConfig(
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        sample_times=sample_times,
+    h, dissipators, rho0, blockwise = _effective_model(
+        params, "plus_plus_minus", fock_dim, delta_eff
     )
     states_g, states_e = [], []
 
@@ -739,10 +750,11 @@ def conditional_superposition_run(
 
     result = evolve_master(
         h,
-        build_dissipators_effective(params, fock_dim),
+        dissipators,
         rho0,
-        solver=cfg,
+        solver=replace(solver or SolverConfig(), sample_times=sample_times),
         sample_hook=hook,
+        **blockwise,
     )
     result.metadata.update(
         model="effective",

@@ -79,7 +79,7 @@ class WignerGrid:
         return float(np.sum(self.values) * self.cell_area)
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re_alpha,im_alpha,wigner\n")
             for iy, y in enumerate(self.im_axis):
                 for ix, x in enumerate(self.re_axis):
@@ -94,7 +94,7 @@ class WignerGrid:
         }
 
     def to_json(self, path):
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.descriptor(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

@@ -93,7 +93,6 @@ class RunManifest:
     outputs: list
     wall_clock_s: float
     notes: list = field(default_factory=list)
-    convergence: dict = None
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -255,9 +254,6 @@ def _run_squeeze_compare(sc, outdir):
     return [path], notes
 
 
-_SWEEP_STATE = {}
-
-
 def _squeeze_cell(args):
     """Worker: one dissipative conditional run, returns its S(t) series."""
     params, times, delta, fock_dim = args
@@ -268,56 +264,47 @@ def _squeeze_cell(args):
     )
 
 
-def _run_kappa_sweep(sc, outdir):
+def _run_parameter_sweep(sc, outdir, param, column, cells):
+    """Effective conditional runs over one PhysicalParams field, one per
+    (value, fock_dim) cell: every S(t), n(t) series plus each cell's peak,
+    as <param>_sweep.csv and <param>_sweep_peaks.csv."""
     cfg = sc.config
     delta = _operating_delta(cfg)
     times = _time_grid(cfg)
-    kappas = [0.5, 1.0, 2.0, 4.0]
     items = [
-        (replace(cfg.params, kappa=k), times.tolist(), delta, cfg.run.fock_dim)
-        for k in kappas
+        (replace(cfg.params, **{param: v}), times.tolist(), delta, nf)
+        for v, nf in cells
     ]
     results = _parallel_map(_squeeze_cell, items, sc.threads)
     rows = []
     peaks = []
-    for k, (s_db, n_m) in zip(kappas, results):
+    for (v, _), (s_db, n_m) in zip(cells, results):
         idx = int(np.argmax(s_db))
-        peaks.append((k, float(s_db[idx]), float(times[idx])))
+        peaks.append((v, float(s_db[idx]), float(times[idx])))
         for t, s, n in zip(times, s_db, n_m):
-            rows.append((float(k), float(t), float(s), float(n)))
-    path = os.path.join(outdir, "kappa_sweep.csv")
-    write_csv(path, ["kappa_MHz", "time_ns", "S_dB", "n_magnon"], rows)
-    peak_path = os.path.join(outdir, "kappa_sweep_peaks.csv")
-    write_csv(peak_path, ["kappa_MHz", "peak_S_dB", "t_peak_ns"], peaks)
+            rows.append((float(v), float(t), float(s), float(n)))
+    path = os.path.join(outdir, f"{param}_sweep.csv")
+    write_csv(path, [column, "time_ns", "S_dB", "n_magnon"], rows)
+    peak_path = os.path.join(outdir, f"{param}_sweep_peaks.csv")
+    write_csv(peak_path, [column, "peak_S_dB", "t_peak_ns"], peaks)
     return [path, peak_path], [f"delta_eff_rad_ns={delta:.6e}"]
+
+
+def _run_kappa_sweep(sc, outdir):
+    nf = sc.config.run.fock_dim
+    return _run_parameter_sweep(sc, outdir, "kappa", "kappa_MHz",
+                                [(k, nf) for k in (0.5, 1.0, 2.0, 4.0)])
 
 
 def _run_temperature_sweep(sc, outdir):
-    cfg = sc.config
-    delta = _operating_delta(cfg)
-    times = _time_grid(cfg)
-    temps = [10.0, 100.0, 200.0, 300.0]
-    items = []
-    for t_mk in temps:
-        # hot baths need headroom: thermal occupation at 300 mK is ~3.7,
-        # and squeezing stretches the tail
-        nf = cfg.run.fock_dim if t_mk <= 100.0 else max(cfg.run.fock_dim, 150)
-        items.append(
-            (replace(cfg.params, temperature=t_mk), times.tolist(), delta, nf)
-        )
-    results = _parallel_map(_squeeze_cell, items, sc.threads)
-    rows = []
-    peaks = []
-    for t_mk, (s_db, n_m) in zip(temps, results):
-        idx = int(np.argmax(s_db))
-        peaks.append((t_mk, float(s_db[idx]), float(times[idx])))
-        for t, s, n in zip(times, s_db, n_m):
-            rows.append((float(t_mk), float(t), float(s), float(n)))
-    path = os.path.join(outdir, "temperature_sweep.csv")
-    write_csv(path, ["temperature_mK", "time_ns", "S_dB", "n_magnon"], rows)
-    peak_path = os.path.join(outdir, "temperature_sweep_peaks.csv")
-    write_csv(peak_path, ["temperature_mK", "peak_S_dB", "t_peak_ns"], peaks)
-    return [path, peak_path], [f"delta_eff_rad_ns={delta:.6e}"]
+    # hot baths need headroom: thermal occupation at 300 mK is ~3.7, and
+    # squeezing stretches the tail
+    nf = sc.config.run.fock_dim
+    return _run_parameter_sweep(
+        sc, outdir, "temperature", "temperature_mK",
+        [(t_mk, nf if t_mk <= 100.0 else max(nf, 150))
+         for t_mk in (10.0, 100.0, 200.0, 300.0)],
+    )
 
 
 def _heatmap_cell(args):
@@ -380,9 +367,7 @@ def _run_superposition_wigner(sc, outdir):
         grid = wigner(ket, ax, ax)
         base = os.path.join(outdir, f"wigner_ideal_{tag}")
         grid.to_csv(base + ".csv")
-        with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(grid.descriptor(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        grid.to_json(base + ".json")
         outputs += [base + ".csv", base + ".json"]
 
     # dissipative counterparts: evolve |0>|g> under the effective model at
@@ -396,9 +381,7 @@ def _run_superposition_wigner(sc, outdir):
         grid = wigner(rho.matrix, ax, ax, pad_to=320, weight_floor=1e-6)
         base = os.path.join(outdir, f"wigner_dissipative_{tag}")
         grid.to_csv(base + ".csv")
-        with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(grid.descriptor(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        grid.to_json(base + ".json")
         outputs += [base + ".csv", base + ".json"]
     notes.append(f"dissipative run fock_dim={nf}; ideal kets at {ket_dim}")
     notes.append(

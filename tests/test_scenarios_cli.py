@@ -11,6 +11,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from magsqueeze import cli
 from magsqueeze.config import Config, RunOptions, load_config
 from magsqueeze.constants import TWO_PI
-from magsqueeze.errors import ConfigError
+from magsqueeze.errors import ConfigError, DimensionError, FrameError
 from magsqueeze.model import derive
 from magsqueeze.scenarios import (
     ScenarioConfig,
@@ -283,6 +285,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     code = cli.main(["squeeze", "--config", ini, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_invalid_parameter_exit_code(tmp_path):
+    # PhysicalParams.validate raises ValueError; the CLI must report it as a
+    # config error (exit 2), not end in a traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, MAGSQUEEZE_PHYSICAL_THETA="100 deg",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magsqueeze.cli", "coupling-map", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "theta" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("error", [DimensionError, FrameError])
+def test_cli_dimension_and_frame_errors_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(sc):
+        raise error("bad setup")
+
+    monkeypatch.setattr(cli.scenarios, "run", fail)
+    assert cli.main(["squeeze", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: bad setup" in capsys.readouterr().err
 
 
 def test_cli_unknown_scenario_exit_code(tmp_path, capsys):
