@@ -33,11 +33,6 @@ def ghz_to_rad_ns(f_ghz):
     return TWO_PI * f_ghz
 
 
-def rad_ns_to_ghz(w):
-    """Angular frequency in rad/ns -> linear frequency in GHz."""
-    return w / TWO_PI
-
-
 def thermal_occupation(f_ghz, temperature_mk):
     """Bose-Einstein occupation of a mode at linear frequency f_ghz (GHz)
     for a bath at temperature_mk (mK).

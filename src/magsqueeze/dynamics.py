@@ -492,11 +492,17 @@ def _magnon_metrics(rho_m):
 _METRIC_KEYS = ("p_plus", "zeta_sq", "squeezing_db", "theta_star", "n_magnon")
 
 
-def _pinned_metrics(t, rho_m):
-    """Sample hook of a pinned sb_x sector: its own magnon state's metrics."""
-    out = _magnon_metrics(rho_m)
-    out["p_plus"] = 1.0
-    return out
+def _pinned_metrics(sign):
+    """Sample hook of a pinned sb_x = sign sector: its own magnon state's
+    metrics, with p_plus the probability of sb_x = +1 (1 or 0)."""
+    p_plus = 1.0 if sign > 0 else 0.0
+
+    def hook(t, rho_m):
+        out = _magnon_metrics(rho_m)
+        out["p_plus"] = p_plus
+        return out
+
+    return hook
 
 
 def _plus_x_metrics(params, frame_tag, transform_chain):
@@ -560,24 +566,25 @@ def conditional_squeezing_run(
         sectors = blockwise["sectors"]
         dissipative = bool(dissipators.active()) or blockwise["pair_rate"] > 0.0
 
-        if len(sectors) == 1 and not dissipative:
-            # exact closed-form sector propagation
-            psis = _sector_exact_states(params, fock_dim, sectors[0][0], delta_eff,
-                                        sample_times)
-            rhos = [np.outer(psi, psi.conj()) for psi in psis]
-            samples = [_pinned_metrics(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
-            return TrajectoryResult(
-                times=sample_times.copy(),
-                observables={k: np.asarray([s[k] for s in samples]) for k in _METRIC_KEYS},
-                states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
-                        for t, rho_m in zip(sample_times, rhos)] if store_states else None,
-                frame="drive_interaction",
-                metadata=dict(meta, path="sector_exact"),
-            )
-
         if len(sectors) == 1:
+            sign = sectors[0][0]
+            hook = _pinned_metrics(sign)
+            if not dissipative:
+                # exact closed-form sector propagation
+                psis = _sector_exact_states(params, fock_dim, sign, delta_eff,
+                                            sample_times)
+                rhos = [np.outer(psi, psi.conj()) for psi in psis]
+                samples = [hook(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
+                return TrajectoryResult(
+                    times=sample_times.copy(),
+                    observables={k: np.asarray([s[k] for s in samples])
+                                 for k in _METRIC_KEYS},
+                    states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
+                            for t, rho_m in zip(sample_times, rhos)] if store_states else None,
+                    frame="drive_interaction",
+                    metadata=dict(meta, path="sector_exact"),
+                )
             meta["path"] = "sector_master_equation"
-            hook = _pinned_metrics
         else:
             meta["path"] = "joint_master_equation"
             hook = _plus_x_metrics(params, "drive_interaction", [])

@@ -71,7 +71,6 @@ class StateDensity:
 # qubit (dressed basis, ordering |g>, |e|)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = SIGMA_PLUS.conj().T                                 # |g><e|

@@ -3,15 +3,20 @@
 The finite-segment closed form is validated against the infinite-wire and
 dipole far-field limits and the square-loop center value 2 sqrt(2) mu0 I /
 (pi L); the quadrature sphere average is validated by its point-sphere limit
-and order-doubling stability.
+and order-doubling stability.  The row kernel behind volume_avg_field and
+the volume coupling map is checked against the per-node quadrature it
+replaced (loop_field at every Gauss-Legendre node, then the weighted sum).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from magsqueeze.constants import MU0
+from magsqueeze.constants import H_PLANCK, MU0, MU_B
 from magsqueeze.coupling import (
     YIG,
     CouplingResult,
@@ -25,10 +30,22 @@ from magsqueeze.coupling import (
     segment_field,
     spin_count,
     volume_avg_field,
+    _sphere_averages,
+    _spherical_nodes,
 )
 from magsqueeze.errors import ConfigError, NumericalError
 
 GEOM = LoopGeometry(side_length=10.0, current=0.4)
+
+
+def per_node_average(geometry, center, radius, orders=(32, 32, 64)):
+    """Oracle: loop_field at every quadrature node, then the weighted sum.
+
+    The default orders are the doubled (16, 16, 32) that volume_avg_field
+    reports.
+    """
+    offsets, w = _spherical_nodes(radius, orders)
+    return w @ loop_field(geometry, np.asarray(center, dtype=float) + offsets)
 
 
 def test_geometry_validation():
@@ -188,3 +205,59 @@ def test_coupling_map_volume_mode():
     assert g_row[0] > g_row[1] > g_row[2]
     with pytest.raises(ConfigError):
         coupling_map(GEOM, YIG, axes, mode="sideways")
+
+
+@pytest.mark.filterwarnings("ignore:sphere-average quadrature")
+@given(
+    side=st.floats(2.0, 20.0),
+    current=st.floats(0.05, 2.0),
+    center_frac=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    radius_frac=st.floats(0.05, 0.95),
+)
+def test_volume_avg_full_vector_matches_per_node_quadrature(side, current, center_frac,
+                                                            radius_frac):
+    geom = LoopGeometry(side_length=side, current=current)
+    center = tuple(side * c for c in center_frac)
+    # the center projects inside the square, so its nearest wire point lies
+    # on the nearest side's line
+    clearance = math.hypot(center[0], side / 2.0 - max(abs(center[1]), abs(center[2])))
+    sphere = SphereSpec(center=center, radius=radius_frac * clearance)
+    got = volume_avg_field(geom, sphere, full_vector=True)
+    want = per_node_average(geom, center, sphere.radius)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * abs(want[0]))
+
+
+def test_coupling_map_volume_matches_per_node_quadrature():
+    r_vals = np.array([0.3, 0.6, 0.9])
+    x_vals = np.array([0.0, 1.0, 2.0, 3.0])
+    res = coupling_map(GEOM, YIG, {"R": r_vals, "x0": x_vals}, mode="volume_avg")
+    assert res.g_ghz.shape == (3, 4)
+    for i, rad in enumerate(r_vals):
+        n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), YIG)
+        for j, x0 in enumerate(x_vals):
+            b_x = per_node_average(GEOM, (x0, 0.0, 0.0), rad)[0]
+            g = YIG.lande_g * MU_B * b_x * math.sqrt(n_spins * YIG.spin / 2.0) / H_PLANCK * 1e-9
+            assert res.g_ghz[i, j] == pytest.approx(g, rel=1e-12)
+
+
+def test_sphere_average_wire_guard():
+    # center 0.5 um from the y = +5 wire: closer than the outermost radial
+    # node of a radius-1 sphere (0.93 um at radial order 4)
+    with pytest.raises(NumericalError):
+        _sphere_averages(GEOM, 1.0, 4.5, 0.0, [0.0], (4, 4, 8))
+    # one clear center in the row does not hide an offending one
+    with pytest.raises(NumericalError):
+        _sphere_averages(GEOM, 1.0, 4.5, 0.0, [5.0, 0.0], (4, 4, 8))
+    _sphere_averages(GEOM, 1.0, 4.5, 0.0, [5.0], (4, 4, 8))
+
+
+def test_low_orders_warn_once_per_cell():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _sphere_averages(GEOM, 2.0, 0.0, 0.0, [0.0, 1.0, 2.0], (2, 2, 4))
+    assert len(caught) == 3
+    assert all("quadrature estimate" in str(w.message) for w in caught)
+    with pytest.warns(UserWarning, match="quadrature estimate"):
+        volume_avg_field(GEOM, SphereSpec(center=(1.0, 0.0, 0.0), radius=2.0),
+                         orders=(2, 2, 4))

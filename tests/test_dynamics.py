@@ -325,6 +325,9 @@ def test_sector_exact_ideal_law():
     # the minus_x sector squeezes the orthogonal quadrature at the same rate
     res_m = conditional_squeezing_run(NODISS, qubit_init="minus_x", model="effective",
                                       fock_dim=80, sample_times=times, delta_eff=0.0)
+    assert res_m.metadata["path"] == "sector_exact"
+    # a pinned -x start has no sb_x = +1 population
+    assert_allclose(res_m.observables["p_plus"], 0.0, atol=0.0)
     assert_allclose(res_m.observables["squeezing_db"],
                     res.observables["squeezing_db"], atol=1e-9)
     dtheta = (res_m.observables["theta_star"][1:] - res.observables["theta_star"][1:]) % math.pi
@@ -342,6 +345,23 @@ def test_sector_master_equation_peak(params):
     assert s[np.searchsorted(times, 42.5)] == pytest.approx(8.6542, abs=5e-3)
     assert times[int(np.argmax(s))] == pytest.approx(42.5, abs=2.6)
     assert 8.0 < s.max() < 13.0
+
+
+def test_pinned_minus_x_sector_master_equation(params):
+    # dissipative pinned runs: p_plus is the sb_x = +1 probability of the
+    # start (0 for -x), and the -x sector squeezes at the same level as +x
+    times = np.arange(0.0, 10.0 + 2.5, 2.5)
+    runs = {
+        init: conditional_squeezing_run(params, qubit_init=init, model="effective",
+                                        fock_dim=20, sample_times=times, delta_eff=DELTA_OP)
+        for init in ("plus_x", "minus_x")
+    }
+    for init, p_plus in (("plus_x", 1.0), ("minus_x", 0.0)):
+        assert runs[init].metadata["path"] == "sector_master_equation"
+        assert_allclose(runs[init].observables["p_plus"], p_plus, atol=0.0)
+    for key in ("zeta_sq", "squeezing_db", "n_magnon"):
+        assert_allclose(runs["minus_x"].observables[key], runs["plus_x"].observables[key],
+                        rtol=1e-6, atol=1e-9)
 
 
 def test_joint_run_reduces_to_sector():
