@@ -17,6 +17,7 @@ from .coupling import (
 from .dynamics import (
     LindbladSpec,
     SolverConfig,
+    SplitHamiltonian,
     TrajectoryResult,
     build_dissipators_effective,
     build_dissipators_full,

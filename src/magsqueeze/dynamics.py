@@ -21,7 +21,10 @@ dispatch on that structure:
 * any other effective run -> one master equation on the N x N magnon
   blocks the start fills (one for an sb_x eigenstate, else three),
   assembled into the 2N joint state at sample times;
-* full models -> dense joint master equation.
+* full models -> one master equation on the 2N joint space.
+
+Every master equation runs on one sparse Liouvillian, assembled once per
+run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
 """
 
 import math
@@ -30,7 +33,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy.sparse as sp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import DimensionError, NumericalError, StiffnessError
 from .model import (
@@ -160,8 +164,27 @@ def magnon_thermal_dissipators(params, fock_dim):
 # master-equation integrator
 
 
-def _lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
-    """Return (f(t, y), dim) for the vectorized master equation.
+@dataclass
+class SplitHamiltonian:
+    """H(t) = static + sum_k [e^{i w_k t} H_k + e^{-i w_k t} H_k^dag].
+
+    static is a matrix or None; terms holds (H_k, w_k) pairs, w_k in rad/ns.
+    This is how evolve_master takes a time-dependent Hamiltonian: each term
+    becomes two fixed superoperators scaled by e^{+i w_k t} and e^{-i w_k t}.
+    """
+
+    static: np.ndarray = None
+    terms: tuple = ()
+
+
+def _superop(left, right, n):
+    """X -> left X + X right on the row-major vec of an n x n block."""
+    eye = sp.identity(n, dtype=complex, format="csr")
+    return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
+
+
+def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0):
+    """Return (f(t, y), dim, nnz) for the vectorized master equation.
 
     y stacks one dim x dim block X per (s, r) in sectors, evolving as
 
@@ -170,41 +193,65 @@ def _lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
     with A_s = -i s H(t) - sum_k w_k o_k^dag o_k: the <s|.|r> sb_x block of
     a joint state under H (x) sb_x.  The single (+1, +1) block is the plain
     master equation for H.
+
+    h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
+    Liouvillian, block-diagonal over sectors and assembled once.  The static
+    part and the channels make L0; each oscillating term H_k adds the
+    operators of X -> -i s H_k X + i r X H_k and of the same with H_k^dag.
+    They sit side by side, [L0, L_1, L_1', ...], so a call is one product
+    with the stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
     """
-    jumps = [(o, 2.0 * w) for o, w in channels]
-    sink = None
+    if isinstance(h, SplitHamiltonian):
+        static, terms = h.static, list(h.terms)
+    elif callable(h):
+        raise DimensionError(
+            "a time-dependent Hamiltonian must be a SplitHamiltonian, not a callable")
+    else:
+        static, terms = h, []
+    mats = [np.asarray(x) for x in [static] + [hk for hk, _ in terms]
+            + [o for o, _ in channels] if x is not None]
+    if not mats:
+        raise DimensionError("need a Hamiltonian or at least one channel")
+    dim = mats[0].shape[0]
+    if any(x.shape != (dim, dim) for x in mats):
+        raise DimensionError(
+            f"Hamiltonian terms and channels must all be {dim} x {dim}: "
+            f"got shapes {sorted({x.shape for x in mats})}")
+
+    h0 = sp.csr_matrix((dim, dim) if static is None else static, dtype=complex)
+    oscillating = []
+    for hk, w in terms:
+        hk = sp.csr_matrix(hk, dtype=complex)
+        if w == 0.0:  # a term with w = 0 is static
+            h0 = h0 + hk + hk.conj().T
+        else:
+            oscillating.append((hk, float(w)))
+
+    sink = sp.csr_matrix((dim, dim), dtype=complex)
+    jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for o, w in channels:
-        term = w * (o.conj().T @ o)
-        sink = term if sink is None else sink + term
+        o = sp.csr_matrix(o, dtype=complex)
+        sink = sink + w * (o.conj().T @ o)
+        jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
 
-    if h_of_t is None:
-        if sink is None:
-            raise DimensionError("need a Hamiltonian or at least one channel")
-        h_of_t = np.zeros_like(sink)
-    signs = {s for pair in sectors for s in pair}
-
-    def generators(h):
-        a = -1.0j * h
-        out = {s: a if s > 0 else -a for s in signs}
-        return out if sink is None else {s: x - sink for s, x in out.items()}
-
-    static = isinstance(h_of_t, np.ndarray)
-    a_static = generators(h_of_t) if static else None
-    dim = (h_of_t if static else h_of_t(0.0)).shape[0]
+    ops = [sp.block_diag(
+        [_superop(-1.0j * s * h0 - sink, 1.0j * r * h0.conj().T - sink, dim) + jumps
+         - (pair_rate if s != r else 0.0) * sp.identity(dim * dim, format="csr")
+         for s, r in sectors], format="csr")]
+    omegas = [0.0]
+    for hk, w in oscillating:
+        for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
+            ops.append(sp.block_diag(
+                [_superop(-1.0j * s * x, 1.0j * r * x, dim) for s, r in sectors],
+                format="csr"))
+            omegas.append(sign * w)
+    gen = sp.hstack(ops, format="csr")
+    omegas = np.array(omegas)
 
     def rhs(t, y):
-        a = a_static if static else generators(h_of_t(t))
-        out = []
-        for x, (s, r) in zip(y.reshape(len(sectors), dim, dim), sectors):
-            dx = a[s] @ x + x @ a[r].conj().T
-            for o, tw in jumps:
-                dx += tw * (o @ x) @ o.conj().T
-            if s != r:
-                dx -= pair_rate * x
-            out.append(dx.ravel())
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
 
-    return rhs, dim
+    return rhs, dim, gen.nnz
 
 
 _SX_KETS = {+1: KET_PLUS_X, -1: KET_MINUS_X}
@@ -225,6 +272,29 @@ def _joint_from_blocks(blocks, sectors):
         term = kron(x / _BLOCK_WEIGHT[s, r], np.outer(_SX_KETS[s], _SX_KETS[r].conj()))
         joint = joint + (term if s == r else term + term.conj().T)
     return joint
+
+
+def _dop853(rhs, y0, t_grid, cfg):
+    """Adaptive DOP853 sampled on t_grid through its dense output, step for
+    step what solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev)."""
+    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                 max_step=cfg.max_step if cfg.max_step else np.inf)
+    ys, done = [], 0
+    try:
+        while done < len(t_grid):
+            message = ode.step()
+            if ode.status == "failed":
+                raise StiffnessError(
+                    f"integrator failed: {message} (reached t = {ode.t:.3f} ns)")
+            upto = int(np.searchsorted(t_grid, ode.t, side="right"))
+            if upto > done:
+                ys.extend(ode.dense_output()(t_grid[done:upto]).T)
+                done = upto
+        return ys, ode.nfev
+    finally:
+        # the solver's closures refer to the solver itself; clearing it frees
+        # its work arrays and rhs now instead of at the next full collection
+        vars(ode).clear()
 
 
 def _rk4_fixed(rhs, y0, t_grid, step):
@@ -251,7 +321,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
                   store_states=False, sectors=((1, 1),), pair_rate=0.0):
     """Integrate the master equation and monitor state sanity at samples.
 
-    h           static matrix, or callable t -> matrix, or None
+    h           static matrix, SplitHamiltonian, or None
     dissipators LindbladSpec (may be empty)
     rho0        StateDensity (frame tag propagated to outputs); its matrix
                 stacks one block per entry of sectors
@@ -273,7 +343,9 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         raise DimensionError("sample_times must be strictly increasing")
 
     channels = dissipators.active() if dissipators is not None else []
-    rhs, dim = _lindblad_rhs(h, channels, sectors, pair_rate)
+    setup0 = _time.perf_counter()
+    rhs, dim, nnz = _lindblad_rhs(h, channels, sectors, pair_rate)
+    setup_s = _time.perf_counter() - setup0
     shape = rho0.matrix.shape
     if shape[-2:] != (dim, dim) or rho0.matrix.size != len(sectors) * dim * dim:
         raise DimensionError(
@@ -298,22 +370,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             ys = [y0]
             n_evals = 0
         else:
-            sol = solve_ivp(
-                rhs,
-                (t_grid[0], t_grid[-1]),
-                y0,
-                method="DOP853",
-                t_eval=t_grid,
-                rtol=solver.rel_tol,
-                atol=solver.abs_tol,
-                max_step=solver.max_step if solver.max_step else np.inf,
-            )
-            if not sol.success:
-                raise StiffnessError(
-                    f"integrator failed: {sol.message} (reached t = {sol.t[-1] if len(sol.t) else 0.0:.3f} ns)"
-                )
-            ys = [sol.y[:, k] for k in range(sol.y.shape[1])]
-            n_evals = int(sol.nfev)
+            ys, n_evals = _dop853(rhs, y0, t_grid, solver)
     else:
         raise DimensionError(f"unknown solver method {solver.method!r}")
 
@@ -359,6 +416,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "min_eigenvalue": float(min_eig),
             "n_rhs_evals": n_evals,
             "wall_time_s": _time.perf_counter() - wall0,
+            "setup_s": setup_s,
+            "generator_nnz": nnz,
             "method": solver.method,
         },
     )
@@ -413,24 +472,15 @@ def _sector_hamiltonian(params, fock_dim, delta_eff, sector=+1):
 
         h(t) = c [e^{-2i Delta t} m^2 + e^{+2i Delta t} m^dag^2],  c = -(g_cs/2) sector.
 
-    Returns (h(0), h, Delta): h is the matrix h(0) when Delta = 0, else the
-    callable t -> h(t).
+    Returns (h(0), h as a SplitHamiltonian, Delta).
     """
     d = derive(params)
     delta = d.Delta_eff if delta_eff is None else float(delta_eff)
     m = annihilation(fock_dim)
-    m2 = m @ m
-    m2d = m2.conj().T
     c = -(d.g_cs / 2.0) * float(sector)
-    h0 = c * (m2 + m2d)
-    if delta == 0.0:
-        return h0, h0, delta
-
-    def h_of_t(t):
-        ph = np.exp(-2.0j * delta * t)
-        return c * (ph * m2 + np.conj(ph) * m2d)
-
-    return h0, h_of_t, delta
+    term = c * (m @ m)
+    h0 = term + term.conj().T
+    return h0, SplitHamiltonian(terms=((term, -2.0 * delta),)), delta
 
 
 def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
@@ -478,14 +528,11 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
 
 def _magnon_metrics(rho_m):
     qv = min_quadrature_variance(rho_m)
-    n = rho_m.shape[0]
-    m = annihilation(n)
-    n_exp = float(np.einsum("ij,ji->", rho_m, m.conj().T @ m).real)
     return {
         "zeta_sq": qv.value,
         "squeezing_db": squeezing_db(qv.value),
         "theta_star": qv.angle,
-        "n_magnon": n_exp,
+        "n_magnon": qv.n_mean,
     }
 
 
@@ -593,14 +640,10 @@ def conditional_squeezing_run(
         m = annihilation(n)
         eye_m = np.eye(n, dtype=complex)
         if model == "full_lab":
+            # build_H_tot at cos(omega_p t) = 0 is the static part
             h_static = build_H_tot(params, math.pi / (2.0 * d.omega_p), n)
-            x_q = kron(eye_m, SIGMA_X)
-            wp = d.omega_p
-            omega = d.Omega
-
-            def h(t):
-                return h_static - omega * math.cos(wp * t) * x_q
-
+            drive = -0.5 * d.Omega * kron(eye_m, SIGMA_X)
+            h = SplitHamiltonian(h_static, ((drive, d.omega_p),))
             frame_tag = "lab"
             transform_chain = ["rotating_half_pump", "drive_interaction"]
         else:
@@ -612,14 +655,7 @@ def conditional_squeezing_run(
                 a13 + a13.conj().T + a2 + a2.conj().T + acr + acr.conj().T
             )
             wp = d.omega_p
-
-            def h(t):
-                p1 = np.exp(0.5j * wp * t)
-                p2 = np.exp(1.5j * wp * t)
-                pc = np.exp(2.0j * wp * t)
-                osc = p1 * a13 + p2 * a2 + pc * acr
-                return static + osc + osc.conj().T
-
+            h = SplitHamiltonian(static, ((a13, 0.5 * wp), (a2, 1.5 * wp), (acr, 2.0 * wp)))
             frame_tag = "rotating_half_pump"
             transform_chain = ["drive_interaction"]
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)

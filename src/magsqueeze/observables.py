@@ -31,24 +31,27 @@ class QuadratureVariance(NamedTuple):
     value: float        # vacuum-normalized minimum variance zeta^2
     angle: float        # optimal quadrature angle theta*, radians
     raw: float          # physical symmetric-ordering variance, = value/2
+    n_mean: float       # <m^dag m>
 
 
 def min_quadrature_variance(rho_magnon):
     """Minimum quadrature variance of a magnon-only state, vacuum -> 1.
 
     Depends only on first and second moments; the optimal quadrature angle
-    theta* = arg(<m^2> - <m>^2)/2 + pi/2 comes along as metadata.
+    theta* = arg(<m^2> - <m>^2)/2 + pi/2 and <m^dag m> come along as
+    metadata.  The moments are read off the diagonal and the first two
+    sub-diagonals of rho: <m> = sum_k sqrt(k+1) rho[k+1, k], and likewise.
     """
     rho = np.asarray(rho_magnon)
     n = rho.shape[0]
-    m = annihilation(n)
-    m_exp = np.einsum("ij,ji->", rho, m)
-    m2_exp = np.einsum("ij,ji->", rho, m @ m)
-    n_exp = float(np.einsum("ij,ji->", rho, m.conj().T @ m).real)
+    k = np.arange(1, n, dtype=float)
+    m_exp = np.diagonal(rho, -1) @ np.sqrt(k)
+    m2_exp = np.diagonal(rho, -2) @ np.sqrt(k[:-1] * k[1:])
+    n_exp = float(np.diagonal(rho).real @ np.arange(n, dtype=float))
     c = m2_exp - m_exp**2
     zeta_sq = float(1.0 + 2.0 * (n_exp - abs(m_exp) ** 2) - 2.0 * abs(c))
     angle = float(np.angle(c) / 2.0 + math.pi / 2.0) if abs(c) > 0 else 0.0
-    return QuadratureVariance(value=zeta_sq, angle=angle, raw=zeta_sq / 2.0)
+    return QuadratureVariance(value=zeta_sq, angle=angle, raw=zeta_sq / 2.0, n_mean=n_exp)
 
 
 def squeezing_db(zeta_sq):

@@ -3,8 +3,9 @@ conditional-squeezing / superposition protocol runners.
 
 Cross-validation strategy: every dynamical path is checked against an
 independent route -- closed-form sector propagation, the analytic
-propagator, the Gaussian covariance integrator, or a differently-framed
-full model -- rather than against stored trajectories.
+propagator, the Gaussian covariance integrator, a differently-framed full
+model, or the dense master-equation RHS kept here as an oracle for the
+sparse Liouvillian -- rather than against stored trajectories.
 """
 
 import math
@@ -12,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from magsqueeze.errors import DimensionError, NumericalError, StiffnessError
@@ -24,6 +26,8 @@ from magsqueeze.model import (
 )
 from magsqueeze.dynamics import (
     SolverConfig,
+    SplitHamiltonian,
+    _lindblad_rhs,
     build_dissipators_effective,
     build_dissipators_full,
     conditional_squeezing_run,
@@ -65,16 +69,59 @@ def solver_for(times, **kw):
     return SolverConfig(sample_times=np.asarray(times, dtype=float), **kw)
 
 
+def split_from_samples(h_of_t, omega):
+    """SplitHamiltonian of h(t) = e^{i omega t} A + h.c., with A read off
+    two samples: h(0) - i h(pi / (2 omega)) = 2A.  A third sample checks it."""
+    a = 0.5 * (h_of_t(0.0) - 1.0j * h_of_t(0.5 * math.pi / omega))
+    t = 0.37 / abs(omega)
+    phase = np.exp(1.0j * omega * t)
+    assert_allclose(phase * a + np.conj(phase) * a.conj().T, h_of_t(t), atol=1e-12)
+    return SplitHamiltonian(terms=((a, omega),))
+
+
+def cs_split(params, fock_dim, delta_eff=None):
+    """H_cs(t) on the joint space, as a SplitHamiltonian at w = -2 Delta_eff."""
+    delta = derive(params, delta_eff_override=delta_eff).Delta_eff
+    return split_from_samples(
+        lambda t: build_H_cs(params, t, fock_dim, delta_eff=delta_eff), -2.0 * delta)
+
+
 def sector_hamiltonian(params, fock_dim, delta_eff=None):
     """h(t) = <+x| H_cs(t) |+x>: the sb_x = +1 block of the conditional
     Hamiltonian, a magnon-only operator."""
+    delta = derive(params, delta_eff_override=delta_eff).Delta_eff
 
     def h(t):
         h4 = build_H_cs(params, t, fock_dim, delta_eff=delta_eff).reshape(
             fock_dim, 2, fock_dim, 2)
         return np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), h4, KET_PLUS_X)
 
-    return h
+    return split_from_samples(h, -2.0 * delta)
+
+
+def dense_lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
+    """Dense reference for the master-equation RHS: per block and call,
+    dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
+    with A_s = -i s h(t) - sum_k w_k o_k^dag o_k, all as dense products."""
+    jumps = [(o, 2.0 * w) for o, w in channels]
+    sink = sum(w * (o.conj().T @ o) for o, w in channels)
+
+    def rhs(t, y):
+        h = h_of_t(t)
+        dim = h.shape[0]
+        out = []
+        for x, (s, r) in zip(y.reshape(len(sectors), dim, dim), sectors):
+            a_s = -1.0j * s * h - sink
+            a_r = -1.0j * r * h - sink
+            dx = a_s @ x + x @ a_r.conj().T
+            for o, tw in jumps:
+                dx += tw * (o @ x) @ o.conj().T
+            if s != r:
+                dx -= pair_rate * x
+            out.append(dx.ravel())
+        return np.concatenate(out)
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +268,49 @@ def test_evolve_master_input_validation(params):
         evolve_master(None, diss, rho0, solver=solver_for([1.0], method="leapfrog"))
     with pytest.raises(DimensionError):
         evolve_master(None, None, rho0, solver=solver_for([1.0]))  # no generator at all
+    with pytest.raises(DimensionError, match="callable"):
+        evolve_master(lambda t: np.zeros((nf, nf)), diss, rho0, solver=solver_for([1.0]))
+    with pytest.raises(DimensionError):
+        evolve_master(SplitHamiltonian(np.zeros((nf, nf)), ((np.eye(nf + 1), 1.0),)),
+                      diss, rho0, solver=solver_for([1.0]))
+
+
+@given(
+    dim=st.integers(2, 12),
+    n_terms=st.integers(0, 3),
+    n_channels=st.integers(0, 3),
+    three_blocks=st.booleans(),
+    pair_rate=st.floats(0.0, 2.0),
+    t=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, three_blocks,
+                                         pair_rate, t, seed):
+    # the CSR Liouvillian against dense products on random operators: a
+    # non-Hermitian static part, random oscillating terms and channels
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        return rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
+
+    static = rand()
+    terms = tuple((rand(), float(rng.uniform(-5.0, 5.0))) for _ in range(n_terms))
+    channels = [(rand(), float(rng.uniform(0.0, 1.0))) for _ in range(n_channels)]
+    sectors = ((1, 1), (-1, -1), (1, -1)) if three_blocks else ((1, 1),)
+
+    def h_of_t(tt):
+        h = static.copy()
+        for hk, w in terms:
+            h += np.exp(1.0j * w * tt) * hk + np.exp(-1.0j * w * tt) * hk.conj().T
+        return h
+
+    rhs, rdim, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels, sectors,
+                                   pair_rate)
+    assert rdim == dim and nnz > 0
+    y = rng.normal(size=len(sectors) * dim * dim) + 1.0j * rng.normal(
+        size=len(sectors) * dim * dim)
+    ref = dense_lindblad_rhs(h_of_t, channels, sectors, pair_rate)(t, y)
+    assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_positivity_monitor_aborts(params):
@@ -249,9 +339,13 @@ def test_trajectory_metadata(params):
     nf = 10
     res = evolve_master(None, magnon_thermal_dissipators(params, nf), sector_rho0(nf),
                         solver=solver_for([1.0, 2.0]))
-    for key in ("max_trace_drift", "min_eigenvalue", "n_rhs_evals", "wall_time_s", "method"):
+    for key in ("max_trace_drift", "min_eigenvalue", "n_rhs_evals", "wall_time_s", "method",
+                "setup_s", "generator_nnz"):
         assert key in res.metadata
     assert res.metadata["n_rhs_evals"] > 0
+    assert res.metadata["setup_s"] > 0.0
+    # L0 alone: the anti-commutator diagonal plus one kron(o, conj o) per channel
+    assert res.metadata["generator_nnz"] == nf * nf + 2 * (nf - 1) ** 2
     assert res.metadata["max_trace_drift"] < 1e-10
 
 
@@ -394,7 +488,7 @@ def test_block_runs_match_dense_joint_oracle():
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=nf)
     rho0.frame = "drive_interaction"
-    dense = evolve_master(lambda t: build_H_cs(hot_qubit, t, nf, delta_eff=delta),
+    dense = evolve_master(cs_split(hot_qubit, nf, delta_eff=delta),
                           build_dissipators_effective(hot_qubit, nf), rho0,
                           solver=solver_for(times, **tight), store_states=True)
     squeeze = conditional_squeezing_run(hot_qubit, qubit_init="plus_plus_minus",

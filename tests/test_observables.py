@@ -81,6 +81,26 @@ def test_variance_thermal():
     )
 
 
+@given(dim=st.integers(2, 15), seed=st.integers(0, 2**32 - 1))
+def test_variance_moments_match_dense_operators(dim, seed):
+    # the moments read off the (sub-)diagonals against Tr(rho O) with the
+    # dense m, m^2 and m^dag m
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    m = annihilation(dim)
+    m_exp = np.trace(rho @ m)
+    c = np.trace(rho @ m @ m) - m_exp**2
+    n_exp = np.trace(rho @ m.conj().T @ m).real
+    out = min_quadrature_variance(rho)
+    assert out.n_mean == pytest.approx(n_exp, rel=1e-12, abs=1e-12)
+    assert out.value == pytest.approx(
+        1.0 + 2.0 * (n_exp - abs(m_exp) ** 2) - 2.0 * abs(c), rel=1e-12, abs=1e-12)
+    # theta* = arg(c)/2 + pi/2, compared modulo pi
+    assert abs(np.exp(2j * out.angle) + c / abs(c)) < 1e-9
+
+
 def test_squeezing_db_scale():
     assert squeezing_db(1.0) == 0.0
     assert squeezing_db(0.1) == pytest.approx(10.0)
