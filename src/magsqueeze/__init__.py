@@ -59,7 +59,7 @@ from .observables import (
     wigner,
     wigner_negativity_volume,
 )
-from .qops import HilbertSpace, StateDensity
+from .qops import StateDensity
 from .states import (
     joint_initial_state,
     logical_codewords,

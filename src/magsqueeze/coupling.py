@@ -3,17 +3,17 @@
 The square loop lies in the y-z plane, centered at the origin, with its
 normal along x; positive current circulates so the center field points
 along +x.  Fields come from the closed-form finite-segment Biot-Savart
-law; the sphere average uses tensor-product Gauss-Legendre quadrature in
-spherical coordinates.
+law.
 
-One averaging kernel serves volume_avg_field (a row of one center) and
-the volume coupling map (one row per radius): it builds the nodes once for
-a row of centers that differ only in x0 and precomputes each segment's
-x0-independent terms, so each further center costs a few 1-D operations
-per segment.  Its guard against nodes on a wire is the triangle
-inequality dist(node, wire) >= dist(center, wire) - r_max, with r_max the
-outermost node radius; segment_field keeps a per-point guard for arbitrary
-points.  The collective coupling is
+The sphere average needs no quadrature.  Away from the current,
+div B = curl B = 0, so each Cartesian component of B is harmonic, and by
+the mean-value property its average over a ball that clears the wire
+equals its value at the ball's center (Jackson, Classical
+Electrodynamics, problem 1.10).  volume_avg_field is therefore the
+clearance check plus loop_field at the center, and the volume coupling
+map is one loop_field call over its x0 axis; the radius enters only
+through the spin count and the clearance check.  The collective coupling
+is
 
     g = g_e mu_B B_eff sqrt(N S / 2) / h
 
@@ -25,7 +25,6 @@ With those choices the Biot-Savart prefactor is just mu0/(4 pi): the
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,9 +80,6 @@ class MaterialSpec:
 
 YIG = MaterialSpec(spin_density=2.1e22, spin=2.5)
 
-# (radial, polar, azimuthal) Gauss-Legendre orders of the sphere average
-_ORDERS = (16, 16, 32)
-
 
 def _segment_distance(p1, p2, points):
     """Distance from each point to the segment p1-p2 (broadcasts over points)."""
@@ -137,133 +133,24 @@ def center_field_magnitude(geometry):
     )
 
 
-def _spherical_nodes(radius, orders):
-    """Gauss-Legendre tensor nodes, as offsets from the sphere center, and
-    normalized weights for a sphere average."""
-    n_r, n_mu, n_phi = orders
-    x_r, w_r = np.polynomial.legendre.leggauss(n_r)
-    rad = 0.5 * radius * (x_r + 1.0)
-    w_rad = 0.5 * radius * w_r * rad**2
-    mu, w_mu = np.polynomial.legendre.leggauss(n_mu)
-    x_phi, w_phi = np.polynomial.legendre.leggauss(n_phi)
-    phi = math.pi * (x_phi + 1.0)
-    w_phi = math.pi * w_phi
-
-    rad_g, mu_g, phi_g = np.meshgrid(rad, mu, phi, indexing="ij")
-    w = (
-        w_rad[:, None, None] * w_mu[None, :, None] * w_phi[None, None, :]
-    ).ravel()
-    sin_th = np.sqrt(1.0 - mu_g**2)
-    offsets = np.stack(
-        [
-            rad_g * mu_g,                      # x along the loop normal
-            rad_g * sin_th * np.cos(phi_g),
-            rad_g * sin_th * np.sin(phi_g),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    volume = 4.0 * math.pi * radius**3 / 3.0
-    return offsets, w / volume
-
-
-def _wire_distance(geometry, centers):
-    """Distance from each center (rows of an (n, 3) array) to the nearest wire."""
-    return np.min(
-        [_segment_distance(p1, p2, centers) for p1, p2 in geometry.segments()], axis=0
-    )
-
-
 def _check_clearance(geometry, centers, radius):
+    """Raise unless every sphere of this radius at centers clears every wire."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    if np.any(_wire_distance(geometry, centers) <= radius):
-        raise NumericalError("sphere intersects a loop wire segment")
-
-
-def _row_average(geometry, radius, y0, z0, x0s, orders):
-    """Sphere-averaged loop field at the centers (x0, y0, z0), x0 in x0s,
-    on one set of quadrature orders; shape (len(x0s), 3).
-
-    The loop lies in x = 0, so with a = r - p1 and b = r - p2 the
-    closed-form segment term splits into parts that depend only on the
-    node's (y, z), computed once per row, and the shared x = x0 + dx:
-    (a x b)_x = a_y b_z - a_z b_y, (a x b)_(y,z) = x (p2_z - p1_z, p1_y - p2_y),
-    |a|^2 = x^2 + |a_yz|^2, a.b = x^2 + a_yz.b_yz.
-    """
-    offsets, w = _spherical_nodes(radius, orders)
-    # dist(node, wire) >= dist(center, wire) - r_max: no node within 1e-12 um
-    # of a wire unless this bound allows it
-    r_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", offsets, offsets))))
-    centers = np.column_stack(
-        [x0s, np.full(len(x0s), float(y0)), np.full(len(x0s), float(z0))]
-    )
-    if np.any(_wire_distance(geometry, centers) - r_max < 1e-12):
-        raise NumericalError("a quadrature node may lie on a wire segment")
-
-    dx = offsets[:, 0]
-    y = y0 + offsets[:, 1]
-    z = z0 + offsets[:, 2]
-    terms = []
     for p1, p2 in geometry.segments():
-        ay, az = y - p1[1], z - p1[2]
-        by, bz = y - p2[1], z - p2[2]
-        terms.append((
-            w * (ay * bz - az * by),             # weighted (a x b)_x
-            ay * ay + az * az,                   # |a_yz|^2
-            by * by + bz * bz,                   # |b_yz|^2
-            ay * by + az * bz,                   # a_yz . b_yz
-            np.array([p2[2] - p1[2], p1[1] - p2[1]]),
-        ))
-
-    out = np.zeros((len(x0s), 3))
-    for k, x0 in enumerate(x0s):
-        x = x0 + dx
-        x2 = x * x
-        wx = w * x
-        for w_cx, a2, b2, ab, yz_dir in terms:
-            na = np.sqrt(x2 + a2)
-            nb = np.sqrt(x2 + b2)
-            nab = na * nb
-            f = (na + nb) / (nab * (nab + (x2 + ab)))
-            # einsum sums in its own loop; a BLAS dot of this size keeps a
-            # second thread busy for little gain
-            out[k, 0] += np.einsum("i,i->", w_cx, f)
-            out[k, 1:] += np.einsum("i,i->", wx, f) * yz_dir
-    return constants.MU0 / (4.0 * math.pi) * geometry.current * out
+        if np.any(_segment_distance(p1, p2, centers) <= radius):
+            raise NumericalError("sphere intersects a loop wire segment")
 
 
-def _sphere_averages(geometry, radius, y0, z0, x0s, orders):
-    """Sphere-averaged loop field for a row of centers (x0, y0, z0), one per
-    x0 in x0s; shape (len(x0s), 3), tesla.
-
-    The average is taken at doubled orders; the change from the given
-    orders is the quadrature error estimate (Richardson-style), and a
-    warning is emitted for each center where it exceeds 1e-4 relative.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    coarse = _row_average(geometry, radius, y0, z0, x0s, orders)
-    fine = _row_average(geometry, radius, y0, z0, x0s, tuple(2 * o for o in orders))
-    scale = np.maximum(np.abs(fine[:, 0]), 1e-300)
-    for rel in np.abs(fine[:, 0] - coarse[:, 0]) / scale:
-        if rel > 1e-4:
-            warnings.warn(
-                f"sphere-average quadrature estimate {rel:.2e} relative; increase orders",
-                stacklevel=3,
-            )
-    return fine
-
-
-def volume_avg_field(geometry, sphere, orders=_ORDERS, full_vector=False):
+def volume_avg_field(geometry, sphere, orders=None):
     """Sphere-averaged x-component of the loop field, tesla.
 
-    The quadrature error is estimated by doubling all orders
-    (Richardson-style); a warning is emitted if the relative estimate
-    exceeds 1e-4.  full_vector=True returns the averaged 3-vector instead
-    (diagnostic; the coupling uses only the x-component).
+    By the mean-value property this is the x-component at the sphere's
+    center, once the sphere is checked to clear every wire.  orders is
+    accepted and ignored, because benchmark/tests/test_checks.py still
+    passes the quadrature orders this closed form made unnecessary.
     """
     _check_clearance(geometry, sphere.center, sphere.radius)
-    x0, y0, z0 = (float(c) for c in sphere.center)
-    fine = _sphere_averages(geometry, sphere.radius, y0, z0, [x0], orders)[0]
-    return fine if full_vector else float(fine[0])
+    return float(loop_field(geometry, np.asarray(sphere.center, dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -291,16 +178,17 @@ def _g_ghz(material, b_eff, n_spins):
     return energy / constants.H_PLANCK * 1e-9
 
 
-def coupling_strength(geometry, sphere, material, point_approx=False, orders=_ORDERS):
+def coupling_strength(geometry, sphere, material, point_approx=False):
     """Collective coupling g = g_e mu_B B_eff sqrt(N S / 2) / h, linear GHz.
 
-    point_approx=True evaluates the field at the sphere center instead of
-    volume-averaging (the point-sphere approximation).
+    point_approx=True evaluates the field at the sphere center without
+    checking that the sphere clears the wire (the point-sphere
+    approximation); otherwise volume_avg_field does both.
     """
     if point_approx:
         b_eff = float(loop_field(geometry, np.asarray(sphere.center, dtype=float))[0])
     else:
-        b_eff = volume_avg_field(geometry, sphere, orders=orders)
+        b_eff = volume_avg_field(geometry, sphere)
     n_spins = spin_count(sphere, material)
     return CouplingResult(
         g_ghz=_g_ghz(material, b_eff, n_spins),
@@ -333,7 +221,7 @@ def coupling_map(geometry, material, axes, mode):
     sphere centered at the origin (radius-limited placements are the
     caller's concern in this approximation).
     mode "volume_avg": axes {"R": ..., "x0": ...}, sphere on the loop axis
-    at (x0, 0, 0), full volume average.
+    at (x0, 0, 0), volume average (the center field of a cleared sphere).
     """
     if mode == "point_sphere":
         names = ("R_um", "I_p_uA")
@@ -352,10 +240,10 @@ def coupling_map(geometry, material, axes, mode):
         x_vals = np.asarray(axes["x0"], dtype=float)
         g = np.empty((len(r_vals), len(x_vals)))
         centers = np.column_stack([x_vals, np.zeros((len(x_vals), 2))])
+        b_eff = loop_field(geometry, centers)[:, 0]
         for i, rad in enumerate(r_vals):
-            n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
             _check_clearance(geometry, centers, rad)
-            b_eff = _sphere_averages(geometry, rad, 0.0, 0.0, x_vals, _ORDERS)[:, 0]
+            n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
             g[i] = _g_ghz(material, b_eff, n_spins)
         values = (r_vals, x_vals)
     else:

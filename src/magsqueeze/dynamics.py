@@ -46,7 +46,6 @@ from .model import (
     frame_transform,
 )
 from .qops import (
-    HilbertSpace,
     IDENTITY_2,
     KET_E,
     KET_G,
@@ -77,7 +76,6 @@ class LindbladSpec:
 
 @dataclass
 class SolverConfig:
-    method: str = "adaptive_rk"          # or "fixed_rk4"
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = None
@@ -93,11 +91,7 @@ class TrajectoryResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _fock_dim(space):
-    return space.fock_dim if isinstance(space, HilbertSpace) else int(space)
-
-
-def build_dissipators_full(params, space, qubit_basis="dressed"):
+def build_dissipators_full(params, fock_dim, qubit_basis="dressed"):
     """Thermal magnon pair + qubit relaxation pair + pure dephasing (5 channels)
     on the joint space, for the lab/rotating full model.
 
@@ -107,7 +101,7 @@ def build_dissipators_full(params, space, qubit_basis="dressed"):
     (expressed in the dressed representation) for comparison.
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     eye_m = np.eye(n, dtype=complex)
     if qubit_basis == "dressed":
         s_minus, s_plus, s_z = SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
@@ -134,10 +128,10 @@ def _sx_weight(d):
     return d.gamma * (2.0 * d.n_bar_q + 1.0) / 8.0
 
 
-def build_dissipators_effective(params, space):
+def build_dissipators_effective(params, fock_dim):
     """Thermal magnon pair + the drive-frame qubit channel gamma(2n_q+1)/8 L[sb_x];
     no pure-dephasing channel in the effective model."""
-    n = _fock_dim(space)
+    n = int(fock_dim)
     sx = (kron(np.eye(n, dtype=complex), SIGMA_X), _sx_weight(derive(params)))
     return LindbladSpec(channels=_magnon_channels_on_joint(params, n) + [sx])
 
@@ -297,26 +291,6 @@ def _dop853(rhs, y0, t_grid, cfg):
         vars(ode).clear()
 
 
-def _rk4_fixed(rhs, y0, t_grid, step):
-    """Classic fixed-step RK4 sampled on t_grid (step subdivides intervals)."""
-    ys = [y0.copy()]
-    y = y0.copy()
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        span = t1 - t0
-        n_sub = max(1, int(math.ceil(span / step)))
-        h = span / n_sub
-        t = t0
-        for _ in range(n_sub):
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-            k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        ys.append(y.copy())
-    return ys
-
-
 def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
                   store_states=False, sectors=((1, 1),), pair_rate=0.0):
     """Integrate the master equation and monitor state sanity at samples.
@@ -360,19 +334,11 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     else:
         prepend = False
 
-    if solver.method == "fixed_rk4":
-        if solver.max_step is None:
-            raise DimensionError("fixed_rk4 requires max_step")
-        ys = _rk4_fixed(rhs, y0, t_grid, solver.max_step)
-        n_evals = None
-    elif solver.method == "adaptive_rk":
-        if len(t_grid) == 1:
-            ys = [y0]
-            n_evals = 0
-        else:
-            ys, n_evals = _dop853(rhs, y0, t_grid, solver)
+    if len(t_grid) == 1:
+        ys = [y0]
+        n_evals = 0
     else:
-        raise DimensionError(f"unknown solver method {solver.method!r}")
+        ys, n_evals = _dop853(rhs, y0, t_grid, solver)
 
     if prepend:
         ys = ys[1:]
@@ -418,7 +384,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "wall_time_s": _time.perf_counter() - wall0,
             "setup_s": setup_s,
             "generator_nnz": nnz,
-            "method": solver.method,
+            "method": "adaptive_rk",
         },
     )
 

@@ -43,7 +43,6 @@ import numpy as np
 from . import constants
 from .errors import FrameError, NumericalError
 from .qops import (
-    HilbertSpace,
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -185,14 +184,10 @@ def dressed_rotation(theta):
 
 # ---------------------------------------------------------------------------
 # Hamiltonians.  All return dense complex matrices on magnon (x) qubit;
-# `space` is a HilbertSpace or a bare fock_dim.
+# `fock_dim` is the magnon truncation (number of kept Fock levels).
 
 
-def _fock_dim(space):
-    return space.fock_dim if isinstance(space, HilbertSpace) else int(space)
-
-
-def build_H_lab(params, t, space):
+def build_H_lab(params, t, fock_dim):
     """Lab-frame Hamiltonian in the persistent-current qubit basis:
 
         omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
@@ -200,7 +195,7 @@ def build_H_lab(params, t, space):
         + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2)
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     x_m = m + m.conj().T
     eye_m = np.eye(n, dtype=complex)
@@ -220,7 +215,7 @@ def build_H_lab(params, t, space):
     )
 
 
-def build_H_tot(params, t, space):
+def build_H_tot(params, t, fock_dim):
     """Lab-frame Hamiltonian in the dressed qubit basis:
 
         omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
@@ -229,7 +224,7 @@ def build_H_tot(params, t, space):
     Equals build_H_lab conjugated by the dressed rotation when phi = 0.
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     x_m = m + m.conj().T
     eye_m = np.eye(n, dtype=complex)
@@ -242,7 +237,7 @@ def build_H_tot(params, t, space):
     )
 
 
-def build_H_rot(params, t, space, keep_counter_rotating=False):
+def build_H_rot(params, t, fock_dim, keep_counter_rotating=False):
     """Hamiltonian in the rotating_half_pump frame (dressed basis):
 
         Delta_m m^dag m + (Delta_nu/2) sb_z - (Omega/2) sb_x
@@ -255,7 +250,7 @@ def build_H_rot(params, t, space, keep_counter_rotating=False):
     frame transform of build_H_tot.
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     md = m.conj().T
     eye_m = np.eye(n, dtype=complex)
@@ -319,7 +314,7 @@ def james_effective(terms):
     return JamesDecomposition(static=static, oscillatory=oscillatory)
 
 
-def sideband_interaction_terms(params, space):
+def sideband_interaction_terms(params, fock_dim):
     """The three sideband terms of the rotating-frame coupling, as
     (h^dag, detuning) pairs ready for james_effective:
 
@@ -328,7 +323,7 @@ def sideband_interaction_terms(params, space):
         h3^dag = g_z m^dag sb_z    at omega_p/2
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     md = m.conj().T
     return [
@@ -338,7 +333,7 @@ def sideband_interaction_terms(params, space):
     ]
 
 
-def build_H_eff(params, space):
+def build_H_eff(params, fock_dim):
     """Static effective Hamiltonian after time-averaging the sidebands:
 
         Delta_m n + (Delta_nu/2) sb_z - (Omega/2) sb_x
@@ -353,7 +348,7 @@ def build_H_eff(params, space):
     included).
     """
     d = derive(params)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     m2 = m @ m
     eye_m = np.eye(n, dtype=complex)
@@ -376,7 +371,7 @@ def build_H_eff(params, space):
     )
 
 
-def build_H_cs(params, t, space, delta_eff=None):
+def build_H_cs(params, t, fock_dim, delta_eff=None):
     """Conditional two-photon (squeezing) Hamiltonian in the drive frame:
 
         -(g_cs/2) [ m^2 e^{-2i Delta_eff t} + m^dag^2 e^{+2i Delta_eff t} ] sb_x
@@ -389,7 +384,7 @@ def build_H_cs(params, t, space, delta_eff=None):
     """
     d = derive(params)
     delta = d.Delta_eff if delta_eff is None else float(delta_eff)
-    n = _fock_dim(space)
+    n = int(fock_dim)
     m = annihilation(n)
     m2 = m @ m
     mag = -(d.g_cs / 2.0) * (
@@ -413,7 +408,7 @@ def squeezing_parameter(params, t, delta_eff=None):
     return -d.g_cs * (np.exp(2.0j * delta * t) - 1.0) / (2.0 * delta)
 
 
-def analytic_propagator(params, t, space, delta_eff=None):
+def analytic_propagator(params, t, fock_dim, delta_eff=None):
     """Closed-form conditional propagator
 
         U(t) = S(xi(t)) (x) P_+  +  S(-xi(t)) (x) P_-
@@ -423,7 +418,7 @@ def analytic_propagator(params, t, space, delta_eff=None):
     approximation to the time-ordered propagator of build_H_cs.  Warns when
     sinh^2|xi| approaches the truncation capacity fock_dim/6.
     """
-    n = _fock_dim(space)
+    n = int(fock_dim)
     xi = squeezing_parameter(params, t, delta_eff=delta_eff)
     if math.sinh(abs(xi)) ** 2 > n / 6.0:
         warnings.warn(

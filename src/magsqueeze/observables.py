@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .qops import annihilation, herm_eig, parity_operator
+from .qops import annihilation, herm_eig, matrix_sqrt_psd, parity_operator
 
 
 class QuadratureVariance(NamedTuple):
@@ -201,26 +201,13 @@ def wigner_negativity_volume(grid):
 # fidelity and Fock statistics
 
 
-def _psd_sqrt(rho, clamp=1e-9, hard=1e-6):
-    evals, vecs = herm_eig(rho, atol=1e-7)
-    if evals.min() < -hard:
-        raise NumericalError(f"state eigenvalue {evals.min():.3e} below -{hard}")
-    if evals.min() < -clamp:
-        # solver round-off beyond the nominal clamp; still clamp, loudly
-        warnings.warn(
-            f"clamping state eigenvalue {evals.min():.3e} to 0", stacklevel=3
-        )
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
-
-
 def uhlmann_fidelity(rho1, rho2):
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise DimensionError(f"shape mismatch {rho1.shape} vs {rho2.shape}")
-    s1 = _psd_sqrt(rho1)
+    s1 = matrix_sqrt_psd(rho1, neg_tol=1e-6)
     inner = s1 @ rho2 @ s1
     evals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     evals = np.clip(evals, 0.0, None)

@@ -19,22 +19,6 @@ from scipy.linalg import eigh
 from .errors import DimensionError, NumericalError
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Dimensions of the truncated model space.
-
-    fock_dim   -- magnon Fock truncation (number of kept levels)
-    with_qubit -- whether operators/states include the qubit factor
-    """
-
-    fock_dim: int
-    with_qubit: bool = True
-
-    @property
-    def dim(self):
-        return self.fock_dim * 2 if self.with_qubit else self.fock_dim
-
-
 @dataclass
 class StateDensity:
     """A density matrix tagged with its reference frame and time.
@@ -85,13 +69,12 @@ KET_MINUS_X = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # magnon mode
 
-def annihilation(space):
+def annihilation(fock_dim):
     """Magnon annihilation operator on the truncated Fock space.
 
-    Accepts a HilbertSpace or a bare integer truncation.  The returned
-    matrix acts on the magnon factor only; embed with kron() as needed.
+    fock_dim is the number of kept levels.  The returned matrix acts on the magnon factor only; embed with kron() as needed.
     """
-    n = space.fock_dim if isinstance(space, HilbertSpace) else int(space)
+    n = int(fock_dim)
     if n < 2:
         raise DimensionError(f"fock_dim must be >= 2, got {n}")
     m = np.zeros((n, n), dtype=complex)
@@ -100,12 +83,12 @@ def annihilation(space):
     return m
 
 
-def creation(space):
-    return annihilation(space).conj().T
+def creation(fock_dim):
+    return annihilation(fock_dim).conj().T
 
 
-def number_op(space):
-    n = space.fock_dim if isinstance(space, HilbertSpace) else int(space)
+def number_op(fock_dim):
+    n = int(fock_dim)
     return np.diag(np.arange(n, dtype=float)).astype(complex)
 
 
@@ -118,13 +101,13 @@ def fock_state(n, fock_dim):
     return v
 
 
-def parity_operator(space):
+def parity_operator(fock_dim):
     """Photon-number parity (-1)^n on the magnon space."""
-    n = space.fock_dim if isinstance(space, HilbertSpace) else int(space)
+    n = int(fock_dim)
     return np.diag((-1.0) ** np.arange(n)).astype(complex)
 
 
-def squeeze_operator(xi, space):
+def squeeze_operator(xi, fock_dim):
     """Single-mode squeezer S(xi) = exp[(xi* m^2 - xi m^dag^2)/2], truncated.
 
     Built through the exact exponential of the anti-Hermitian generator, so
@@ -132,7 +115,7 @@ def squeeze_operator(xi, space):
     ideal squeezer is limited to the low-Fock block (the top rows feel the
     truncation first).
     """
-    n = space.fock_dim if isinstance(space, HilbertSpace) else int(space)
+    n = int(fock_dim)
     m = annihilation(n)
     m2 = m @ m
     gen = 0.5 * (np.conj(xi) * m2 - xi * m2.conj().T)   # anti-Hermitian
@@ -140,7 +123,7 @@ def squeeze_operator(xi, space):
     return (vecs * np.exp(-1.0j * evals)) @ vecs.conj().T
 
 
-def displacement_operator(alpha, space):
+def displacement_operator(alpha, fock_dim):
     """Displacement exp(alpha m^dag - alpha* m) on the truncated space.
 
     Computed through the exact exponential of the (anti-Hermitian)
@@ -148,7 +131,7 @@ def displacement_operator(alpha, space):
     a warning when |alpha|^2 > fock_dim / 4, where the truncated operator
     no longer represents the ideal displacement faithfully.
     """
-    n = space.fock_dim if isinstance(space, HilbertSpace) else int(space)
+    n = int(fock_dim)
     if abs(alpha) ** 2 > n / 4.0:
         warnings.warn(
             f"displacement |alpha|^2 = {abs(alpha)**2:.2f} exceeds fock_dim/4 = {n/4:.1f}; "

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.qops import (
-    HilbertSpace,
     StateDensity,
     annihilation,
     creation,
@@ -57,13 +56,8 @@ def test_parity_diagonal():
     np.testing.assert_allclose(np.diagonal(p), (-1.0) ** np.arange(N))
 
 
-def test_hilbert_space_dims():
-    assert HilbertSpace(30).dim == 60
-    assert HilbertSpace(30, with_qubit=False).dim == 30
-    assert annihilation(HilbertSpace(12)).shape == (12, 12)
-
-
 def test_fock_dim_guards():
+    assert annihilation(12).shape == (12, 12)
     with pytest.raises(DimensionError):
         annihilation(1)
     with pytest.raises(DimensionError):
