@@ -19,7 +19,6 @@ from .dynamics import (
     SolverConfig,
     SplitHamiltonian,
     TrajectoryResult,
-    build_dissipators_effective,
     build_dissipators_full,
     conditional_squeezing_run,
     conditional_superposition_run,

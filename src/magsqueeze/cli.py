@@ -107,8 +107,7 @@ def _run_wigner(args):
         xi = squeezing_parameter(cfg.params, cfg.run.superposition_time, delta_eff=0.0)
         ket = superposition_pm(xi, +1 if args.state == "sym" else -1,
                                max(cfg.run.fock_dim, 420))
-    # padding keeps the corner of the default [-8, 8] grid ring-free
-    grid = wigner(ket, ax, ax, pad_to=max(len(ket), 420))
+    grid = wigner(ket, ax, ax)
     base = os.path.join(cfg.run.output_dir, f"wigner_{args.state}")
     grid.to_csv(base + ".csv")
     grid.to_json(base + ".json")

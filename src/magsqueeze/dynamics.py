@@ -128,14 +128,6 @@ def _sx_weight(d):
     return d.gamma * (2.0 * d.n_bar_q + 1.0) / 8.0
 
 
-def build_dissipators_effective(params, fock_dim):
-    """Thermal magnon pair + the drive-frame qubit channel gamma(2n_q+1)/8 L[sb_x];
-    no pure-dephasing channel in the effective model."""
-    n = int(fock_dim)
-    sx = (kron(np.eye(n, dtype=complex), SIGMA_X), _sx_weight(derive(params)))
-    return LindbladSpec(channels=_magnon_channels_on_joint(params, n) + [sx])
-
-
 def _magnon_channels_on_joint(params, fock_dim):
     return [(kron(o, IDENTITY_2), w)
             for o, w in magnon_thermal_dissipators(params, fock_dim).channels]

@@ -8,11 +8,15 @@ normalized so the vacuum gives exactly 1, with squeezing degree
 S = -10 log10(zeta^2).  The raw symmetric-ordering variance (vacuum 1/2)
 is zeta^2 / 2 and is carried alongside.
 
-The Wigner function is evaluated by displaced parity,
-W(alpha) = (2/pi) Tr[(-1)^{m^dag m} D^dag(alpha) rho D(alpha)], with the
-displacement factored as D(alpha) = P_phi D(|alpha|) P_phi^dag
-(P_phi = e^{i phi m^dag m}), so one eigendecomposition of the radial
-generator serves every grid point exactly.
+The Wigner function is evaluated by displaced parity in Royer's form,
+W(alpha) = (2/pi) Tr[rho D(2 alpha) P] with P = (-1)^{m^dag m}
+(D(a) P D(a)^dag = D(2a) P; Phys. Rev. A 15, 449 (1977)).  On a cartesian
+grid the displacement splits as D(2x + 2iy) = e^{4ixy} D(2x) D(2iy), so
+the grid needs one block of real displacements per x and one of imaginary
+displacements per y, both from a single eigendecomposition of the real
+tridiagonal quadrature q = m + m^dag, and one GEMM over the kept
+eigenvectors of the state.  The Fock dimension the displacements act in
+(the pad) is chosen from the data; see ``wigner``.
 """
 
 import json
@@ -22,9 +26,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionError, NumericalError
-from .qops import annihilation, herm_eig, matrix_sqrt_psd, parity_operator
+from .qops import herm_eig, matrix_sqrt_psd
 
 
 class QuadratureVariance(NamedTuple):
@@ -107,45 +112,94 @@ def default_axes(half_width=5.0, points=201):
     return ax, ax.copy()
 
 
-def wigner(rho_magnon, re_axis=None, im_axis=None, pad_to=None, weight_floor=1e-13):
+# Largest Fock dimension (even) a Wigner grid may displace in; a grid that
+# needs more raises NumericalError before allocating it.
+WIGNER_PAD_CAP = 2048
+# The pad is accepted once the top Fock level of every displaced column
+# holds less than this share of the state's population.
+WIGNER_PAD_TAIL = 1e-12
+_PAD_GROWTH = 1.25
+
+
+def _quadrature_eig(n):
+    """Eigenvalues (ascending) and real orthonormal eigenvectors of
+    q = m + m^dag at even truncation n.
+
+    q maps even Fock levels to odd ones through the bidiagonal block B, so
+    q^2 = B^T B (+) B B^T, two tridiagonal problems of half the size.  For
+    B^T B w = s^2 w and B B^T u = s^2 u with u signed so that B w = s u,
+    (w, +-u) / sqrt(2) are the eigenvectors of q at +-s.
+    """
+    h = n // 2
+    j = np.arange(h, dtype=float)
+    mu, w = eigh_tridiagonal(4.0 * j + 1.0, np.sqrt((2.0 * j[:-1] + 1.0) * (2.0 * j[:-1] + 2.0)))
+    odd_diag = 4.0 * j + 3.0
+    odd_diag[-1] = n - 1.0                 # the top level n-1 has no level above
+    _, u = eigh_tridiagonal(odd_diag, np.sqrt((2.0 * j[:-1] + 2.0) * (2.0 * j[:-1] + 3.0)))
+    bw = np.sqrt(2.0 * j + 1.0)[:, None] * w
+    bw[:-1] += np.sqrt(2.0 * j[:-1] + 2.0)[:, None] * w[1:]
+    u *= np.sign(np.sum(u * bw, axis=0))
+    sigma = np.sqrt(mu)                    # B^T B is positive definite
+    v = np.empty((n, n))
+    v[0::2, :h], v[1::2, :h] = w[:, ::-1], -u[:, ::-1]
+    v[0::2, h:], v[1::2, h:] = w, u
+    return np.concatenate([-sigma[::-1], sigma]), v * math.sqrt(0.5)
+
+
+def _real_left_matmul(real, cplx):
+    """real @ cplx as one real GEMM on the interleaved (re, im) columns."""
+    cplx = np.ascontiguousarray(cplx)
+    return (real @ cplx.view(np.float64)).view(np.complex128)
+
+
+def _fock_quantile(pops, share):
+    """Number of leading Fock levels holding all but ``share`` of pops."""
+    beyond = np.cumsum(pops[::-1])[::-1]
+    return int(np.count_nonzero(beyond > share * beyond[0]))
+
+
+def wigner(rho_magnon, re_axis=None, im_axis=None, weight_floor=1e-13):
     """Wigner function on a cartesian alpha grid by exact displaced parity.
 
     Accepts a density matrix or a pure-state ket.  Density matrices are
-    eigendecomposed once and W is accumulated over the significant
-    eigenstates, so low-rank (near-pure) states cost far less than full
-    rank: per grid point, W = (2/pi) sum_k p_k <u_k| D(a) P D(a)^dag |u_k>
-    with D(a) = R_phi D(s) R_phi^dag split into diagonal phase rotations
-    and a radial displacement diagonalized once up front.
+    eigendecomposed once and W is accumulated over the eigenvectors u_k
+    whose population exceeds ``weight_floor`` (raise it, e.g. to 1e-6, for
+    mixed solver output whose noise-floor eigenvectors cost time but
+    contribute nothing visible):
 
-    The truncated displacement operator rings when the displaced state's
-    energy approaches the Fock cutoff (roughly n + s^2 + 2 s sqrt(n) near
-    the cutoff); rings show up as boundary garbage at large |alpha| even
-    when the state itself is well converged.  ``pad_to`` zero-pads the
-    state into a larger Fock space before displacing, which cures the
-    ringing without re-running the dynamics at the larger dimension.
-    ``weight_floor`` drops eigenstates below that population; raise it
-    (e.g. 1e-6) for mixed solver output where the noise-floor eigenvectors
-    cost time but contribute nothing visible.
+        W[y, x] = (2/pi) Re e^{4ixy} sum_k <D(-2x) u_k | D(2iy) P u_k>.
+
+    Both displacements come from q = m + m^dag = V diag(lam) V^T (real,
+    tridiagonal): D(it) = e^{itq} and D(s) = Phi e^{isq} Phi^dag with
+    Phi = diag((-i)^n).  So the columns D(-2x) u_k and D(2iy) P u_k of the
+    whole grid are two blocks of real GEMMs, and W is one GEMM over them.
+
+    A truncated displacement rings once the displaced state reaches the
+    top Fock level, even when the state itself is well converged.  The
+    state is therefore zero-padded to a larger Fock dimension, the pad,
+    before displacing.  The pad starts at the semiclassical radius of the
+    state displaced to the farthest grid line, (2 max|alpha| +
+    sqrt(n_6) + 2.5)^2, with n_6 the number of Fock levels holding all
+    but 1e-6 of the population, and grows by 1.25x until the top level of
+    every displaced column holds less than ``WIGNER_PAD_TAIL`` of the
+    population, summed over the u_k.  The chosen pad and that tail are
+    recorded in ``meta`` ("fock_dim", "pad_tail"); a grid that would need
+    more than ``WIGNER_PAD_CAP`` levels raises NumericalError.  Trailing
+    Fock levels at round-off amplitude (population below 1e-30 of the
+    total) are dropped first, so zero-extending a state changes nothing.
 
     Warns when |W| at the grid boundary exceeds 1e-4 (state support leaking
     off-grid; extend the axes).
     """
     arr = np.asarray(rho_magnon, dtype=complex)
     if arr.ndim == 1:
-        n = arr.shape[0]
-        basis = arr[:, None].copy()            # single unit-weight column
+        basis = arr[:, None]                   # single unit-weight column
     else:
-        n = arr.shape[0]
-        sym = 0.5 * (arr + arr.conj().T)
-        pops, vecs = np.linalg.eigh(sym)
+        pops, vecs = herm_eig(0.5 * (arr + arr.conj().T))
         keep = pops > weight_floor
         if not np.any(keep):
             raise NumericalError("state has no significant eigenvalues")
         basis = vecs[:, keep] * np.sqrt(pops[keep])[None, :]
-    if pad_to is not None and pad_to > n:
-        padded = np.zeros((pad_to, basis.shape[1]), dtype=complex)
-        padded[:n, :] = basis
-        basis, n = padded, pad_to
     if re_axis is None or im_axis is None:
         dflt = default_axes()
         re_axis = dflt[0] if re_axis is None else np.asarray(re_axis, dtype=float)
@@ -154,27 +208,59 @@ def wigner(rho_magnon, re_axis=None, im_axis=None, pad_to=None, weight_floor=1e-
         re_axis = np.asarray(re_axis, dtype=float)
         im_axis = np.asarray(im_axis, dtype=float)
 
-    m = annihilation(n)
-    radial_gen = 1.0j * (m.conj().T - m)          # Hermitian; D(s) = e^{-i s G}
-    lam, v = herm_eig(radial_gen)
-    vh = v.conj().T
-    parity_diag = (-1.0) ** np.arange(n)
-    fock_idx = np.arange(n)
+    level_pops = np.sum(np.abs(basis) ** 2, axis=1)
+    total = float(level_pops.sum())
+    if total == 0.0:
+        raise NumericalError("state has zero norm")
+    support = _fock_quantile(level_pops, 1e-30)
+    basis = basis[:support]
+    reach = 2.0 * max(np.max(np.abs(re_axis)), np.max(np.abs(im_axis)))
+    # The start is where the bulk of the state, displaced to the farthest
+    # grid line, fits (2.5: the vacuum's own reach at a 1e-12 tail).  It is
+    # a floor, not a guess: below it a truncated displacement wraps around,
+    # and its top level can read small by accident (the vacuum displaced by
+    # 60 has 1.7e-15 there at pad 60).
+    pad = max(support, math.ceil(
+        (reach + math.sqrt(_fock_quantile(level_pops, 1e-6)) + 2.5) ** 2))
+    pad += pad % 2
+    parity = (-1.0) ** np.arange(support)
+    tail = math.inf
+    while pad <= WIGNER_PAD_CAP:
+        lam, v = _quadrature_eig(pad)
+        fock_phase = (1.0j) ** (np.arange(pad) % 4)             # i^n = conj (-i)^n
+        # V^T Phi^dag u and V^T P u: only the state's own levels contribute
+        cx = v[:support].T @ (fock_phase[:support, None] * basis)
+        cy = v[:support].T @ (parity[:, None] * basis)
+        ex = np.exp(-2.0j * np.outer(lam, re_axis))
+        ey = np.exp(2.0j * np.outer(lam, im_axis))
+        # top-level population of every displaced column, from V's last row
+        tail = max(
+            float(np.max(np.sum(np.abs((cx.T * v[-1]) @ ex) ** 2, axis=0))),
+            float(np.max(np.sum(np.abs((cy.T * v[-1]) @ ey) ** 2, axis=0))),
+        ) / total
+        if tail < WIGNER_PAD_TAIL or pad == WIGNER_PAD_CAP:
+            break
+        pad = min(2 * math.ceil(pad * _PAD_GROWTH / 2), WIGNER_PAD_CAP)
+    if not tail < WIGNER_PAD_TAIL:
+        raise NumericalError(
+            f"Wigner grid needs more than {WIGNER_PAD_CAP} Fock levels to "
+            f"displace the state to |alpha| = {reach / 2:.3g}")
 
-    values = np.empty((len(im_axis), len(re_axis)))
-    for iy, y in enumerate(im_axis):
-        for ix, x in enumerate(re_axis):
-            s = math.hypot(x, y)
-            phi = math.atan2(y, x)
-            # rotate into the displacement direction, then displace radially
-            cols = np.exp(-1.0j * phi * fock_idx)[:, None] * basis
-            z = v @ (np.exp(1.0j * s * lam)[:, None] * (vh @ cols))
-            values[iy, ix] = (2.0 / math.pi) * float(
-                parity_diag @ np.einsum("nk,nk->n", z, z.conj()).real
-            )
+    # <D(-2x) u | D(2iy) P u> = sum_n conj(V ex c_x)[n, x] i^n (V ey c_y)[n, y],
+    # stacked over as many u_k as keep each displaced block near 32 MB
+    nx, ny = len(re_axis), len(im_axis)
+    chunk = max(1, 2**21 // (pad * (nx + ny)))
+    overlap = np.zeros((ny, nx), dtype=complex)
+    for k in range(0, basis.shape[1], chunk):
+        left = _real_left_matmul(v, (cx[:, k:k + chunk, None] * ex[:, None, :]).reshape(pad, -1))
+        right = _real_left_matmul(v, (cy[:, k:k + chunk, None] * ey[:, None, :]).reshape(pad, -1))
+        right *= fock_phase[:, None]
+        overlap += right.reshape(-1, ny).T @ left.reshape(-1, nx).conj()
+    values = (2.0 / math.pi) * np.real(np.exp(4.0j * np.outer(im_axis, re_axis)) * overlap)
 
     grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, values=values)
-    grid.meta["fock_dim"] = n
+    grid.meta["fock_dim"] = pad
+    grid.meta["pad_tail"] = tail
     grid.meta["rank"] = basis.shape[1]
     boundary = max(
         float(np.max(np.abs(values[0, :]))),

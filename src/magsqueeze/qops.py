@@ -36,20 +36,6 @@ class StateDensity:
     def dim(self):
         return self.matrix.shape[0]
 
-    def validate(self, atol=1e-8):
-        rho = self.matrix
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionError(f"density matrix must be square, got {rho.shape}")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > atol:
-            raise NumericalError(f"trace(rho) = {tr}, deviates by {abs(tr - 1.0):.3e}")
-        if np.max(np.abs(rho - rho.conj().T)) > atol:
-            raise NumericalError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if evals.min() < -1e-6:
-            raise NumericalError(f"density matrix has eigenvalue {evals.min():.3e}")
-        return self
-
 
 # ---------------------------------------------------------------------------
 # qubit (dressed basis, ordering |g>, |e|)

@@ -358,10 +358,7 @@ def _run_superposition_wigner(sc, outdir):
     ax = np.linspace(-half_width, half_width, n_pts)
 
     outputs, notes = [], [f"t={t_sup} ns, xi={xi:.6f} (delta_eff=0)"]
-    # the displaced-parity sum rings unless the Fock space comfortably holds
-    # the state displaced to the grid corner (|alpha|^2 ~ 2*8^2 = 128 on top
-    # of the squeezed tail); 420 keeps the boundary residual below 1e-5
-    ket_dim = 420
+    ket_dim = 420            # holds psi+- to round-off (1e-30) up to 29 ns
     for sign, tag in ((+1, "sym"), ((-1), "antisym")):
         ket = superposition_pm(xi, sign, ket_dim)
         grid = wigner(ket, ax, ax)
@@ -378,7 +375,7 @@ def _run_superposition_wigner(sc, outdir):
     )
     for outcome, tag in (("g", "sym"), ("e", "antisym")):
         rho = run.metadata[f"states_{outcome}"][-1]
-        grid = wigner(rho.matrix, ax, ax, pad_to=320, weight_floor=1e-6)
+        grid = wigner(rho.matrix, ax, ax, weight_floor=1e-6)
         base = os.path.join(outdir, f"wigner_dissipative_{tag}")
         grid.to_csv(base + ".csv")
         grid.to_json(base + ".json")
@@ -572,10 +569,9 @@ def convergence_check(sc):
                 cfg.params, np.array([t_sup]), fock_dim=dim, delta_eff=0.0
             )
             rho = run_out.metadata["states_e"][-1]      # antisym: widest support
-            # pad both evaluations identically so the difference probes the
-            # state truncation, not the displacement-operator ringing
-            grids.append(wigner(rho.matrix, ax, ax, pad_to=420,
-                                weight_floor=1e-9).values)
+            # wigner pads each state until the displacements no longer ring,
+            # so the difference probes the state truncation only
+            grids.append(wigner(rho.matrix, ax, ax, weight_floor=1e-9).values)
         report["max_delta_wigner"] = float(np.max(np.abs(grids[0] - grids[1])))
     else:
         delta = _operating_delta(cfg)

@@ -310,7 +310,7 @@ def test_check_09_wigner_grids():
 
     vac = np.zeros(60, dtype=complex)
     vac[0] = 1.0
-    peak_dev = abs(wigner(vac, ax, ax, pad_to=420).values.max() - 2.0 / math.pi)
+    peak_dev = abs(wigner(vac, ax, ax).values.max() - 2.0 / math.pi)
 
     grids = {}
     for sign in (+1, -1):

@@ -25,10 +25,10 @@ from magsqueeze.model import (
     dressed_rotation,
 )
 from magsqueeze.dynamics import (
+    LindbladSpec,
     SolverConfig,
     SplitHamiltonian,
     _lindblad_rhs,
-    build_dissipators_effective,
     build_dissipators_full,
     conditional_squeezing_run,
     conditional_superposition_run,
@@ -164,6 +164,18 @@ def test_full_dissipators_persistent_current_basis(params):
     assert_allclose(spec.channels[4][0], np.kron(eye_m, r.conj().T @ SIGMA_Z @ r), atol=1e-15)
     with pytest.raises(DimensionError):
         build_dissipators_full(params, nf, qubit_basis="lab")
+
+
+def build_dissipators_effective(params, fock_dim):
+    """Effective-model channels on the joint magnon (x) qubit space, for the
+    dense joint oracle: the thermal magnon pair plus the drive-frame qubit
+    channel gamma(2n_q+1)/8 L[sb_x]; no pure-dephasing channel."""
+    d = derive(params)
+    eye_m = np.eye(fock_dim, dtype=complex)
+    magnon = [(np.kron(op, IDENTITY_2), w)
+              for op, w in magnon_thermal_dissipators(params, fock_dim).channels]
+    sx = (np.kron(eye_m, SIGMA_X), d.gamma * (2.0 * d.n_bar_q + 1.0) / 8.0)
+    return LindbladSpec(channels=magnon + [sx])
 
 
 def test_effective_dissipators(params, derived):

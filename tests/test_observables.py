@@ -1,10 +1,11 @@
 """Observables: quadrature variance, squeezing degree, Wigner grids,
 negativity volume and Uhlmann fidelity.
 
-The fast eigen-sum Wigner evaluator is checked against the textbook
-brute-force form (2/pi) Tr[D^dag(a) rho D(a) P] with explicitly built
-displacement matrices, and against closed-form Gaussians for vacuum and
-squeezed vacuum.  The Fock |1> negativity volume 2 e^{-1/2} - ... = 0.21306
+The separable Wigner kernel is checked against the textbook brute-force
+form (2/pi) Tr[D^dag(a) rho D(a) P] with explicitly built displacement
+matrices, against a per-point displaced-parity oracle at twice the pad the
+kernel chose, and against closed-form Gaussians for vacuum and squeezed
+vacuum.  The Fock |1> negativity volume 2 e^{-1/2} - ... = 0.21306
 makes a sharp quantitative anchor for the negative-part integral.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsqueeze import cli, observables
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.observables import (
     default_axes,
@@ -127,6 +129,34 @@ def brute_force_wigner(rho, alphas):
     return np.array(out)
 
 
+def per_point_wigner(state, re_axis, im_axis, fock_dim, weight_floor=1e-13):
+    """Displaced parity point by point: W = (2/pi) sum_k <z_k| P |z_k> with
+    z_k = D(a)^dag u_k, D(a) = R_phi D(|a|) R_phi^dag split into phase
+    rotations and one radial displacement diagonalised once, the state
+    zero-padded to ``fock_dim`` first."""
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim == 1:
+        basis = arr[:, None]
+    else:
+        pops, vecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+        keep = pops > weight_floor
+        basis = vecs[:, keep] * np.sqrt(pops[keep])
+    padded = np.zeros((fock_dim, basis.shape[1]), dtype=complex)
+    padded[: basis.shape[0]] = basis
+    m = annihilation(fock_dim)
+    lam, v = np.linalg.eigh(1.0j * (m.conj().T - m))     # D(s) = e^{-i s G}
+    vh = v.conj().T
+    parity = (-1.0) ** np.arange(fock_dim)
+    fock_idx = np.arange(fock_dim)
+    values = np.empty((len(im_axis), len(re_axis)))
+    for iy, y in enumerate(im_axis):
+        for ix, x in enumerate(re_axis):
+            cols = np.exp(-1.0j * math.atan2(y, x) * fock_idx)[:, None] * padded
+            z = v @ (np.exp(1.0j * math.hypot(x, y) * lam)[:, None] * (vh @ cols))
+            values[iy, ix] = (2.0 / math.pi) * float(parity @ np.sum(np.abs(z) ** 2, axis=1))
+    return values
+
+
 def test_wigner_matches_brute_force(rng):
     dim = 40
     psi = squeezed_vacuum_fock(0.5 * np.exp(0.8j), dim)
@@ -135,17 +165,57 @@ def test_wigner_matches_brute_force(rng):
     )
     pts_x = rng.uniform(-1.5, 1.5, size=9)
     pts_y = rng.uniform(-1.5, 1.5, size=9)
-    grid = wigner(rho, pts_x, pts_y)
+    # scattered points inside the state's support, not a grid that holds it
+    with pytest.warns(UserWarning, match="boundary"):
+        grid = wigner(rho, pts_x, pts_y)
+    # the dense oracle truncates D(a) itself; at dimension 40 that costs it
+    # up to 2e-8, so it acts on rho zero-padded to 80
+    rho_pad = np.zeros((80, 80), dtype=complex)
+    rho_pad[:dim, :dim] = rho
     expected = np.empty((9, 9))
     for iy, y in enumerate(pts_y):
-        expected[iy, :] = brute_force_wigner(rho, pts_x + 1j * y)
+        expected[iy, :] = brute_force_wigner(rho_pad, pts_x + 1j * y)
     np.testing.assert_allclose(grid.values, expected, atol=1e-10)
+
+
+@st.composite
+def low_rank_states(draw):
+    dim = draw(st.integers(20, 60))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    weights = rng.uniform(0.1, 1.0, size=rank)
+    rho = (cols * weights) @ cols.conj().T
+    return rho / np.trace(rho).real
+
+
+def grid_axis(draw, count):
+    lo = draw(st.floats(-2.5, 1.0))
+    return np.linspace(lo, lo + draw(st.floats(0.3, 2.0)), count)
+
+
+@st.composite
+def rectangular_grids(draw):
+    nx = draw(st.integers(2, 7))
+    ny = draw(st.integers(2, 7).filter(lambda n: n != nx))
+    return grid_axis(draw, nx), grid_axis(draw, ny)
+
+
+@pytest.mark.filterwarnings("ignore:Wigner support reaches the grid boundary")
+@given(rho=low_rank_states(), axes=rectangular_grids())
+@settings(max_examples=12, deadline=None)
+def test_wigner_matches_per_point_oracle(rho, axes):
+    re_axis, im_axis = axes
+    grid = wigner(rho, re_axis, im_axis)
+    assert grid.values.shape == (len(im_axis), len(re_axis))
+    expected = per_point_wigner(rho, re_axis, im_axis, 2 * grid.meta["fock_dim"])
+    np.testing.assert_allclose(grid.values, expected, rtol=0, atol=1e-9)
 
 
 def test_wigner_vacuum_gaussian():
     ax = np.linspace(-5.0, 5.0, 101)
     ket = fock_state(0, 40)
-    grid = wigner(ket, ax, ax, pad_to=140)
+    grid = wigner(ket, ax, ax)
     xs, ys = np.meshgrid(ax, ax)
     expected = (2.0 / math.pi) * np.exp(-2.0 * (xs**2 + ys**2))
     np.testing.assert_allclose(grid.values, expected, atol=1e-8)
@@ -158,7 +228,7 @@ def test_wigner_squeezed_gaussian():
     r = 0.6
     ax = np.linspace(-4.0, 4.0, 81)
     ket = squeezed_vacuum_fock(r, 120)
-    grid = wigner(ket, ax, ax, pad_to=220)
+    grid = wigner(ket, ax, ax)
     xs, ys = np.meshgrid(ax, ax)
     expected = (2.0 / math.pi) * np.exp(
         -2.0 * math.exp(2 * r) * xs**2 - 2.0 * math.exp(-2 * r) * ys**2
@@ -168,7 +238,7 @@ def test_wigner_squeezed_gaussian():
 
 def test_wigner_ket_equals_density_path():
     ket = squeezed_vacuum_fock(0.4, 60)
-    ax = np.linspace(-2.0, 2.0, 21)
+    ax = np.linspace(-4.5, 4.5, 31)
     g1 = wigner(ket, ax, ax)
     g2 = wigner(density_from_vector(ket), ax, ax)
     np.testing.assert_allclose(g1.values, g2.values, atol=1e-12)
@@ -179,17 +249,40 @@ def test_wigner_pad_matches_native_dimension():
     ket = np.zeros(50, dtype=complex)
     ket[2] = 1.0
     ax = np.linspace(-3.0, 3.0, 31)
-    padded = wigner(ket, ax, ax, pad_to=90)
-    native = wigner(np.concatenate([ket, np.zeros(40)]), ax, ax)
-    np.testing.assert_allclose(padded.values, native.values, atol=1e-12)
-    assert padded.meta["fock_dim"] == 90
+    native = wigner(ket, ax, ax)
+    extended = wigner(np.concatenate([ket, np.zeros(400)]), ax, ax)
+    np.testing.assert_allclose(extended.values, native.values, atol=1e-12)
+    assert extended.meta["fock_dim"] == native.meta["fock_dim"]
+    assert native.meta["pad_tail"] < observables.WIGNER_PAD_TAIL
+
+
+def test_wigner_pad_cap(monkeypatch):
+    # displacing to |alpha| = 30 needs about (60 + 3.5)^2 levels
+    with pytest.raises(NumericalError, match="Fock levels"):
+        wigner(fock_state(0, 4), np.linspace(-30.0, 30.0, 3), np.zeros(2))
+    # a state longer than the cap is refused before anything is displaced
+    with pytest.raises(NumericalError, match="Fock levels"):
+        wigner(np.ones(observables.WIGNER_PAD_CAP + 1), np.zeros(2), np.zeros(3))
+    # a tail that never passes grows the pad up to the cap, then raises
+    monkeypatch.setattr(observables, "WIGNER_PAD_CAP", 120)
+    monkeypatch.setattr(observables, "WIGNER_PAD_TAIL", 0.0)
+    with pytest.raises(NumericalError, match="more than 120 Fock levels"):
+        wigner(fock_state(0, 4), np.linspace(-1.0, 1.0, 3), np.zeros(2))
+
+
+def test_cli_wigner_pad_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # the CLI grid spans |alpha| <= 8: the vacuum needs about 380 levels
+    monkeypatch.setattr(observables, "WIGNER_PAD_CAP", 200)
+    code = cli.main(["wigner", "--state", "vacuum", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "Fock levels" in capsys.readouterr().err
 
 
 def test_wigner_weight_floor_drops_noise():
     dim = 30
     rho = 0.999 * density_from_vector(fock_state(0, dim))
     rho += (0.001 / dim) * np.eye(dim)
-    grid = wigner(rho, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), weight_floor=1e-2)
+    grid = wigner(rho, np.linspace(-4, 4, 5), np.linspace(-4, 4, 5), weight_floor=1e-2)
     assert grid.meta["rank"] == 1
     with pytest.raises(NumericalError):
         wigner(np.zeros((8, 8), dtype=complex))
@@ -200,23 +293,24 @@ def test_wigner_boundary_warning():
     ket = squeezed_vacuum_fock(1.0, 160)
     ax = np.linspace(-1.5, 1.5, 11)
     with pytest.warns(UserWarning, match="boundary"):
-        wigner(ket, ax, ax, pad_to=220)
+        wigner(ket, ax, ax)
 
 
 def test_negativity_volume_fock_one():
     # closed form: the negative lobe of W_{|1>} integrates to 0.21306
     ax = np.linspace(-5.0, 5.0, 201)
     ket = fock_state(1, 8)
-    grid = wigner(ket, ax, ax, pad_to=130)
+    grid = wigner(ket, ax, ax)
     assert wigner_negativity_volume(grid) == pytest.approx(0.21306, abs=2e-3)
     # vacuum is nonnegative everywhere
-    vac_grid = wigner(fock_state(0, 8), ax, ax, pad_to=130)
+    vac_grid = wigner(fock_state(0, 8), ax, ax)
     assert wigner_negativity_volume(vac_grid) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wigner_grid_io(tmp_path):
     ax = np.linspace(-1.0, 1.0, 5)
-    grid = wigner(fock_state(0, 12), ax, ax)
+    with pytest.warns(UserWarning, match="boundary"):
+        grid = wigner(fock_state(0, 12), ax, ax)
     csv_path = tmp_path / "grid.csv"
     grid.to_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -229,6 +323,8 @@ def test_wigner_grid_io(tmp_path):
     desc = json.loads(json_path.read_text())
     assert desc["re_axis"] == [-1.0, 1.0, 5]
     assert "normalization" in desc
+    assert desc["fock_dim"] == grid.meta["fock_dim"]
+    assert desc["pad_tail"] == grid.meta["pad_tail"]
 
 
 def test_default_axes():

@@ -1,5 +1,6 @@
 """Operator-algebra layer: truncation-aware ladder operators, exact-unitary
-squeeze/displacement exponentials, partial traces and the StateDensity guard.
+squeeze/displacement exponentials, partial traces, and a test-local
+density-matrix guard.
 """
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.qops import (
-    StateDensity,
     annihilation,
     creation,
     density_from_vector,
@@ -27,6 +27,21 @@ from magsqueeze.qops import (
 )
 
 N = 24
+
+
+def validate_density(rho, atol=1e-8):
+    """Square, unit trace, Hermitian and positive up to atol (eigenvalues
+    down to -1e-6), or raise."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionError(f"density matrix must be square, got {rho.shape}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > atol:
+        raise NumericalError(f"trace(rho) = {tr}, deviates by {abs(tr - 1.0):.3e}")
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        raise NumericalError("density matrix is not Hermitian")
+    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if evals.min() < -1e-6:
+        raise NumericalError(f"density matrix has eigenvalue {evals.min():.3e}")
 
 
 def test_annihilation_matrix_elements():
@@ -188,7 +203,7 @@ def test_density_from_vector_is_state(dim):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     rho = density_from_vector(psi)
-    StateDensity(rho).validate(atol=1e-10)
+    validate_density(rho, atol=1e-10)
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() > -1e-12
     assert sorted(evals)[-1] == pytest.approx(1.0)
@@ -196,12 +211,12 @@ def test_density_from_vector_is_state(dim):
 
 def test_state_density_validate_guards():
     with pytest.raises(NumericalError):
-        StateDensity(np.eye(4, dtype=complex)).validate()  # trace 4
+        validate_density(np.eye(4, dtype=complex))  # trace 4
     bad = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(NumericalError):
-        StateDensity(bad).validate()
+        validate_density(bad)
     with pytest.raises(DimensionError):
-        StateDensity(np.zeros((2, 3), dtype=complex)).validate()
+        validate_density(np.zeros((2, 3), dtype=complex))
     herm_bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NumericalError):
-        StateDensity(herm_bad).validate()
+        validate_density(herm_bad)
