@@ -17,7 +17,6 @@ from .coupling import (
 from .dynamics import (
     LindbladSpec,
     SolverConfig,
-    SplitHamiltonian,
     TrajectoryResult,
     build_dissipators_full,
     conditional_squeezing_run,
@@ -38,6 +37,7 @@ from .errors import (
 from .model import (
     DerivedParams,
     PhysicalParams,
+    SplitHamiltonian,
     analytic_propagator,
     build_H_cs,
     build_H_eff,

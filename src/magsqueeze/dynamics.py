@@ -14,8 +14,9 @@ w L[sb_x], leaves the sb_x blocks <s|rho|r> of the joint state uncoupled;
 w L[sb_x] only damps the s != r block, at 4w.  The conditional runs
 dispatch on that structure:
 
-* sb_x eigenstate qubit, no dissipation -> exact sector propagator
-  (closed form; the time-dependent two-photon Hamiltonian factors as
+* sb_x eigenstate qubit, no magnon dissipation -> exact sector propagator
+  (the qubit channel only damps the s != r block, which such a start never
+  fills; closed form: the time-dependent two-photon Hamiltonian factors as
   H(t) = V H(0) V^dag with V = e^{+i Delta n t}, so
   U(t) = e^{+i Delta n t} e^{-i(H(0) + Delta n) t});
 * any other effective run -> one master equation on the N x N magnon
@@ -38,11 +39,11 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .errors import DimensionError, NumericalError, StiffnessError
 from .model import (
-    build_H_cs,  # not called here; benchmark/spans.py traces dynamics.build_H_cs
+    SplitHamiltonian,
+    build_H_cs,
     build_H_rot,
     build_H_tot,
     derive,
-    dressed_rotation,
     frame_transform,
 )
 from .qops import (
@@ -53,7 +54,6 @@ from .qops import (
     KET_PLUS_X,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
     SIGMA_Z,
     StateDensity,
     annihilation,
@@ -91,34 +91,19 @@ class TrajectoryResult:
     metadata: dict = field(default_factory=dict)
 
 
-def build_dissipators_full(params, fock_dim, qubit_basis="dressed"):
+def build_dissipators_full(params, fock_dim):
     """Thermal magnon pair + qubit relaxation pair + pure dephasing (5 channels)
-    on the joint space, for the lab/rotating full model.
-
-    Qubit operators default to the dressed (energy-eigenbasis) ladder
-    operators, where relaxation physically acts; qubit_basis
-    "persistent_current" instead uses the current-basis ladder operators
-    (expressed in the dressed representation) for comparison.
+    on the joint space, for the lab/rotating full model.  The qubit channels
+    act in the dressed (energy) eigenbasis, where relaxation physically acts.
     """
     d = derive(params)
     n = int(fock_dim)
     eye_m = np.eye(n, dtype=complex)
-    if qubit_basis == "dressed":
-        s_minus, s_plus, s_z = SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
-    elif qubit_basis == "persistent_current":
-        # same channel shapes, but acting in the current basis: rewrite the
-        # current-basis ladder/dephasing operators in the dressed rep
-        r = dressed_rotation(params.theta)
-        s_minus = r.conj().T @ SIGMA_MINUS @ r
-        s_plus = s_minus.conj().T
-        s_z = r.conj().T @ SIGMA_Z @ r
-    else:
-        raise DimensionError(f"unknown qubit_basis {qubit_basis!r}")
     return LindbladSpec(
         channels=_magnon_channels_on_joint(params, n) + [
-            (kron(eye_m, s_minus), d.gamma * (d.n_bar_q + 1.0) / 2.0),
-            (kron(eye_m, s_plus), d.gamma * d.n_bar_q / 2.0),
-            (kron(eye_m, s_z), d.gamma_phi / 4.0),
+            (kron(eye_m, SIGMA_MINUS), d.gamma * (d.n_bar_q + 1.0) / 2.0),
+            (kron(eye_m, SIGMA_PLUS), d.gamma * d.n_bar_q / 2.0),
+            (kron(eye_m, SIGMA_Z), d.gamma_phi / 4.0),
         ]
     )
 
@@ -148,19 +133,6 @@ def magnon_thermal_dissipators(params, fock_dim):
 
 # ---------------------------------------------------------------------------
 # master-equation integrator
-
-
-@dataclass
-class SplitHamiltonian:
-    """H(t) = static + sum_k [e^{i w_k t} H_k + e^{-i w_k t} H_k^dag].
-
-    static is a matrix or None; terms holds (H_k, w_k) pairs, w_k in rad/ns.
-    This is how evolve_master takes a time-dependent Hamiltonian: each term
-    becomes two fixed superoperators scaled by e^{+i w_k t} and e^{-i w_k t}.
-    """
-
-    static: np.ndarray = None
-    terms: tuple = ()
 
 
 def _superop(left, right, n):
@@ -425,20 +397,12 @@ def postselect_qubit(rho_joint, outcome):
 # conditional squeezing protocol
 
 
-def _sector_hamiltonian(params, fock_dim, delta_eff, sector=+1):
-    """Two-photon Hamiltonian of the sb_x = sector block,
-
-        h(t) = c [e^{-2i Delta t} m^2 + e^{+2i Delta t} m^dag^2],  c = -(g_cs/2) sector.
-
-    Returns (h(0), h as a SplitHamiltonian, Delta).
-    """
-    d = derive(params)
-    delta = d.Delta_eff if delta_eff is None else float(delta_eff)
-    m = annihilation(fock_dim)
-    c = -(d.g_cs / 2.0) * float(sector)
-    term = c * (m @ m)
-    h0 = term + term.conj().T
-    return h0, SplitHamiltonian(terms=((term, -2.0 * delta),)), delta
+def _sector_split(params, fock_dim, delta_eff, sector=+1):
+    """The sb_x = sector block of build_H_cs: sector times the magnon
+    coefficient of its sb_x term, read off the <g|sb_x|e> = 1 entry."""
+    (term, w), = build_H_cs(params, fock_dim, delta_eff).terms
+    block = term.reshape(fock_dim, 2, fock_dim, 2)[:, 0, :, 1]
+    return SplitHamiltonian(terms=((sector * block, w),))
 
 
 def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
@@ -447,9 +411,11 @@ def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
     Uses H(t) = V H(0) V^dag with V = e^{+i Delta n t}:
     psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.
     """
-    h0, _, delta = _sector_hamiltonian(params, fock_dim, delta_eff, sector)
+    h = _sector_split(params, fock_dim, delta_eff, sector)
+    (_, w), = h.terms
+    delta = -0.5 * w  # the term oscillates at w = -2 Delta
     n_diag = np.arange(fock_dim, dtype=float)
-    gen = h0 + delta * np.diag(n_diag)
+    gen = h.at(0.0) + delta * np.diag(n_diag)
     evals, vecs = herm_eig(gen)
     psi0 = np.zeros(fock_dim, dtype=complex)
     psi0[0] = 1.0
@@ -469,7 +435,7 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
     keywords).  The stack is renormalized to unit trace, which removes the
     rounding of the basis change: a pinned start is exactly |0><0|.
     """
-    _, h, _ = _sector_hamiltonian(params, fock_dim, delta_eff)
+    h = _sector_split(params, fock_dim, delta_eff)
     rho4 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim).matrix.reshape(
         fock_dim, 2, fock_dim, 2)
     split = {
@@ -510,14 +476,13 @@ def _pinned_metrics(sign):
     return hook
 
 
-def _plus_x_metrics(params, frame_tag, transform_chain):
+def _plus_x_metrics(params, frame_tag):
     """Sample hook: joint state -> drive_interaction frame -> sb_x = +1
     postselection -> p_plus and the magnon metrics."""
 
     def hook(t, rho_joint):
-        state = StateDensity(rho_joint, frame=frame_tag, time=float(t))
-        for target in transform_chain:
-            state = frame_transform(state, target, params)
+        state = frame_transform(StateDensity(rho_joint, frame=frame_tag, time=float(t)),
+                                "drive_interaction", params)
         p, rho_m = postselect_qubit(state, "plus_x")
         out = _magnon_metrics(rho_m.matrix)
         out["p_plus"] = p
@@ -539,22 +504,19 @@ def conditional_squeezing_run(
     delta_eff=None,
     solver=None,
     store_states=False,
-    qubit_basis="dressed",
 ):
     """Run the conditional-squeezing protocol and record per-sample
     post-selected metrics (p_plus, zeta_sq, squeezing_db, n_magnon, theta_star).
 
     model: "effective" (two-photon Hamiltonian + effective dissipators, in
     the drive_interaction frame), "full_lab" (lab-frame drive, dressed
-    representation), or "full_rotating" (exact half-pump-frame transform);
-    "full" is an alias for "full_lab".  Full-model samples are transformed
-    to the drive_interaction frame before the sb_x = +1 postselection.
+    representation), or "full_rotating" (exact half-pump-frame transform).
+    Full-model samples are transformed to the drive_interaction frame
+    before the sb_x = +1 postselection.
     """
     if sample_times is None:
         sample_times = default_sample_times()
     sample_times = np.asarray(sample_times, dtype=float)
-    if model == "full":
-        model = "full_lab"
 
     d = derive(params, delta_eff_override=delta_eff)
     meta = {
@@ -569,12 +531,11 @@ def conditional_squeezing_run(
             params, qubit_init, fock_dim, delta_eff
         )
         sectors = blockwise["sectors"]
-        dissipative = bool(dissipators.active()) or blockwise["pair_rate"] > 0.0
-
         if len(sectors) == 1:
             sign = sectors[0][0]
             hook = _pinned_metrics(sign)
-            if not dissipative:
+            # one (s, s) block: the pair rate has no (+,-) block to act on
+            if not dissipators.active():
                 # exact closed-form sector propagation
                 psis = _sector_exact_states(params, fock_dim, sign, delta_eff,
                                             sample_times)
@@ -592,36 +553,18 @@ def conditional_squeezing_run(
             meta["path"] = "sector_master_equation"
         else:
             meta["path"] = "joint_master_equation"
-            hook = _plus_x_metrics(params, "drive_interaction", [])
+            hook = _plus_x_metrics(params, "drive_interaction")
     elif model in ("full_lab", "full_rotating"):
-        n = fock_dim
-        m = annihilation(n)
-        eye_m = np.eye(n, dtype=complex)
         if model == "full_lab":
-            # build_H_tot at cos(omega_p t) = 0 is the static part
-            h_static = build_H_tot(params, math.pi / (2.0 * d.omega_p), n)
-            drive = -0.5 * d.Omega * kron(eye_m, SIGMA_X)
-            h = SplitHamiltonian(h_static, ((drive, d.omega_p),))
-            frame_tag = "lab"
-            transform_chain = ["rotating_half_pump", "drive_interaction"]
+            h, frame_tag = build_H_tot(params, fock_dim), "lab"
         else:
-            h0 = build_H_rot(params, 0.0, n, keep_counter_rotating=True)
-            a13 = d.g_x * kron(m, SIGMA_PLUS) + d.g_z * kron(m.conj().T, SIGMA_Z)
-            a2 = d.g_x * kron(m.conj().T, SIGMA_PLUS)
-            acr = -0.5 * d.Omega * kron(eye_m, SIGMA_PLUS)
-            static = h0 - (
-                a13 + a13.conj().T + a2 + a2.conj().T + acr + acr.conj().T
-            )
-            wp = d.omega_p
-            h = SplitHamiltonian(static, ((a13, 0.5 * wp), (a2, 1.5 * wp), (acr, 2.0 * wp)))
-            frame_tag = "rotating_half_pump"
-            transform_chain = ["drive_interaction"]
+            h, frame_tag = build_H_rot(params, fock_dim), "rotating_half_pump"
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
         rho0.frame = frame_tag
-        dissipators = build_dissipators_full(params, fock_dim, qubit_basis=qubit_basis)
+        dissipators = build_dissipators_full(params, fock_dim)
         blockwise = {}
         meta["path"] = "joint_master_equation"
-        hook = _plus_x_metrics(params, frame_tag, transform_chain)
+        hook = _plus_x_metrics(params, frame_tag)
     else:
         raise DimensionError(f"unknown model {model!r}")
 

@@ -183,11 +183,32 @@ def dressed_rotation(theta):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians.  All return dense complex matrices on magnon (x) qubit;
+# Hamiltonians on magnon (x) qubit.  The time-dependent ones are returned as
+# a SplitHamiltonian, the form the master equation is assembled from;
 # `fock_dim` is the magnon truncation (number of kept Fock levels).
 
 
-def build_H_lab(params, t, fock_dim):
+@dataclass
+class SplitHamiltonian:
+    """H(t) = static + sum_k [e^{i w_k t} H_k + e^{-i w_k t} H_k^dag].
+
+    static is a matrix or None; terms holds (H_k, w_k) pairs, w_k in rad/ns.
+    evolve_master turns each term into two fixed superoperators scaled by
+    e^{+i w_k t} and e^{-i w_k t}; at(t) is the dense matrix at one time.
+    """
+
+    static: np.ndarray = None
+    terms: tuple = ()
+
+    def at(self, t):
+        h = 0.0 if self.static is None else np.array(self.static, dtype=complex)
+        for hk, w in self.terms:
+            x = np.exp(1.0j * w * t) * hk
+            h = h + x + x.conj().T
+        return h
+
+
+def build_H_lab(params, fock_dim):
     """Lab-frame Hamiltonian in the persistent-current qubit basis:
 
         omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
@@ -202,71 +223,64 @@ def build_H_lab(params, t, fock_dim):
     h_q = 0.5 * d.nu * (
         math.cos(params.theta) * SIGMA_Z + math.sin(params.theta) * SIGMA_X
     )
-    drive = (
-        d.Omega
-        * math.cos(d.omega_p * t + params.phi)
-        * (SIGMA_X - SIGMA_Z)
-        / math.sqrt(2.0)
-    )
-    return (
+    drive = (0.5 * d.Omega * np.exp(1.0j * params.phi) / math.sqrt(2.0)
+             * kron(eye_m, SIGMA_X - SIGMA_Z))
+    static = (
         kron(d.omega_m * number_op(n), IDENTITY_2)
-        + kron(eye_m, h_q + drive)
+        + kron(eye_m, h_q)
         + d.g * kron(x_m, SIGMA_Z)
     )
+    return SplitHamiltonian(static, ((drive, d.omega_p),))
 
 
-def build_H_tot(params, t, fock_dim):
+def build_H_tot(params, fock_dim):
     """Lab-frame Hamiltonian in the dressed qubit basis:
 
         omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
         + g_z (m+m^dag) sb_z - Omega cos(omega_p t) sb_x
 
-    Equals build_H_lab conjugated by the dressed rotation when phi = 0.
+    Equals build_H_lab conjugated by the dressed rotation when phi = 0 and
+    theta = pi/4.  At other theta the dressed image of the lab drive
+    quadrature is [(sin theta - cos theta) sb_z - (cos theta + sin theta) sb_x]
+    / sqrt(2), not -sb_x; this form keeps -sb_x.
     """
     d = derive(params)
     n = int(fock_dim)
     m = annihilation(n)
     x_m = m + m.conj().T
     eye_m = np.eye(n, dtype=complex)
-    return (
+    static = (
         kron(d.omega_m * number_op(n), IDENTITY_2)
         + kron(eye_m, 0.5 * d.nu * SIGMA_Z)
         + d.g_x * kron(x_m, SIGMA_X)
         + d.g_z * kron(x_m, SIGMA_Z)
-        - d.Omega * math.cos(d.omega_p * t) * kron(eye_m, SIGMA_X)
     )
+    drive = -0.5 * d.Omega * kron(eye_m, SIGMA_X)
+    return SplitHamiltonian(static, ((drive, d.omega_p),))
 
 
-def build_H_rot(params, t, fock_dim, keep_counter_rotating=False):
-    """Hamiltonian in the rotating_half_pump frame (dressed basis):
+def build_H_rot(params, fock_dim):
+    """Hamiltonian in the rotating_half_pump frame (dressed basis), the exact
+    frame transform of build_H_tot:
 
         Delta_m m^dag m + (Delta_nu/2) sb_z - (Omega/2) sb_x
-        + g_x [ m sb_+ e^{+i omega_p t/2} + m^dag sb_+ e^{+3i omega_p t/2} + h.c. ]
-        + g_z [ m e^{-i omega_p t/2} + m^dag e^{+i omega_p t/2} ] sb_z
+        + sum_k [h_k^dag e^{i d_k t} + h.c.]   (sideband_interaction_terms)
+        - (Omega/2) [sb_+ e^{2i omega_p t} + h.c.]   (counter-rotating drive)
 
-    By default the counter-rotating drive terms -(Omega/2)(sb_+ e^{2i omega_p t}
-    + h.c.) are dropped (rotating-wave approximation on the drive only);
-    keep_counter_rotating=True retains them, making the result the exact
-    frame transform of build_H_tot.
+    The two sidebands at omega_p/2 are one term.
     """
     d = derive(params)
     n = int(fock_dim)
-    m = annihilation(n)
-    md = m.conj().T
     eye_m = np.eye(n, dtype=complex)
-    wp = d.omega_p
-    h = (
+    static = (
         kron(d.Delta_m * number_op(n), IDENTITY_2)
         + kron(eye_m, 0.5 * d.Delta_nu * SIGMA_Z - 0.5 * d.Omega * SIGMA_X)
     )
-    t1 = d.g_x * np.exp(0.5j * wp * t) * kron(m, SIGMA_PLUS)
-    t2 = d.g_x * np.exp(1.5j * wp * t) * kron(md, SIGMA_PLUS)
-    t3 = d.g_z * np.exp(0.5j * wp * t) * kron(md, SIGMA_Z)
-    h = h + t1 + t1.conj().T + t2 + t2.conj().T + t3 + t3.conj().T
-    if keep_counter_rotating:
-        cr = -0.5 * d.Omega * np.exp(2.0j * wp * t) * kron(eye_m, SIGMA_PLUS)
-        h = h + cr + cr.conj().T
-    return h
+    terms = {}
+    for hd, w in sideband_interaction_terms(params, n):
+        terms[w] = terms.get(w, 0.0) + hd
+    terms[2.0 * d.omega_p] = -0.5 * d.Omega * kron(eye_m, SIGMA_PLUS)
+    return SplitHamiltonian(static, tuple((hk, w) for w, hk in terms.items()))
 
 
 @dataclass
@@ -371,7 +385,7 @@ def build_H_eff(params, fock_dim):
     )
 
 
-def build_H_cs(params, t, fock_dim, delta_eff=None):
+def build_H_cs(params, fock_dim, delta_eff=None):
     """Conditional two-photon (squeezing) Hamiltonian in the drive frame:
 
         -(g_cs/2) [ m^2 e^{-2i Delta_eff t} + m^dag^2 e^{+2i Delta_eff t} ] sb_x
@@ -381,16 +395,13 @@ def build_H_cs(params, t, fock_dim, delta_eff=None):
     that the exact time-ordered propagator of this Hamiltonian is the
     conditional squeezer with parameter squeezing_parameter(t): on the
     sb_x = +-1 sectors it generates S(+-xi(t)).  Commutes with sb_x at all t.
+    One term, -(g_cs/2) m^2 (x) sb_x at w = -2 Delta_eff, and no static part.
     """
     d = derive(params)
     delta = d.Delta_eff if delta_eff is None else float(delta_eff)
-    n = int(fock_dim)
-    m = annihilation(n)
-    m2 = m @ m
-    mag = -(d.g_cs / 2.0) * (
-        np.exp(-2.0j * delta * t) * m2 + np.exp(2.0j * delta * t) * m2.conj().T
-    )
-    return kron(mag, SIGMA_X)
+    m = annihilation(int(fock_dim))
+    term = kron(-(d.g_cs / 2.0) * (m @ m), SIGMA_X)
+    return SplitHamiltonian(terms=((term, -2.0 * delta),))
 
 
 def squeezing_parameter(params, t, delta_eff=None):

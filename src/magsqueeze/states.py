@@ -98,14 +98,12 @@ _QUBIT_KETS = {
 }
 
 
-def joint_initial_state(magnon="vacuum", qubit="plus_x", fock_dim=80):
-    """Initial joint density matrix |magnon><magnon| (x) |qubit><qubit|.
+def joint_initial_state(qubit="plus_x", fock_dim=80):
+    """Initial joint density matrix |0><0| (x) |qubit><qubit|, magnon vacuum.
 
     Tagged with frame "lab" at t=0, where all frames coincide.  The qubit
     convention |+-> = (|g> +- |e>)/sqrt(2) is recorded in the metadata.
     """
-    if magnon != "vacuum":
-        raise DimensionError(f"unsupported magnon option {magnon!r}")
     if qubit not in _QUBIT_KETS:
         raise DimensionError(f"unsupported qubit option {qubit!r}")
     psi_m = np.zeros(fock_dim, dtype=complex)

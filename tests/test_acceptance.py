@@ -143,7 +143,7 @@ def test_check_04_propagator_oracle():
     nf = 120
     params = PhysicalParams()
     ket0 = np.kron(np.eye(nf, 1).ravel(), KET_PLUS_X).astype(complex)
-    h = build_H_cs(params, 0.0, nf, delta_eff=0.0)
+    h = build_H_cs(params, nf, delta_eff=0.0)
     worst = 1.0
     from magsqueeze.states import StateDensity
     for t in (5.0, 10.0, 15.0, 21.0):  # r up to 0.99

@@ -19,16 +19,18 @@ from numpy.testing import assert_allclose
 from magsqueeze.errors import DimensionError, NumericalError, StiffnessError
 from magsqueeze.model import (
     PhysicalParams,
+    SplitHamiltonian,
     analytic_propagator,
     build_H_cs,
+    build_H_rot,
+    build_H_tot,
     derive,
-    dressed_rotation,
 )
 from magsqueeze.dynamics import (
     LindbladSpec,
     SolverConfig,
-    SplitHamiltonian,
     _lindblad_rhs,
+    _sector_split,
     build_dissipators_full,
     conditional_squeezing_run,
     conditional_superposition_run,
@@ -67,36 +69,6 @@ def sector_rho0(fock_dim):
 
 def solver_for(times, **kw):
     return SolverConfig(sample_times=np.asarray(times, dtype=float), **kw)
-
-
-def split_from_samples(h_of_t, omega):
-    """SplitHamiltonian of h(t) = e^{i omega t} A + h.c., with A read off
-    two samples: h(0) - i h(pi / (2 omega)) = 2A.  A third sample checks it."""
-    a = 0.5 * (h_of_t(0.0) - 1.0j * h_of_t(0.5 * math.pi / omega))
-    t = 0.37 / abs(omega)
-    phase = np.exp(1.0j * omega * t)
-    assert_allclose(phase * a + np.conj(phase) * a.conj().T, h_of_t(t), atol=1e-12)
-    return SplitHamiltonian(terms=((a, omega),))
-
-
-def cs_split(params, fock_dim, delta_eff=None):
-    """H_cs(t) on the joint space, as a SplitHamiltonian at w = -2 Delta_eff."""
-    delta = derive(params, delta_eff_override=delta_eff).Delta_eff
-    return split_from_samples(
-        lambda t: build_H_cs(params, t, fock_dim, delta_eff=delta_eff), -2.0 * delta)
-
-
-def sector_hamiltonian(params, fock_dim, delta_eff=None):
-    """h(t) = <+x| H_cs(t) |+x>: the sb_x = +1 block of the conditional
-    Hamiltonian, a magnon-only operator."""
-    delta = derive(params, delta_eff_override=delta_eff).Delta_eff
-
-    def h(t):
-        h4 = build_H_cs(params, t, fock_dim, delta_eff=delta_eff).reshape(
-            fock_dim, 2, fock_dim, 2)
-        return np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), h4, KET_PLUS_X)
-
-    return split_from_samples(h, -2.0 * delta)
 
 
 def dense_lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
@@ -153,17 +125,6 @@ def test_full_dissipators_drop_inactive_channels():
     spec = build_dissipators_full(PhysicalParams(gamma_phi=0.0), 4)
     assert len(spec.channels) == 5
     assert len(spec.active()) == 4
-
-
-def test_full_dissipators_persistent_current_basis(params):
-    nf = 4
-    spec = build_dissipators_full(params, nf, qubit_basis="persistent_current")
-    r = dressed_rotation(params.theta)
-    eye_m = np.eye(nf, dtype=complex)
-    assert_allclose(spec.channels[2][0], np.kron(eye_m, r.conj().T @ SIGMA_MINUS @ r), atol=1e-15)
-    assert_allclose(spec.channels[4][0], np.kron(eye_m, r.conj().T @ SIGMA_Z @ r), atol=1e-15)
-    with pytest.raises(DimensionError):
-        build_dissipators_full(params, nf, qubit_basis="lab")
 
 
 def build_dissipators_effective(params, fock_dim):
@@ -240,7 +201,7 @@ def test_unitary_limit_matches_analytic_propagator(params):
     nf = 60
     ket0 = np.kron(np.eye(nf, 1).ravel(), KET_PLUS_X).astype(complex)
     rho0 = StateDensity(np.outer(ket0, ket0.conj()), frame="drive_interaction")
-    h = build_H_cs(params, 0.0, nf, delta_eff=0.0)
+    h = build_H_cs(params, nf, delta_eff=0.0)
     res = evolve_master(h, None, rho0, solver=solver_for([10.0]), store_states=True)
     u = analytic_propagator(params, 10.0, nf, delta_eff=0.0)
     assert_allclose(res.states[-1].matrix, u @ rho0.matrix @ u.conj().T, atol=1e-7)
@@ -305,6 +266,26 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, three_blocks,
     assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@given(
+    builder=st.sampled_from([build_H_tot, build_H_rot, build_H_cs]),
+    fock_dim=st.integers(3, 8),
+    t=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
+    # each builder's terms, as the Liouvillian assembles them, against its
+    # own dense H(t): guards the merged omega_p/2 sideband and the sign of w
+    params = PhysicalParams()
+    split = builder(params, fock_dim)
+    channels = build_dissipators_full(params, fock_dim).active()
+    rhs, dim, _ = _lindblad_rhs(split, channels)
+    assert dim == 2 * fock_dim
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
+    ref = dense_lindblad_rhs(split.at, channels)(t, y)
+    assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_positivity_monitor_aborts(params):
     # an indefinite start (eigenvalue -0.1) is caught at the t = 0 sample;
     # the sample-time monitor must abort rather than report garbage
@@ -312,7 +293,8 @@ def test_positivity_monitor_aborts(params):
     rho = np.zeros((nf, nf), dtype=complex)
     rho[0, 0], rho[1, 1] = 1.1, -0.1
     with pytest.raises(NumericalError, match="positivity violated at t = 0.000"):
-        evolve_master(sector_hamiltonian(params, nf), magnon_thermal_dissipators(params, nf),
+        evolve_master(_sector_split(params, nf, None),
+                      magnon_thermal_dissipators(params, nf),
                       StateDensity(rho, frame="drive_interaction"),
                       solver=solver_for([0.0, 1.0]))
 
@@ -452,6 +434,18 @@ def test_pinned_minus_x_sector_master_equation(params):
                         rtol=1e-6, atol=1e-9)
 
 
+def test_pinned_run_without_magnon_dissipation_is_exact():
+    # a pinned sb_x start fills one (s, s) block, and the qubit channel only
+    # damps the (+,-) block, so qubit dissipation alone keeps the closed form
+    times = np.arange(0.0, 10.0 + 1.0, 1.0)
+    runs = [conditional_squeezing_run(p, qubit_init="plus_x", fock_dim=40,
+                                      sample_times=times, delta_eff=0.0)
+            for p in (PhysicalParams(kappa=0.0), NODISS)]
+    assert runs[0].metadata["path"] == "sector_exact"
+    for key, series in runs[1].observables.items():
+        np.testing.assert_array_equal(runs[0].observables[key], series)
+
+
 def test_joint_run_reduces_to_sector():
     # qubit prepared in |g> = (|+x> + |-x>)/sqrt(2): the joint effective
     # evolution postselected on sb_x = +1 must reproduce the pinned-sector
@@ -482,7 +476,7 @@ def test_block_runs_match_dense_joint_oracle():
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=nf)
     rho0.frame = "drive_interaction"
-    dense = evolve_master(cs_split(hot_qubit, nf, delta_eff=delta),
+    dense = evolve_master(build_H_cs(hot_qubit, nf, delta_eff=delta),
                           build_dissipators_effective(hot_qubit, nf), rho0,
                           solver=solver_for(times, **tight), store_states=True)
     squeeze = conditional_squeezing_run(hot_qubit, qubit_init="plus_plus_minus",
@@ -530,7 +524,8 @@ def test_full_lab_matches_full_rotating(params):
     # same physics in two different time-dependent representations with
     # different frame chains; agreement is a strong end-to-end check
     times = np.arange(0.0, 10.0 + 2.0, 2.0)
-    lab = conditional_squeezing_run(params, model="full", fock_dim=20, sample_times=times)
+    lab = conditional_squeezing_run(params, model="full_lab", fock_dim=20,
+                                    sample_times=times)
     rot = conditional_squeezing_run(params, model="full_rotating", fock_dim=20,
                                     sample_times=times)
     assert lab.metadata["model"] == "full_lab"
@@ -562,14 +557,6 @@ def test_run_store_states(params):
         assert st.frame == "drive_interaction"
         assert st.time == pytest.approx(t)
         assert st.matrix.shape == (30, 30)
-
-
-def test_persistent_current_dissipator_basis_runs(params):
-    times = np.arange(0.0, 4.0 + 0.5, 0.5)
-    res = conditional_squeezing_run(params, model="full_rotating", fock_dim=12,
-                                    sample_times=times, qubit_basis="persistent_current")
-    assert np.all(np.isfinite(res.observables["squeezing_db"]))
-    assert np.all(res.observables["p_plus"] > 0.97)
 
 
 def test_unknown_model_raises(params):

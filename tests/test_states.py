@@ -159,8 +159,6 @@ def test_joint_initial_state_structure():
 
 def test_joint_initial_state_guards():
     with pytest.raises(DimensionError):
-        joint_initial_state(magnon="coherent")
-    with pytest.raises(DimensionError):
         joint_initial_state(qubit="plus_y")
 
 
