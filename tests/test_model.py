@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -126,15 +126,11 @@ def test_dressed_drive_wedge_at_balance_point():
     np.testing.assert_allclose(r.conj().T @ wedge @ r, -SIGMA_X, atol=1e-14)
 
 
-@given(t=st.floats(0.0, 50.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
-@example(t=0.0, theta=math.pi / 4)
-@example(t=0.123, theta=math.pi / 4)
-@example(t=1.7, theta=math.pi / 4)
-def test_lab_and_dressed_hamiltonians_agree(t, theta):
+def check_lab_and_dressed_agree(params, t):
     # build_H_tot drives -sb_x, the dressed image of the lab drive quadrature
     # at theta = pi/4 only (see the wedge test above); every other term maps
     # exactly at any theta, so the two differ by the drive's misalignment
-    params = PhysicalParams(theta=theta)
+    theta = params.theta
     d = derive(params)
     n = 12
     r = dressed_rotation(theta)
@@ -146,18 +142,23 @@ def test_lab_and_dressed_hamiltonians_agree(t, theta):
     np.testing.assert_allclose(r_j.conj().T @ h_lab @ r_j, h_tot + misaligned, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.123, 1.7])
+def test_lab_and_dressed_hamiltonians_agree(params, t):
+    check_lab_and_dressed_agree(params, t)
+
+
+@given(t=st.floats(0.0, 50.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
+def test_lab_and_dressed_hamiltonians_agree_any_time_and_angle(t, theta):
+    check_lab_and_dressed_agree(PhysicalParams(theta=theta), t)
+
+
 # ---------------------------------------------------------------------------
 # rotating frame
 
 
-@given(t=st.floats(0.0, 50.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
-@example(t=0.0, theta=math.pi / 4)
-@example(t=0.077, theta=math.pi / 4)
-@example(t=0.31, theta=math.pi / 4)
-def test_rotating_frame_is_exact_transform(t, theta):
+def check_rotating_frame_transform(params, t):
     # V H V^dag - (omega_p/2)(n + sb_z) must reproduce the rotating-frame
     # Hamiltonian, counter-rotating drive included
-    params = PhysicalParams(theta=theta)
     n = 10
     d = derive(params)
     h_tot = build_H_tot(params, n).at(t)
@@ -170,6 +171,16 @@ def test_rotating_frame_is_exact_transform(t, theta):
     lhs = np.exp(0.5j * d.omega_p * t * np.subtract.outer(k, k)) * h_tot - generator
     rhs = build_H_rot(params, n).at(t)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.077, 0.31])
+def test_rotating_frame_is_exact_transform(params, t):
+    check_rotating_frame_transform(params, t)
+
+
+@given(t=st.floats(0.0, 50.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
+def test_rotating_frame_is_exact_transform_any_time_and_angle(t, theta):
+    check_rotating_frame_transform(PhysicalParams(theta=theta), t)
 
 
 # ---------------------------------------------------------------------------
