@@ -41,7 +41,6 @@ from .model import (
     analytic_propagator,
     build_H_cs,
     build_H_eff,
-    build_H_lab,
     build_H_rot,
     build_H_tot,
     derive,

@@ -26,6 +26,14 @@ dispatch on that structure:
 
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
+It is assembled and integrated only on the entries of the blocks that the
+start can reach (_reachable): the closure of the start's entries under the
+N x N patterns of the Hamiltonian, the sink and the channels.  That set is
+closed under the generator, so every other entry stays exactly zero and is
+written back as zero at the samples; leaving it out changes nothing but the
+solver's error norm.  From |0>, the two-photon term and the thermal pair
+fill only the entries with i - j even, half of each block; the full models
+reach the whole joint space.
 """
 
 import math
@@ -141,23 +149,11 @@ def _superop(left, right, n):
     return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
 
 
-def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0):
-    """Return (f(t, y), dim, nnz) for the vectorized master equation.
+def _operators(h, channels):
+    """Sparse parts of a master equation: (dim, h0, oscillating, channels).
 
-    y stacks one dim x dim block X per (s, r) in sectors, evolving as
-
-        dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
-
-    with A_s = -i s H(t) - sum_k w_k o_k^dag o_k: the <s|.|r> sb_x block of
-    a joint state under H (x) sb_x.  The single (+1, +1) block is the plain
-    master equation for H.
-
-    h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
-    Liouvillian, block-diagonal over sectors and assembled once.  The static
-    part and the channels make L0; each oscillating term H_k adds the
-    operators of X -> -i s H_k X + i r X H_k and of the same with H_k^dag.
-    They sit side by side, [L0, L_1, L_1', ...], so a call is one product
-    with the stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
+    h is a matrix, None or a SplitHamiltonian; its terms with w = 0 are
+    folded into the static h0, the others are the (H_k, w) in oscillating.
     """
     if isinstance(h, SplitHamiltonian):
         static, terms = h.static, list(h.terms)
@@ -184,24 +180,110 @@ def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0):
             h0 = h0 + hk + hk.conj().T
         else:
             oscillating.append((hk, float(w)))
+    return dim, h0, oscillating, [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels]
+
+
+def _reachable(h, channels, start, n_blocks=1):
+    """Mask of the entries of the n_blocks stacked blocks in start that the
+    master equation of h and channels can make nonzero.
+
+    In X -> A X + X B the factors A and B (H, its terms and the sink
+    o^dag o) move entry (i, j) to (k, j) and to (i, l) along their entries;
+    a jump o X o^dag moves it to (k, l) for o_ki, o_lj != 0.  Taken both
+    ways, the first two fill whole products C x C' of connected components
+    of the N x N pattern of the factors, so the closure under jumps runs on
+    the grid of components.  Signs and cancellations are ignored, so the
+    mask may hold more than the start reaches (only for a non-Hermitian H),
+    never less; it is closed under the generator, whose other entries
+    therefore stay exactly zero.
+    """
+    dim, h0, oscillating, channels = _operators(h, channels)
+    start = np.asarray(start)
+    if start.shape[-2:] != (dim, dim) or start.size != n_blocks * dim * dim:
+        raise DimensionError(
+            f"rho0 shape {start.shape} != {n_blocks} block(s) of generator dimension {dim}")
+    pattern = abs(h0) + sum(abs(hk) for hk, _ in oscillating) + sp.identity(dim, format="csr")
+    if channels:
+        stacked = abs(sp.vstack([o for o, _ in channels], format="csr"))
+        pattern = pattern + stacked.T @ stacked  # the sink's pattern
+    pattern = (pattern + pattern.T).tocsr()
+    # connected components by min-label propagation (scipy.sparse.csgraph
+    # would add a megabyte of resident memory on import): each round takes
+    # the least label among an index's neighbours, then that label's own;
+    # labels only fall and stay inside their component
+    label = np.arange(dim)
+    while True:
+        low = np.minimum.reduceat(label[pattern.indices], pattern.indptr[:-1])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    roots = np.flatnonzero(label == np.arange(dim))  # one per component
+    label = np.searchsorted(roots, label)
+    n_comp = len(roots)
+    hops = []
+    for o, _ in channels:
+        o = o.tocoo()
+        hops.append(sp.csr_matrix((np.ones(o.nnz), (label[o.row], label[o.col])),
+                                  shape=(n_comp, n_comp)))
+    mask = []
+    for x in start.reshape(n_blocks, dim, dim):
+        grid = np.zeros((n_comp, n_comp), dtype=bool)
+        rows, cols = np.nonzero(x)
+        grid[label[rows], label[cols]] = True
+        while True:
+            grown = grid | (sum(hop @ grid @ hop.T for hop in hops) != 0)
+            if (grown == grid).all():
+                break
+            grid = grown
+        mask.append(grid[np.ix_(label, label)])
+    return np.array(mask)
+
+
+def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0, support=None):
+    """Return (f(t, y), dim, nnz) for the vectorized master equation.
+
+    y stacks one dim x dim block X per (s, r) in sectors, evolving as
+
+        dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
+
+    with A_s = -i s H(t) - sum_k w_k o_k^dag o_k: the <s|.|r> sb_x block of
+    a joint state under H (x) sb_x.  The single (+1, +1) block is the plain
+    master equation for H.  support (a mask of the stacked blocks, closed
+    under the generator: see _reachable) keeps only its entries in y, in
+    row-major order; by default y holds every entry.
+
+    h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
+    Liouvillian, block-diagonal over sectors and assembled once.  The static
+    part and the channels make L0; each oscillating term H_k adds the
+    operators of X -> -i s H_k X + i r X H_k and of the same with H_k^dag.
+    Each block of each is cut to its support before they sit side by side,
+    [L0, L_1, L_1', ...], so a call is one product with the stacked copies
+    [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
+    """
+    dim, h0, oscillating, channels = _operators(h, channels)
+    keep = [None] * len(sectors) if support is None else [
+        None if m.all() else np.flatnonzero(m) for m in support]
+
+    def cut(op, k):
+        return op if k is None else op[k][:, k]
 
     sink = sp.csr_matrix((dim, dim), dtype=complex)
     jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for o, w in channels:
-        o = sp.csr_matrix(o, dtype=complex)
         sink = sink + w * (o.conj().T @ o)
         jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
 
     ops = [sp.block_diag(
-        [_superop(-1.0j * s * h0 - sink, 1.0j * r * h0.conj().T - sink, dim) + jumps
-         - (pair_rate if s != r else 0.0) * sp.identity(dim * dim, format="csr")
-         for s, r in sectors], format="csr")]
+        [cut(_superop(-1.0j * s * h0 - sink, 1.0j * r * h0.conj().T - sink, dim) + jumps
+             - (pair_rate if s != r else 0.0) * sp.identity(dim * dim, format="csr"), k)
+         for (s, r), k in zip(sectors, keep)], format="csr")]
     omegas = [0.0]
     for hk, w in oscillating:
         for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
             ops.append(sp.block_diag(
-                [_superop(-1.0j * s * x, 1.0j * r * x, dim) for s, r in sectors],
-                format="csr"))
+                [cut(_superop(-1.0j * s * x, 1.0j * r * x, dim), k)
+                 for (s, r), k in zip(sectors, keep)], format="csr"))
             omegas.append(sign * w)
     gen = sp.hstack(ops, format="csr")
     omegas = np.array(omegas)
@@ -271,6 +353,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
                 hook and stored states see assembled as the 2N joint matrix.
     pair_rate   decay of the blocks with s != r (4w for w L[sb_x])
 
+    Only the entries rho0 can reach are integrated (metadata "support"
+    counts them); the others are exact zeros at every sample.
     Trace drift beyond 1e-8 warns; eigenvalues below -1e-6 abort.
     """
     solver = solver or SolverConfig()
@@ -282,15 +366,12 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
 
     channels = dissipators.active() if dissipators is not None else []
     setup0 = _time.perf_counter()
-    rhs, dim, nnz = _lindblad_rhs(h, channels, sectors, pair_rate)
+    support = _reachable(h, channels, rho0.matrix, len(sectors))
+    rhs, dim, nnz = _lindblad_rhs(h, channels, sectors, pair_rate, support)
     setup_s = _time.perf_counter() - setup0
-    shape = rho0.matrix.shape
-    if shape[-2:] != (dim, dim) or rho0.matrix.size != len(sectors) * dim * dim:
-        raise DimensionError(
-            f"rho0 shape {shape} != {len(sectors)} block(s) of generator dimension {dim}"
-        )
 
     y0 = rho0.matrix.astype(complex).ravel()
+    keep = np.flatnonzero(support)
     wall0 = _time.perf_counter()
     if float(t_grid[0]) != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
@@ -299,10 +380,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         prepend = False
 
     if len(t_grid) == 1:
-        ys = [y0]
+        ys = [y0[keep]]
         n_evals = 0
     else:
-        ys, n_evals = _dop853(rhs, y0, t_grid, solver)
+        ys, n_evals = _dop853(rhs, y0[keep], t_grid, solver)
 
     if prepend:
         ys = ys[1:]
@@ -312,8 +393,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     states = [] if store_states else None
     max_trace_drift = 0.0
     min_eig = np.inf
+    full = np.zeros_like(y0)  # entries outside the support stay zero
+    blocks = full.reshape(len(sectors), dim, dim)
     for t, y in zip(t_grid, ys):
-        blocks = y.reshape(len(sectors), dim, dim)
+        full[keep] = y
         rho = blocks[0] if len(sectors) == 1 else _joint_from_blocks(blocks, sectors)
         rho = 0.5 * (rho + rho.conj().T)
         drift = abs(np.trace(rho).real - 1.0)
@@ -348,6 +431,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "wall_time_s": _time.perf_counter() - wall0,
             "setup_s": setup_s,
             "generator_nnz": nnz,
+            "support": int(keep.size),
             "method": "adaptive_rk",
         },
     )
@@ -409,22 +493,21 @@ def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
     """Closed-form pure evolution of |0> under the sector Hamiltonian.
 
     Uses H(t) = V H(0) V^dag with V = e^{+i Delta n t}:
-    psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.
+    psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.  H(0) + Delta n
+    keeps Fock parity, so only the even levels are diagonalised; the odd
+    amplitudes are exact zeros.  Returns one row psi(t) per time.
     """
     h = _sector_split(params, fock_dim, delta_eff, sector)
     (_, w), = h.terms
     delta = -0.5 * w  # the term oscillates at w = -2 Delta
-    n_diag = np.arange(fock_dim, dtype=float)
-    gen = h.at(0.0) + delta * np.diag(n_diag)
+    n_even = np.arange(0, fock_dim, 2, dtype=float)
+    gen = h.at(0.0)[::2, ::2] + delta * np.diag(n_even)
     evals, vecs = herm_eig(gen)
-    psi0 = np.zeros(fock_dim, dtype=complex)
-    psi0[0] = 1.0
-    coeffs = vecs.conj().T @ psi0
-    out = []
-    for t in times:
-        psi = vecs @ (np.exp(-1.0j * evals * t) * coeffs)
-        psi = np.exp(1.0j * delta * n_diag * t) * psi
-        out.append(psi)
+    times = np.asarray(times, dtype=float)
+    # <v_k|0> is conj(vecs[0, k])
+    even = (vecs * vecs[0].conj()) @ np.exp(-1.0j * np.outer(evals, times))
+    out = np.zeros((len(times), fock_dim), dtype=complex)
+    out[:, ::2] = (np.exp(1.0j * delta * np.outer(n_even, times)) * even).T
     return out
 
 
@@ -637,23 +720,26 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
 # conditional superposition protocol (qubit measured in the energy basis)
 
 
-def ideal_superposition_targets(params, t, fock_dim, delta_eff=None):
+def ideal_superposition_targets(params, times, fock_dim, delta_eff=None):
     """Zero-dissipation references for the superposition protocol.
 
     Starting from |0> (x) |g| = (|+x> + |-x>)/sqrt(2), the exact sector
     propagators give psi(t) = [chi_+ (x) |+x> + chi_- (x) |-x>]/sqrt(2);
     measuring the qubit in {g, e} leaves (chi_+ +- chi_-)/norm.
-    Returns dict {"g": (prob, ket), "e": (prob, ket)}.
+    Returns one dict {"g": (prob, ket), "e": (prob, ket)} per time.
     """
-    chi_p = _sector_exact_states(params, fock_dim, +1, delta_eff, [t])[0]
-    chi_m = _sector_exact_states(params, fock_dim, -1, delta_eff, [t])[0]
-    out = {}
-    for outcome, sign in (("g", +1.0), ("e", -1.0)):
-        raw = 0.5 * (chi_p + sign * chi_m)
-        p = float(np.vdot(raw, raw).real)
-        if p <= 1e-12:
-            raise NumericalError(f"ideal outcome {outcome} has zero weight")
-        out[outcome] = (p, raw / math.sqrt(p))
+    chi_p = _sector_exact_states(params, fock_dim, +1, delta_eff, times)
+    chi_m = _sector_exact_states(params, fock_dim, -1, delta_eff, times)
+    out = []
+    for psi_p, psi_m in zip(chi_p, chi_m):
+        targets = {}
+        for outcome, sign in (("g", +1.0), ("e", -1.0)):
+            raw = 0.5 * (psi_p + sign * psi_m)
+            p = float(np.vdot(raw, raw).real)
+            if p <= 1e-12:
+                raise NumericalError(f"ideal outcome {outcome} has zero weight")
+            targets[outcome] = (p, raw / math.sqrt(p))
+        out.append(targets)
     return out
 
 

@@ -169,19 +169,6 @@ def derive(params, delta_eff_override=None):
     )
 
 
-def dressed_rotation(theta):
-    """2x2 unitary whose columns are |g>, |e> in the persistent-current basis.
-
-    Component order matches the shared Pauli convention (index 0 = the
-    sigma_z = -1 current state).  A persistent-current-basis operator A
-    maps to the dressed representation as R^dag A R; under this rotation
-    sigma_z -> cos(theta) sb_z + sin(theta) sb_x and
-    sigma_x -> sin(theta) sb_z - cos(theta) sb_x.
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[-c, s], [s, c]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians on magnon (x) qubit.  The time-dependent ones are returned as
 # a SplitHamiltonian, the form the master equation is assembled from;
@@ -208,41 +195,22 @@ class SplitHamiltonian:
         return h
 
 
-def build_H_lab(params, fock_dim):
-    """Lab-frame Hamiltonian in the persistent-current qubit basis:
-
-        omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
-        + g (m + m^dag) sigma_z
-        + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2)
-    """
-    d = derive(params)
-    n = int(fock_dim)
-    m = annihilation(n)
-    x_m = m + m.conj().T
-    eye_m = np.eye(n, dtype=complex)
-    h_q = 0.5 * d.nu * (
-        math.cos(params.theta) * SIGMA_Z + math.sin(params.theta) * SIGMA_X
-    )
-    drive = (0.5 * d.Omega * np.exp(1.0j * params.phi) / math.sqrt(2.0)
-             * kron(eye_m, SIGMA_X - SIGMA_Z))
-    static = (
-        kron(d.omega_m * number_op(n), IDENTITY_2)
-        + kron(eye_m, h_q)
-        + d.g * kron(x_m, SIGMA_Z)
-    )
-    return SplitHamiltonian(static, ((drive, d.omega_p),))
-
-
 def build_H_tot(params, fock_dim):
     """Lab-frame Hamiltonian in the dressed qubit basis:
 
         omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
         + g_z (m+m^dag) sb_z - Omega cos(omega_p t) sb_x
 
-    Equals build_H_lab conjugated by the dressed rotation when phi = 0 and
-    theta = pi/4.  At other theta the dressed image of the lab drive
-    quadrature is [(sin theta - cos theta) sb_z - (cos theta + sin theta) sb_x]
-    / sqrt(2), not -sb_x; this form keeps -sb_x.
+    This is the dressed-basis image (the rotation in the module docstring)
+    of the lab-frame Hamiltonian in the persistent-current basis,
+
+        omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
+        + g (m + m^dag) sigma_z
+        + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2),
+
+    when phi = 0 and theta = pi/4.  At other theta the dressed image of the
+    lab drive quadrature is [(sin theta - cos theta) sb_z - (cos theta +
+    sin theta) sb_x] / sqrt(2), not -sb_x; this form keeps -sb_x.
     """
     d = derive(params)
     n = int(fock_dim)

@@ -399,8 +399,8 @@ def superposition_fidelity_series(params, times, fock_dim, delta_eff, solver=Non
         delta_eff=delta_eff, solver=solver,
     )
     rows = []
-    for i, t in enumerate(run.times):
-        targets = ideal_superposition_targets(params, float(t), fock_dim, delta_eff)
+    all_targets = ideal_superposition_targets(params, run.times, fock_dim, delta_eff)
+    for i, (t, targets) in enumerate(zip(run.times, all_targets)):
         row = [float(t), float(run.observables["p_g"][i]),
                float(run.observables["p_e"][i])]
         for outcome in ("g", "e"):

@@ -13,8 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from magsqueeze.errors import DimensionError, NumericalError, StiffnessError
 from magsqueeze.model import (
@@ -29,7 +31,11 @@ from magsqueeze.model import (
 from magsqueeze.dynamics import (
     LindbladSpec,
     SolverConfig,
+    _effective_model,
+    _joint_from_blocks,
     _lindblad_rhs,
+    _reachable,
+    _sector_exact_states,
     _sector_split,
     build_dissipators_full,
     conditional_squeezing_run,
@@ -286,6 +292,99 @@ def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
     assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+effective_runs = st.builds(
+    lambda kappa, temperature, gamma, delta_mhz, qubit_init, fock_dim: (
+        PhysicalParams(kappa=kappa, temperature=temperature, gamma=gamma),
+        qubit_init, fock_dim, TWO_PI * 1e-3 * delta_mhz),
+    kappa=st.floats(0.0, 5.0),
+    temperature=st.floats(1.0, 300.0),
+    gamma=st.floats(0.0, 300.0),
+    delta_mhz=st.floats(-12.0, 12.0),
+    qubit_init=st.sampled_from(["plus_x", "minus_x", "plus_plus_minus"]),
+    fock_dim=st.integers(6, 24),
+)
+
+
+def parity_support(fock_dim, magnon_jumps):
+    """Entries of a block that |0> reaches under the two-photon squeezer:
+    both indices even, and with the thermal pair every i - j even."""
+    i, j = np.indices((fock_dim, fock_dim))
+    return (i - j) % 2 == 0 if magnon_jumps else (i % 2 == 0) & (j % 2 == 0)
+
+
+@given(run=effective_runs, t=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_reachable_support_is_closed_under_the_generator(run, t, seed):
+    # the full-support generator maps a vector on the support into the
+    # support, with exact zeros everywhere else
+    params, qubit_init, fock_dim, delta = run
+    h, dissipators, rho0, blockwise = _effective_model(params, qubit_init, fock_dim, delta)
+    channels = dissipators.active()
+    sectors = blockwise["sectors"]
+    support = _reachable(h, channels, rho0.matrix, len(sectors))
+    for mask in support:
+        np.testing.assert_array_equal(mask, parity_support(fock_dim, bool(channels)))
+    rhs, _, _ = _lindblad_rhs(h, channels, sectors, blockwise["pair_rate"])
+    rng = np.random.default_rng(seed)
+    y = np.where(support, rng.normal(size=support.shape)
+                 + 1.0j * rng.normal(size=support.shape), 0.0).ravel()
+    out = rhs(t, y)
+    assert np.all(out[~support.ravel()] == 0.0)
+    assert np.any(out[support.ravel()] != 0.0)
+
+
+@given(dim=st.integers(1, 8), n_channels=st.integers(0, 2), h_density=st.floats(0.0, 0.4),
+       o_density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_density, o_density,
+                                                       seed):
+    # random sparse Hermitian H, channels and start: the mask equals the
+    # entries a breadth-first search over the dense Liouvillian reaches
+    rng = np.random.default_rng(seed)
+
+    def sparse_rand(density):
+        keep = rng.random((dim, dim)) < density
+        return keep * (rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim)))
+
+    a = sparse_rand(h_density)
+    h = a + a.conj().T
+    channels = [(sparse_rand(o_density), float(rng.uniform(0.1, 1.0)))
+                for _ in range(n_channels)]
+    start = np.zeros((dim, dim), dtype=complex)
+    start[rng.integers(0, dim), rng.integers(0, dim)] = 1.0
+    rhs = dense_lindblad_rhs(lambda t: h, channels)
+    linked = np.abs(np.array([rhs(0.0, e) for e in np.eye(dim * dim)]).T) > 0
+    reached = start.ravel() != 0
+    while True:
+        grown = reached | linked[:, reached].any(axis=1)
+        if (grown == reached).all():
+            break
+        reached = grown
+    np.testing.assert_array_equal(_reachable(h, channels, start)[0].ravel(), reached)
+
+
+@given(run=effective_runs)
+def test_reduced_support_matches_full_integration(run):
+    # evolve_master integrates only the reachable entries; the oracle runs
+    # the same generator on every entry of the stacked blocks
+    params, qubit_init, fock_dim, delta = run
+    h, dissipators, rho0, blockwise = _effective_model(params, qubit_init, fock_dim, delta)
+    sectors = blockwise["sectors"]
+    times = np.arange(0.0, 6.0 + 1.5, 1.5)
+    tight = dict(rel_tol=1e-10, abs_tol=1e-12)
+    res = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tight),
+                        store_states=True, **blockwise)
+    assert res.metadata["support"] == len(sectors) * np.count_nonzero(
+        parity_support(fock_dim, bool(dissipators.active())))
+    rhs, dim, _ = _lindblad_rhs(h, dissipators.active(), sectors, blockwise["pair_rate"])
+    ref = solve_ivp(rhs, (0.0, times[-1]), rho0.matrix.ravel().astype(complex),
+                    method="DOP853", t_eval=times, rtol=1e-10, atol=1e-12)
+    assert ref.success
+    for y, state in zip(ref.y.T, res.states):
+        blocks = y.reshape(len(sectors), dim, dim)
+        rho = blocks[0] if len(sectors) == 1 else _joint_from_blocks(blocks, sectors)
+        assert_allclose(state.matrix, 0.5 * (rho + rho.conj().T), atol=1e-8)
+
+
 def test_positivity_monitor_aborts(params):
     # an indefinite start (eigenvalue -0.1) is caught at the t = 0 sample;
     # the sample-time monitor must abort rather than report garbage
@@ -313,15 +412,25 @@ def test_stiffness_error_on_unintegrable_generator():
 
 def test_trajectory_metadata(params):
     nf = 10
-    res = evolve_master(None, magnon_thermal_dissipators(params, nf), sector_rho0(nf),
+    # a start with every entry nonzero: all nf * nf entries are integrated
+    spread = StateDensity(np.full((nf, nf), 1.0 / nf, dtype=complex))
+    res = evolve_master(None, magnon_thermal_dissipators(params, nf), spread,
                         solver=solver_for([1.0, 2.0]))
     for key in ("max_trace_drift", "min_eigenvalue", "n_rhs_evals", "wall_time_s", "method",
-                "setup_s", "generator_nnz"):
+                "setup_s", "generator_nnz", "support"):
         assert key in res.metadata
     assert res.metadata["n_rhs_evals"] > 0
     assert res.metadata["setup_s"] > 0.0
+    assert res.metadata["support"] == nf * nf
     # L0 alone: the anti-commutator diagonal plus one kron(o, conj o) per channel
     assert res.metadata["generator_nnz"] == nf * nf + 2 * (nf - 1) ** 2
+    assert res.metadata["max_trace_drift"] < 1e-10
+    # from vacuum, thermal decay alone only ever fills the diagonal: nf
+    # entries, each with its sink and the two jumps to its neighbours
+    res = evolve_master(None, magnon_thermal_dissipators(params, nf), sector_rho0(nf),
+                        solver=solver_for([1.0, 2.0]))
+    assert res.metadata["support"] == nf
+    assert res.metadata["generator_nnz"] == 3 * nf - 2
     assert res.metadata["max_trace_drift"] < 1e-10
 
 
@@ -529,6 +638,8 @@ def test_full_lab_matches_full_rotating(params):
     rot = conditional_squeezing_run(params, model="full_rotating", fock_dim=20,
                                     sample_times=times)
     assert lab.metadata["model"] == "full_lab"
+    # the full models fill the whole joint space: nothing is cut away
+    assert lab.metadata["support"] == rot.metadata["support"] == (2 * 20) ** 2
     assert np.max(np.abs(lab.observables["squeezing_db"]
                          - rot.observables["squeezing_db"])) < 1e-5
     assert np.max(np.abs(lab.observables["p_plus"] - rot.observables["p_plus"])) < 1e-6
@@ -568,10 +679,26 @@ def test_unknown_model_raises(params):
 # superposition protocol
 
 
+@pytest.mark.parametrize("sector", [+1, -1])
+@pytest.mark.parametrize("delta", [0.0, DELTA_OP])
+def test_sector_exact_states_match_full_exponential(sector, delta):
+    # the closed form diagonalises only the even Fock levels; the oracle
+    # exponentiates H(0) + Delta n on every level
+    nf = 40
+    times = np.array([0.0, 3.0, 11.5])
+    psis = _sector_exact_states(NODISS, nf, sector, delta, times)
+    h = _sector_split(NODISS, nf, delta, sector)
+    n = np.arange(nf, dtype=float)
+    for t, psi in zip(times, psis):
+        u = expm(-1.0j * (h.at(0.0) + delta * np.diag(n)) * t)
+        assert_allclose(psi, np.exp(1.0j * delta * n * t) * u[:, 0], atol=1e-12)
+        assert np.all(psi[1::2] == 0.0)
+
+
 def test_ideal_superposition_targets(derived):
     nf = 200
     t = 29.0
-    targets = ideal_superposition_targets(NODISS, t, nf, delta_eff=0.0)
+    targets, = ideal_superposition_targets(NODISS, [t], nf, delta_eff=0.0)
     p_g, ket_g = targets["g"]
     p_e, ket_e = targets["e"]
     r = abs(derived.g_cs) * t
@@ -581,7 +708,7 @@ def test_ideal_superposition_targets(derived):
     assert abs(np.vdot(superposition_pm(xi, +1, nf), ket_g)) > 1.0 - 1e-10
     assert abs(np.vdot(superposition_pm(xi, -1, nf), ket_e)) > 1.0 - 1e-10
     with pytest.raises(NumericalError):
-        ideal_superposition_targets(NODISS, 0.0, nf)  # e outcome has zero weight
+        ideal_superposition_targets(NODISS, [0.0], nf)  # e outcome has zero weight
 
 
 def test_conditional_superposition_run_ideal_limit(derived):
@@ -596,7 +723,7 @@ def test_conditional_superposition_run_ideal_limit(derived):
     r = abs(derived.g_cs) * 8.0
     assert res.observables["p_g"][-1] == pytest.approx(
         0.5 * (1.0 + math.cosh(2.0 * r) ** -0.5), abs=1e-8)
-    targets = ideal_superposition_targets(NODISS, 8.0, 60, delta_eff=0.0)
+    targets, = ideal_superposition_targets(NODISS, [8.0], 60, delta_eff=0.0)
     for outcome, bucket in (("g", "states_g"), ("e", "states_e")):
         ket = targets[outcome][1]
         fid = uhlmann_fidelity(np.outer(ket, ket.conj()),

@@ -24,14 +24,13 @@ from magsqueeze.errors import FrameError, NumericalError
 from magsqueeze.model import (
     FRAMES,
     PhysicalParams,
+    SplitHamiltonian,
     analytic_propagator,
     build_H_cs,
     build_H_eff,
-    build_H_lab,
     build_H_rot,
     build_H_tot,
     derive,
-    dressed_rotation,
     frame_transform,
     james_effective,
     sideband_interaction_terms,
@@ -102,6 +101,45 @@ def test_params_validation():
 
 # ---------------------------------------------------------------------------
 # dressed basis
+
+
+def dressed_rotation(theta):
+    """2x2 unitary whose columns are |g>, |e> in the persistent-current basis.
+
+    Component order matches the shared Pauli convention (index 0 = the
+    sigma_z = -1 current state).  A persistent-current-basis operator A
+    maps to the dressed representation as R^dag A R; under this rotation
+    sigma_z -> cos(theta) sb_z + sin(theta) sb_x and
+    sigma_x -> sin(theta) sb_z - cos(theta) sb_x.
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[-c, s], [s, c]], dtype=complex)
+
+
+def build_H_lab(params, fock_dim):
+    """Lab-frame Hamiltonian in the persistent-current qubit basis, the
+    oracle that build_H_tot is checked against:
+
+        omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
+        + g (m + m^dag) sigma_z
+        + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2)
+    """
+    d = derive(params)
+    n = int(fock_dim)
+    m = annihilation(n)
+    x_m = m + m.conj().T
+    eye_m = np.eye(n, dtype=complex)
+    h_q = 0.5 * d.nu * (
+        math.cos(params.theta) * SIGMA_Z + math.sin(params.theta) * SIGMA_X
+    )
+    drive = (0.5 * d.Omega * np.exp(1.0j * params.phi) / math.sqrt(2.0)
+             * kron(eye_m, SIGMA_X - SIGMA_Z))
+    static = (
+        kron(d.omega_m * number_op(n), IDENTITY_2)
+        + kron(eye_m, h_q)
+        + d.g * kron(x_m, SIGMA_Z)
+    )
+    return SplitHamiltonian(static, ((drive, d.omega_p),))
 
 
 @given(theta=st.floats(0.05, math.pi / 2 - 0.05))
