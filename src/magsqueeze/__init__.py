@@ -40,12 +40,10 @@ from .model import (
     SplitHamiltonian,
     analytic_propagator,
     build_H_cs,
-    build_H_eff,
     build_H_rot,
     build_H_tot,
     derive,
     frame_transform,
-    james_effective,
     squeezing_parameter,
 )
 from .observables import (

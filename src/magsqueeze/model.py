@@ -41,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .errors import FrameError, NumericalError
+from .errors import FrameError
 from .qops import (
     IDENTITY_2,
-    SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
@@ -251,54 +250,9 @@ def build_H_rot(params, fock_dim):
     return SplitHamiltonian(static, tuple((hk, w) for w, hk in terms.items()))
 
 
-@dataclass
-class JamesDecomposition:
-    """Time-averaged second-order Hamiltonian split into its static part and
-    oscillatory cross terms {frequency rad/ns: matrix} (same-frequency
-    contributions merged)."""
-
-    static: np.ndarray
-    oscillatory: dict
-
-
-def james_effective(terms):
-    """Second-order effective Hamiltonian for H(t) = sum_m h_m^dag e^{i d_m t} + h.c.
-
-    Returns all pair contributions [h_m^dag, h_n] / dbar_mn at frequency
-    d_m - d_n, with dbar_mn = (d_m + d_n)/2; pairs with equal detunings
-    (including m = n) are summed into the static part.
-
-    terms: list of (h_dagger_matrix, detuning rad/ns); all detunings and
-    averaged detunings must be nonzero.
-    """
-    hs = [(np.asarray(hd, dtype=complex), float(delta)) for hd, delta in terms]
-    for _, delta in hs:
-        if delta == 0.0:
-            raise NumericalError("james_effective: zero detuning is singular")
-    dim = hs[0][0].shape[0]
-    static = np.zeros((dim, dim), dtype=complex)
-    oscillatory = {}
-    for hm_d, dm in hs:
-        for hn_d, dn in hs:
-            dbar = 0.5 * (dm + dn)
-            if dbar == 0.0:
-                raise NumericalError(
-                    "james_effective: opposite detunings give a singular average"
-                )
-            comm = (hm_d @ hn_d.conj().T - hn_d.conj().T @ hm_d) / dbar
-            freq = dm - dn
-            if freq == 0.0:
-                static += comm
-            elif freq in oscillatory:
-                oscillatory[freq] = oscillatory[freq] + comm
-            else:
-                oscillatory[freq] = comm
-    return JamesDecomposition(static=static, oscillatory=oscillatory)
-
-
 def sideband_interaction_terms(params, fock_dim):
-    """The three sideband terms of the rotating-frame coupling, as
-    (h^dag, detuning) pairs ready for james_effective:
+    """The three sideband terms of the rotating-frame coupling,
+    sum_k [h_k^dag e^{i d_k t} + h.c.], as (h_k^dag, d_k) pairs:
 
         h1^dag = g_x m sb_+        at omega_p/2
         h2^dag = g_x m^dag sb_+    at 3 omega_p/2
@@ -313,44 +267,6 @@ def sideband_interaction_terms(params, fock_dim):
         (d.g_x * kron(md, SIGMA_PLUS), 1.5 * d.omega_p),
         (d.g_z * kron(md, SIGMA_Z), d.omega_p / 2.0),
     ]
-
-
-def build_H_eff(params, fock_dim):
-    """Static effective Hamiltonian after time-averaging the sidebands:
-
-        Delta_m n + (Delta_nu/2) sb_z - (Omega/2) sb_x
-        + (8 g_x^2 / 3 omega_p)(n + 1/2) sb_z
-        + (2 g_x^2/(3 omega_p) - 2 g_z^2/omega_p) I
-        - (4 g_x g_z / omega_p)(m^2 sb_+ + m^dag^2 sb_-)
-
-    The qubit-conditioned Stark shift regroups to
-    (8 g_x^2/3 omega_p)(2n+1)|e><e| plus a detuning shift of -8g_x^2/(3omega_p)
-    on n; written here in the sb_z form that matches the static part of
-    james_effective on sideband_interaction_terms entrywise (identity offsets
-    included).
-    """
-    d = derive(params)
-    n = int(fock_dim)
-    m = annihilation(n)
-    m2 = m @ m
-    eye_m = np.eye(n, dtype=complex)
-    num = number_op(n)
-    stark = (8.0 * d.g_x**2 / (3.0 * d.omega_p)) * kron(
-        num + 0.5 * eye_m, SIGMA_Z
-    )
-    const = (2.0 * d.g_x**2 / (3.0 * d.omega_p) - 2.0 * d.g_z**2 / d.omega_p) * kron(
-        eye_m, IDENTITY_2
-    )
-    two_magnon = -(4.0 * d.g_x * d.g_z / d.omega_p) * (
-        kron(m2, SIGMA_PLUS) + kron(m2.conj().T, SIGMA_MINUS)
-    )
-    return (
-        kron(d.Delta_m * num, IDENTITY_2)
-        + kron(eye_m, 0.5 * d.Delta_nu * SIGMA_Z - 0.5 * d.Omega * SIGMA_X)
-        + stark
-        + const
-        + two_magnon
-    )
 
 
 def build_H_cs(params, fock_dim, delta_eff=None):

@@ -307,39 +307,29 @@ def _run_temperature_sweep(sc, outdir):
     )
 
 
-def _heatmap_cell(args):
-    """Worker: peak conditional squeezing for one (kappa, gamma) cell.
+def _run_heatmap(sc, outdir):
+    """Peak conditional squeezing over the (kappa, gamma) plane, from the
+    exact covariance evolution of the sector-reduced run: every cell in one
+    batched call.
 
-    Uses the exact covariance evolution of the sector-reduced run.  Note
-    the qubit channel acts trivially on the sb_x-polarized protocol, so
+    The qubit channel acts trivially on the sb_x-polarized protocol, so
     the gamma axis cannot change these values; it is swept and recorded
     for orientation against the figure it mirrors.
     """
-    params, delta, t_max = args
-    times = np.arange(0.0, t_max + 0.25, 0.5)
-    out = sector_covariance_squeezing(params, times, delta_eff=delta)
-    idx = int(np.argmax(out["squeezing_db"]))
-    return float(out["squeezing_db"][idx]), float(times[idx])
-
-
-def _run_heatmap(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
     pts = cfg.run.heatmap_points
     kappas = np.logspace(-1.0, 1.0, pts)       # 0.1 .. 10 MHz
     gammas = np.logspace(0.0, 3.0, pts)        # 1 .. 1000 kHz
-    items = [
-        (replace(cfg.params, kappa=float(k), gamma=float(g), gamma_phi=float(g)),
-         delta, cfg.run.time_max)
-        for k in kappas
-        for g in gammas
-    ]
-    results = _parallel_map(_heatmap_cell, items, sc.threads)
-    rows = []
-    for (i, k) in enumerate(kappas):
-        for (j, g) in enumerate(gammas):
-            s_db, t_pk = results[i * pts + j]
-            rows.append((float(k), float(g), s_db, t_pk))
+    cells = [(float(k), float(g)) for k in kappas for g in gammas]
+    times = np.arange(0.0, cfg.run.time_max + 0.25, 0.5)
+    s_db = sector_covariance_squeezing(
+        [replace(cfg.params, kappa=k, gamma=g, gamma_phi=g) for k, g in cells],
+        times, delta_eff=delta,
+    )["squeezing_db"]
+    peak = np.argmax(s_db, axis=1)
+    rows = [(k, g, float(s_db[i, peak[i]]), float(times[peak[i]]))
+            for i, (k, g) in enumerate(cells)]
     path = os.path.join(outdir, "max_squeeze_heatmap.csv")
     write_csv(path, ["kappa_MHz", "gamma_kHz", "peak_S_dB", "t_peak_ns"], rows)
     notes = [
@@ -492,6 +482,13 @@ def calibrate_delta_eff(sc, full_series=None, synthetic_delta=None,
 
     Returns (best_delta_rad_ns, scan_table, convex) where scan_table is a
     list of (delta_rad_ns, objective) rows.
+
+    The effective series is even in Delta_eff (sector_covariance_squeezing),
+    so the objective is too: each minimum at +Delta has a mirror at -Delta
+    with the same S(t).  A window that holds both, like check 6's +-30 MHz
+    around +2 MHz, is never single-minimum and warns; the pick falls in
+    whichever of the two wells the grid samples more closely (check 6:
+    -9.99 MHz, the mirror of +9.99 MHz).
     """
     cfg = sc.config
     d = derive(cfg.params)
@@ -517,12 +514,9 @@ def calibrate_delta_eff(sc, full_series=None, synthetic_delta=None,
 
     t_ref = np.asarray(t_ref, dtype=float)
     s_ref = np.asarray(s_ref, dtype=float)
-    table = []
-    for delta in grid:
-        out = sector_covariance_squeezing(cfg.params, t_ref, delta_eff=float(delta))
-        obj = float(_trapz(np.abs(out["squeezing_db"] - s_ref), t_ref))
-        table.append((float(delta), obj))
-    objs = np.array([row[1] for row in table])
+    s_eff = sector_covariance_squeezing(cfg.params, t_ref, delta_eff=grid)["squeezing_db"]
+    objs = _trapz(np.abs(s_eff - s_ref), t_ref, axis=-1)
+    table = [(float(delta), float(obj)) for delta, obj in zip(grid, objs)]
     best = int(np.argmin(objs))
     # single-minimum = interior optimum, nonincreasing before, nondecreasing after
     convex = (
