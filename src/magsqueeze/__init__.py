@@ -48,17 +48,14 @@ from .model import (
 )
 from .observables import (
     WignerGrid,
-    fock_populations,
     min_quadrature_variance,
     squeezing_db,
-    uhlmann_fidelity,
     wigner,
     wigner_negativity_volume,
 )
 from .qops import StateDensity
 from .states import (
     joint_initial_state,
-    logical_codewords,
     squeezed_vacuum_fock,
     superposition_pm,
 )

@@ -122,17 +122,6 @@ def loop_field(geometry, r):
     return total
 
 
-def center_field_magnitude(geometry):
-    """Closed-form center field 2 sqrt(2) mu0 I / (pi L), tesla."""
-    return (
-        2.0
-        * math.sqrt(2.0)
-        * constants.MU0
-        * geometry.current
-        / (math.pi * geometry.side_length)
-    )
-
-
 def _check_clearance(geometry, centers, radius):
     """Raise unless every sphere of this radius at centers clears every wire."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)

@@ -9,31 +9,32 @@ Master-equation convention: for channels (o_k, w_k),
 i.e. the stored weight w multiplies the "2 o rho o^dag - {o^dag o, rho}"
 form directly.  A bare loss channel (m, kappa/2) then gives <n> ~ e^{-kappa t}.
 
-The effective model, H_cs = h(t) (x) sb_x with the thermal magnon pair and
-w L[sb_x], leaves the sb_x blocks <s|rho|r> of the joint state uncoupled;
-w L[sb_x] only damps the s != r block, at 4w.  The conditional runs
-dispatch on that structure:
+The effective model is H_cs = h(t) (x) sb_x with the thermal magnon pair
+and w L[sb_x].  The conditional runs dispatch on the qubit start:
 
-* sb_x eigenstate qubit, no magnon dissipation -> exact sector propagator
-  (the qubit channel only damps the s != r block, which such a start never
-  fills; closed form: the time-dependent two-photon Hamiltonian factors as
-  H(t) = V H(0) V^dag with V = e^{+i Delta n t}, so
-  U(t) = e^{+i Delta n t} e^{-i(H(0) + Delta n) t});
-* any other effective run -> one master equation on the N x N magnon
-  blocks the start fills (one for an sb_x eigenstate, else three),
-  assembled into the 2N joint state at sample times;
-* full models -> one master equation on the 2N joint space.
+* sb_x eigenstate qubit (plus_x, minus_x) -> the magnon state of that
+  sector alone: its <s|rho|s> block is closed under the generator, and the
+  qubit channel only damps the s != r coherences, which such a start never
+  fills.  Without magnon dissipation it has a closed form (the
+  time-dependent two-photon Hamiltonian factors as H(t) = V H(0) V^dag with
+  V = e^{+i Delta n t}, so U(t) = e^{+i Delta n t} e^{-i(H(0) + Delta n) t});
+  otherwise it is one master equation on N x N magnon matrices;
+* any other effective start, and the full models -> one master equation on
+  the 2N joint space.
 
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
-It is assembled and integrated only on the entries of the blocks that the
-start can reach (_reachable): the closure of the start's entries under the
-N x N patterns of the Hamiltonian, the sink and the channels.  That set is
-closed under the generator, so every other entry stays exactly zero and is
-written back as zero at the samples; leaving it out changes nothing but the
-solver's error norm.  From |0>, the two-photon term and the thermal pair
-fill only the entries with i - j even, half of each block; the full models
-reach the whole joint space.
+It is assembled and integrated only on the entries that the start can
+reach (_reachable): the closure of the start's entries under the patterns
+of the Hamiltonian, the sink and the channels.  That set is closed under
+the generator, so every other entry stays exactly zero and is written back
+as zero at the samples; leaving it out changes nothing but the solver's
+error norm.  From |0>, the two-photon term and the thermal pair fill only
+the entries of a sector run with i - j even.  In the joint effective run,
+h (x) sb_x moves level (n, q) only to (n +- 2, 1 - q), so n + 2q mod 4
+splits the 2N levels into four classes, and every channel acts alike on
+both sides of rho: the state stays block-diagonal in the classes, N^2
+entries.  The full models reach the whole joint space.
 """
 
 import math
@@ -64,6 +65,7 @@ from .qops import (
     KET_PLUS_X,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
     SIGMA_Z,
     StateDensity,
     annihilation,
@@ -199,15 +201,15 @@ def _operators(h, channels):
                       [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels])
 
 
-def _reachable(h, channels, start, n_blocks=1):
-    """Mask of the entries of the n_blocks stacked blocks in start that the
-    master equation of h and channels can make nonzero.
+def _reachable(h, channels, start):
+    """Mask of the entries of start that the master equation of h and
+    channels can make nonzero.
 
     In X -> A X + X B the factors A and B (H, its terms and the sink
     o^dag o) move entry (i, j) to (k, j) and to (i, l) along their entries;
     a jump o X o^dag moves it to (k, l) for o_ki, o_lj != 0.  Taken both
     ways, the first two fill whole products C x C' of connected components
-    of the N x N pattern of the factors, so the closure under jumps runs on
+    of the pattern of the factors, so the closure under jumps runs on
     the grid of components.  Signs and cancellations are ignored, so the
     mask may hold more than the start reaches (only for a non-Hermitian H),
     never less; it is closed under the generator, whose other entries
@@ -215,9 +217,8 @@ def _reachable(h, channels, start, n_blocks=1):
     """
     dim, h0, oscillating, channels = _operators(h, channels)
     start = np.asarray(start)
-    if start.shape[-2:] != (dim, dim) or start.size != n_blocks * dim * dim:
-        raise DimensionError(
-            f"rho0 shape {start.shape} != {n_blocks} block(s) of generator dimension {dim}")
+    if start.shape != (dim, dim):
+        raise DimensionError(f"rho0 shape {start.shape} != generator dimension {dim}")
     pattern = abs(h0) + sum(abs(hk) for hk, _ in oscillating) + sp.identity(dim, format="csr")
     if channels:
         stacked = abs(sp.vstack([o for o, _ in channels], format="csr"))
@@ -242,47 +243,35 @@ def _reachable(h, channels, start, n_blocks=1):
         o = o.tocoo()
         hops.append(sp.csr_matrix((np.ones(o.nnz), (label[o.row], label[o.col])),
                                   shape=(n_comp, n_comp)))
-    mask = []
-    for x in start.reshape(n_blocks, dim, dim):
-        grid = np.zeros((n_comp, n_comp), dtype=bool)
-        rows, cols = np.nonzero(x)
-        grid[label[rows], label[cols]] = True
-        while True:
-            grown = grid | (sum(hop @ grid @ hop.T for hop in hops) != 0)
-            if (grown == grid).all():
-                break
-            grid = grown
-        mask.append(grid[np.ix_(label, label)])
-    return np.array(mask)
+    grid = np.zeros((n_comp, n_comp), dtype=bool)
+    rows, cols = np.nonzero(start)
+    grid[label[rows], label[cols]] = True
+    while True:
+        grown = grid | (sum(hop @ grid @ hop.T for hop in hops) != 0)
+        if (grown == grid).all():
+            break
+        grid = grown
+    return grid[np.ix_(label, label)]
 
 
-def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0, support=None):
-    """Return (f(t, y), dim, nnz) for the vectorized master equation.
-
-    y stacks one dim x dim block X per (s, r) in sectors, evolving as
-
-        dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
-
-    with A_s = -i s H(t) - sum_k w_k o_k^dag o_k: the <s|.|r> sb_x block of
-    a joint state under H (x) sb_x.  The single (+1, +1) block is the plain
-    master equation for H.  support (a mask of the stacked blocks, closed
-    under the generator: see _reachable) keeps only its entries in y, in
-    row-major order; by default y holds every entry.
+def _lindblad_rhs(h, channels, support=None):
+    """Return (f(t, y), dim, nnz) for the master equation on the row-major
+    vec of rho (module docstring).  support (a mask closed under the
+    generator: see _reachable) keeps only its entries in y, in row-major
+    order; by default y holds every entry.
 
     h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
-    Liouvillian, block-diagonal over sectors and assembled once.  The static
-    part and the channels make L0; each oscillating term H_k adds the
-    operators of X -> -i s H_k X + i r X H_k and of the same with H_k^dag.
-    Each block of each is cut to its support before they sit side by side,
-    [L0, L_1, L_1', ...], so a call is one product with the stacked copies
-    [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
+    Liouvillian, assembled once.  The static part and the channels make L0;
+    each oscillating term H_k adds the operators of rho -> -i[H_k, rho] and
+    of the same with H_k^dag.  Each is cut to the support before they sit
+    side by side, [L0, L_1, L_1', ...], so a call is one product with the
+    stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
     """
     dim, h0, oscillating, channels = _operators(h, channels)
-    keep = [None] * len(sectors) if support is None else [
-        None if m.all() else np.flatnonzero(m) for m in support]
+    keep = None if support is None or support.all() else np.flatnonzero(support)
 
-    def cut(op, k):
-        return op if k is None else op[k][:, k]
+    def cut(op):
+        return op if keep is None else op[keep][:, keep]
 
     sink = sp.csr_matrix((dim, dim), dtype=complex)
     jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
@@ -290,16 +279,11 @@ def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0, support=None):
         sink = sink + w * (o.conj().T @ o)
         jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
 
-    ops = [sp.block_diag(
-        [cut(_superop(-1.0j * s * h0 - sink, 1.0j * r * h0.conj().T - sink, dim) + jumps
-             - (pair_rate if s != r else 0.0) * sp.identity(dim * dim, format="csr"), k)
-         for (s, r), k in zip(sectors, keep)], format="csr")]
+    ops = [cut(_superop(-1.0j * h0 - sink, 1.0j * h0.conj().T - sink, dim) + jumps)]
     omegas = [0.0]
     for hk, w in oscillating:
         for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
-            ops.append(sp.block_diag(
-                [cut(_superop(-1.0j * s * x, 1.0j * r * x, dim), k)
-                 for (s, r), k in zip(sectors, keep)], format="csr"))
+            ops.append(cut(_superop(-1.0j * x, 1.0j * x, dim)))
             omegas.append(sign * w)
     gen = sp.hstack(ops, format="csr")
     omegas = np.array(omegas)
@@ -308,26 +292,6 @@ def _lindblad_rhs(h, channels, sectors=((1, 1),), pair_rate=0.0, support=None):
         return gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
 
     return rhs, dim, gen.nnz
-
-
-_SX_KETS = {+1: KET_PLUS_X, -1: KET_MINUS_X}
-
-
-# Scale of each stored <s|rho|r> block.  An s != r block also stands for its
-# adjoint; storing it times sqrt(2) makes the stack's Euclidean norm the joint
-# state's Hilbert-Schmidt norm, so the solver's error control weighs the
-# coherences as a dense joint run does.
-_BLOCK_WEIGHT = {(1, 1): 1.0, (-1, -1): 1.0, (1, -1): math.sqrt(2.0)}
-
-
-def _joint_from_blocks(blocks, sectors):
-    """Stored sb_x blocks -> joint matrix, kron(magnon, qubit) order in the
-    dressed {g, e} basis; an s != r block also supplies its adjoint."""
-    joint = 0.0
-    for x, (s, r) in zip(blocks, sectors):
-        term = kron(x / _BLOCK_WEIGHT[s, r], np.outer(_SX_KETS[s], _SX_KETS[r].conj()))
-        joint = joint + (term if s == r else term + term.conj().T)
-    return joint
 
 
 def _dop853(rhs, y0, t_grid, cfg):
@@ -354,20 +318,15 @@ def _dop853(rhs, y0, t_grid, cfg):
 
 
 def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
-                  store_states=False, sectors=((1, 1),), pair_rate=0.0):
+                  store_states=False):
     """Integrate the master equation and monitor state sanity at samples.
 
     h           static matrix, SplitHamiltonian, or None
     dissipators LindbladSpec (may be empty)
-    rho0        StateDensity (frame tag propagated to outputs); its matrix
-                stacks one block per entry of sectors
+    rho0        StateDensity (frame tag propagated to outputs)
     solver      SolverConfig; sample_times required
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
                 merged into the observables series
-    sectors     (s, r) sb_x signs of the blocks (see _lindblad_rhs); several
-                blocks are a joint state under h (x) sb_x, which the monitor,
-                hook and stored states see assembled as the 2N joint matrix.
-    pair_rate   decay of the blocks with s != r (4w for w L[sb_x])
 
     Only the entries rho0 can reach are integrated (metadata "support"
     counts them); the others are exact zeros at every sample.
@@ -383,8 +342,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     channels = dissipators.active() if dissipators is not None else []
     setup0 = _time.perf_counter()
     ops = _operators(h, channels)
-    support = _reachable(ops, channels, rho0.matrix, len(sectors))
-    rhs, dim, nnz = _lindblad_rhs(ops, channels, sectors, pair_rate, support)
+    support = _reachable(ops, channels, rho0.matrix)
+    rhs, dim, nnz = _lindblad_rhs(ops, channels, support)
     setup_s = _time.perf_counter() - setup0
 
     y0 = rho0.matrix.astype(complex).ravel()
@@ -411,10 +370,9 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     max_trace_drift = 0.0
     min_eig = np.inf
     full = np.zeros_like(y0)  # entries outside the support stay zero
-    blocks = full.reshape(len(sectors), dim, dim)
     for t, y in zip(t_grid, ys):
         full[keep] = y
-        rho = blocks[0] if len(sectors) == 1 else _joint_from_blocks(blocks, sectors)
+        rho = full.reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
         drift = abs(np.trace(rho).real - 1.0)
         max_trace_drift = max(max_trace_drift, drift)
@@ -528,26 +486,29 @@ def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
     return out
 
 
+# sb_x sign of the qubit starts that pin the run to one sector
+_PINNED = {"plus_x": +1, "minus_x": -1}
+
+
 def _effective_model(params, qubit_init, fock_dim, delta_eff):
-    """Effective model on the sb_x blocks that |0>(x)|qubit_init> fills: one
-    (s, s) block for an sb_x eigenstate, else (+,+), (-,-) and (+,-), whose
-    adjoint is not stored.  Returns (h, dissipators, rho0, evolve_master
-    keywords).  The stack is renormalized to unit trace, which removes the
-    rounding of the basis change: a pinned start is exactly |0><0|.
+    """Effective model from |0> (x) |qubit_init>, as (h, dissipators, rho0).
+
+    A pinned start runs on the magnon state of its sector, from |0><0|;
+    any other start on the joint space in the dressed {g, e} basis, under
+    H_cs with the thermal pair (x) 1 and w L[1 (x) sb_x].
     """
-    h = _sector_split(params, fock_dim, delta_eff)
-    rho4 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim).matrix.reshape(
-        fock_dim, 2, fock_dim, 2)
-    split = {
-        (s, r): np.einsum("a,iajb,b->ij", _SX_KETS[s].conj(), rho4, _SX_KETS[r])
-        for s, r in ((1, 1), (-1, -1), (1, -1))
-    }
-    sectors = tuple(sr for sr, x in split.items() if np.any(x))
-    norm = sum(np.trace(split[sr]).real for sr in sectors if sr[0] == sr[1])
-    blocks = np.array([split[sr] * _BLOCK_WEIGHT[sr] for sr in sectors]) / norm
-    blockwise = {"sectors": sectors, "pair_rate": 4.0 * _sx_weight(derive(params))}
-    return (h, magnon_thermal_dissipators(params, fock_dim),
-            StateDensity(blocks, frame="drive_interaction"), blockwise)
+    sign = _PINNED.get(qubit_init)
+    if sign is not None:
+        vacuum = np.zeros((fock_dim, fock_dim), dtype=complex)
+        vacuum[0, 0] = 1.0
+        return (_sector_split(params, fock_dim, delta_eff, sign),
+                magnon_thermal_dissipators(params, fock_dim),
+                StateDensity(vacuum, frame="drive_interaction"))
+    rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
+    rho0.frame = "drive_interaction"
+    sx = (kron(np.eye(fock_dim), SIGMA_X), _sx_weight(derive(params)))
+    return (build_H_cs(params, fock_dim, delta_eff),
+            LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
 
 
 def _magnon_metrics(rho_m):
@@ -626,34 +587,10 @@ def conditional_squeezing_run(
         "delta_eff": d.Delta_eff,
     }
 
+    sign = None
     if model == "effective":
-        h, dissipators, rho0, blockwise = _effective_model(
-            params, qubit_init, fock_dim, delta_eff
-        )
-        sectors = blockwise["sectors"]
-        if len(sectors) == 1:
-            sign = sectors[0][0]
-            hook = _pinned_metrics(sign)
-            # one (s, s) block: the pair rate has no (+,-) block to act on
-            if not dissipators.active():
-                # exact closed-form sector propagation
-                psis = _sector_exact_states(params, fock_dim, sign, delta_eff,
-                                            sample_times)
-                rhos = [np.outer(psi, psi.conj()) for psi in psis]
-                samples = [hook(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
-                return TrajectoryResult(
-                    times=sample_times.copy(),
-                    observables={k: np.asarray([s[k] for s in samples])
-                                 for k in _METRIC_KEYS},
-                    states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
-                            for t, rho_m in zip(sample_times, rhos)] if store_states else None,
-                    frame="drive_interaction",
-                    metadata=dict(meta, path="sector_exact"),
-                )
-            meta["path"] = "sector_master_equation"
-        else:
-            meta["path"] = "joint_master_equation"
-            hook = _plus_x_metrics(params, "drive_interaction")
+        h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta_eff)
+        sign = _PINNED.get(qubit_init)
     elif model in ("full_lab", "full_rotating"):
         if model == "full_lab":
             h, frame_tag = build_H_tot(params, fock_dim), "lab"
@@ -662,11 +599,29 @@ def conditional_squeezing_run(
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
         rho0.frame = frame_tag
         dissipators = build_dissipators_full(params, fock_dim)
-        blockwise = {}
-        meta["path"] = "joint_master_equation"
-        hook = _plus_x_metrics(params, frame_tag)
     else:
         raise DimensionError(f"unknown model {model!r}")
+
+    if sign is None:
+        meta["path"] = "joint_master_equation"
+        hook = _plus_x_metrics(params, rho0.frame)
+    elif dissipators.active():
+        meta["path"] = "sector_master_equation"
+        hook = _pinned_metrics(sign)
+    else:
+        # exact closed-form sector propagation
+        hook = _pinned_metrics(sign)
+        psis = _sector_exact_states(params, fock_dim, sign, delta_eff, sample_times)
+        rhos = [np.outer(psi, psi.conj()) for psi in psis]
+        samples = [hook(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
+        return TrajectoryResult(
+            times=sample_times.copy(),
+            observables={k: np.asarray([s[k] for s in samples]) for k in _METRIC_KEYS},
+            states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
+                    for t, rho_m in zip(sample_times, rhos)] if store_states else None,
+            frame="drive_interaction",
+            metadata=dict(meta, path="sector_exact"),
+        )
 
     cfg = replace(solver or SolverConfig(), sample_times=sample_times)
     if model == "full_lab":
@@ -674,7 +629,7 @@ def conditional_squeezing_run(
         cfg.max_step = min(cfg.max_step, 0.01) if cfg.max_step else 0.01
 
     result = evolve_master(h, dissipators, rho0, solver=cfg, sample_hook=hook,
-                           store_states=store_states, **blockwise)
+                           store_states=store_states)
     result.metadata.update(meta)
     return result
 
@@ -706,14 +661,17 @@ def _expm_stack(a):
 
 
 def _moment_generator(d, sector):
-    """4 x 4 generator of y = (n, Re s, Im s, 1) for sector_covariance_squeezing."""
+    """5 x 5 generator of y = (n, Re s, Im s, det, 1) for
+    sector_covariance_squeezing."""
     c = -(d.g_cs / 2.0) * float(sector)
     kappa, delta = d.kappa, d.Delta_eff
+    source = 2.0 * kappa * (2.0 * d.n_bar_m + 1.0)
     return np.array([
-        [-kappa, 0.0, -4.0 * c, kappa * d.n_bar_m],
-        [0.0, -kappa, 2.0 * delta, 0.0],
-        [-4.0 * c, -2.0 * delta, -kappa, -2.0 * c],
-        [0.0, 0.0, 0.0, 0.0],
+        [-kappa, 0.0, -4.0 * c, 0.0, kappa * d.n_bar_m],
+        [0.0, -kappa, 2.0 * delta, 0.0, 0.0],
+        [-4.0 * c, -2.0 * delta, -kappa, 0.0, -2.0 * c],
+        [2.0 * source, 0.0, 0.0, -2.0 * kappa, source],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
     ])
 
 
@@ -728,14 +686,18 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
         ds/dt = -2i Delta s - 2i c (2n + 1) - kappa s
 
     (written in the frame where the two-photon term is static; n and |s|,
-    hence zeta^2 = 1 + 2n - 2|s|, are frame-independent).  Starts from
-    vacuum.  No truncation enters here -- this is the infinite-dimensional
+    hence zeta^2 = 1 + 2n - 2|s|, are frame-independent).  The covariance
+    determinant det = (1 + 2n)^2 - 4|s|^2 obeys
+    d det/dt = -2 kappa det + 2 kappa (2 n_bar + 1)(1 + 2n), as the
+    Hamiltonian part is traceless, so zeta^2 = det / (1 + 2n + 2|s|) comes
+    without the cancellation of 1 + 2n - 2|s| when both terms are large.
+    Starts from vacuum.  No truncation enters here -- this is the infinite-dimensional
     result, used as a cross-check oracle and as a fast cell evaluator for
     sweeps.  The map s -> -s^* takes the Delta solution onto the -Delta
     one, so every output is even in Delta.
 
     The equations are linear with constant coefficients: with y = (n,
-    Re s, Im s, 1), y' = G y, so each step t_{k-1} -> t_k (t_{-1} = 0) is
+    Re s, Im s, det, 1), y' = G y, so each step t_{k-1} -> t_k (t_{-1} = 0) is
     y -> e^{G (t_k - t_{k-1})} y, one matrix exponential per distinct step.
 
     params and delta_eff may each be one value or a sequence; they are
@@ -757,19 +719,21 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
                          cells_d * (n_cells // len(cells_d)))
     ])
     steps, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    props = _expm_stack(steps[:, None, None, None] * gen)  # (step, cell, 4, 4)
+    props = _expm_stack(steps[:, None, None, None] * gen)  # (step, cell, 5, 5)
 
     # elementwise products, so equal cells give bit-equal rows wherever
     # they sit in the stack
-    y = np.zeros((n_cells, 3))  # (n, Re s, Im s); the 1 stays implicit
-    out = np.empty((3, n_cells, len(times)))
+    y = np.zeros((n_cells, 4))  # (n, Re s, Im s, det); the 1 stays implicit
+    y[:, 3] = 1.0  # the vacuum's det
+    out = np.empty((4, n_cells, len(times)))
     for k, u in enumerate(which.ravel()):
-        p = props[u, :, :3]
-        y = p[..., 0] * y[:, :1] + p[..., 1] * y[:, 1:2] + p[..., 2] * y[:, 2:] + p[..., 3]
+        p = props[u, :, :4]
+        y = (p[..., 0] * y[:, :1] + p[..., 1] * y[:, 1:2] + p[..., 2] * y[:, 2:3]
+             + p[..., 3] * y[:, 3:] + p[..., 4])
         out[:, :, k] = y.T
     n = out[0]
     s_abs = np.hypot(out[1], out[2])
-    zeta_sq = 1.0 + 2.0 * n - 2.0 * s_abs
+    zeta_sq = out[3] / (1.0 + 2.0 * n + 2.0 * s_abs)
     if not np.all(zeta_sq > 0.0):
         raise NumericalError("covariance evolution left the physical region")
     result = {
@@ -829,9 +793,7 @@ def conditional_superposition_run(
     """
     sample_times = np.asarray(sample_times, dtype=float)
     d = derive(params, delta_eff_override=delta_eff)
-    h, dissipators, rho0, blockwise = _effective_model(
-        params, "plus_plus_minus", fock_dim, delta_eff
-    )
+    h, dissipators, rho0 = _effective_model(params, "plus_plus_minus", fock_dim, delta_eff)
     states_g, states_e = [], []
 
     def hook(t, rho_joint):
@@ -852,7 +814,6 @@ def conditional_superposition_run(
         rho0,
         solver=replace(solver or SolverConfig(), sample_times=sample_times),
         sample_hook=hook,
-        **blockwise,
     )
     result.metadata.update(
         model="effective",

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DimensionError, NumericalError
-from .qops import herm_eig, matrix_sqrt_psd
+from .errors import NumericalError
+from .qops import herm_eig
 
 
 class QuadratureVariance(NamedTuple):
@@ -281,25 +281,3 @@ def wigner(rho_magnon, re_axis=None, im_axis=None, weight_floor=1e-13):
 def wigner_negativity_volume(grid):
     """Integrated negative part of the Wigner function, >= 0."""
     return float(np.sum(np.clip(-grid.values, 0.0, None)) * grid.cell_area)
-
-
-# ---------------------------------------------------------------------------
-# fidelity and Fock statistics
-
-
-def uhlmann_fidelity(rho1, rho2):
-    """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise DimensionError(f"shape mismatch {rho1.shape} vs {rho2.shape}")
-    s1 = matrix_sqrt_psd(rho1, neg_tol=1e-6)
-    inner = s1 @ rho2 @ s1
-    evals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    evals = np.clip(evals, 0.0, None)
-    return float(np.sum(np.sqrt(evals)))
-
-
-def fock_populations(rho_magnon):
-    """Diagonal of the magnon state in the Fock basis."""
-    return np.real(np.diagonal(np.asarray(rho_magnon))).copy()

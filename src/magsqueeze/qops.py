@@ -10,7 +10,6 @@ Conventions fixed here and relied on everywhere else:
   ``n * 2 + q`` with n the Fock index and q in {0: g, 1: e}.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,28 +108,6 @@ def squeeze_operator(xi, fock_dim):
     return (vecs * np.exp(-1.0j * evals)) @ vecs.conj().T
 
 
-def displacement_operator(alpha, fock_dim):
-    """Displacement exp(alpha m^dag - alpha* m) on the truncated space.
-
-    Computed through the exact exponential of the (anti-Hermitian)
-    generator, so the result is exactly unitary at any truncation.  Emits
-    a warning when |alpha|^2 > fock_dim / 4, where the truncated operator
-    no longer represents the ideal displacement faithfully.
-    """
-    n = int(fock_dim)
-    if abs(alpha) ** 2 > n / 4.0:
-        warnings.warn(
-            f"displacement |alpha|^2 = {abs(alpha)**2:.2f} exceeds fock_dim/4 = {n/4:.1f}; "
-            "truncation artifacts likely",
-            stacklevel=2,
-        )
-    m = annihilation(n)
-    gen = alpha * m.conj().T - np.conj(alpha) * m   # anti-Hermitian
-    herm = 1.0j * gen
-    evals, vecs = eigh(herm)
-    return (vecs * np.exp(-1.0j * evals)) @ vecs.conj().T
-
-
 # ---------------------------------------------------------------------------
 # composites and linear-algebra helpers
 
@@ -152,22 +129,6 @@ def herm_eig(op, atol=1e-10):
     return eigh(op)
 
 
-def matrix_sqrt_psd(op, neg_tol=1e-6):
-    """Principal square root of a positive semi-definite Hermitian matrix.
-
-    Small negative eigenvalues (>= -neg_tol * scale) are clamped to zero;
-    anything more negative raises NumericalError.
-    """
-    evals, vecs = herm_eig(op, atol=1e-8)
-    scale = max(evals.max(), 1.0) if evals.size else 1.0
-    if evals.min() < -neg_tol * scale:
-        raise NumericalError(
-            f"matrix_sqrt_psd: eigenvalue {evals.min():.3e} too negative"
-        )
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
-
-
 def expectation(rho, op):
     """<op> = Tr(rho op); returns a real number for Hermitian op
     (imaginary part must be numerical noise), complex otherwise."""
@@ -175,28 +136,6 @@ def expectation(rho, op):
     if np.max(np.abs(op - np.asarray(op).conj().T)) < 1e-10 * max(np.max(np.abs(op)), 1.0):
         return float(val.real)
     return complex(val)
-
-
-def partial_trace_qubit(rho_joint, fock_dim=None):
-    """Trace out the qubit from a joint magnon (x) qubit density matrix."""
-    rho_joint = np.asarray(rho_joint)
-    d = rho_joint.shape[0]
-    if d % 2:
-        raise DimensionError(f"joint dimension {d} is not even")
-    n = d // 2
-    if fock_dim is not None and fock_dim != n:
-        raise DimensionError(f"fock_dim {fock_dim} inconsistent with joint dim {d}")
-    return np.einsum("iaja->ij", rho_joint.reshape(n, 2, n, 2))
-
-
-def partial_trace_magnon(rho_joint):
-    """Trace out the magnon mode, leaving the 2x2 qubit state."""
-    rho_joint = np.asarray(rho_joint)
-    d = rho_joint.shape[0]
-    if d % 2:
-        raise DimensionError(f"joint dimension {d} is not even")
-    n = d // 2
-    return np.einsum("iaib->ab", rho_joint.reshape(n, 2, n, 2))
 
 
 def density_from_vector(psi):

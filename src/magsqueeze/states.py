@@ -1,5 +1,5 @@
 """Analytic magnon states: squeezed vacua, their even/odd superpositions,
-and the logical codewords built from them.
+and the joint magnon-qubit start of the protocols.
 
 All states are built by direct Fock-coefficient recurrence (numerically
 stable at any truncation); the matrix-exponential squeezer in qops serves
@@ -23,15 +23,6 @@ from .errors import DimensionError, TruncationError
 from .qops import KET_G, KET_E, StateDensity, density_from_vector
 
 TAIL_TOL = 1e-10
-
-
-def squeezed_overlap(r):
-    """Overlap <{-xi}|{xi}> of opposite squeezed vacua, = cosh(2r)^{-1/2}.
-
-    Independent of the squeezing phase: the relative phase pi between the
-    two parameters always lands on this real positive value.
-    """
-    return 1.0 / math.sqrt(math.cosh(2.0 * r))
 
 
 def squeezed_vacuum_fock(xi, fock_dim):
@@ -78,18 +69,6 @@ def superposition_pm(xi, sign, fock_dim):
     return raw / norm
 
 
-def logical_codewords(r, fock_dim):
-    """(|0_L>, |1_L>) = even/odd superpositions at real squeezing r > 0.
-
-    Orthogonal by disjoint Fock support ({4m} vs {4m+2})."""
-    if r <= 0:
-        raise ValueError("codewords need r > 0")
-    return (
-        superposition_pm(r, +1, fock_dim),
-        superposition_pm(r, -1, fock_dim),
-    )
-
-
 _QUBIT_KETS = {
     "plus_x": (KET_G + KET_E) / math.sqrt(2.0),
     "minus_x": (KET_G - KET_E) / math.sqrt(2.0),
@@ -114,11 +93,3 @@ def joint_initial_state(qubit="plus_x", fock_dim=80):
     state.meta["qubit_init"] = qubit
     return state
 
-
-def state_vector_to_csv(psi, path):
-    """Dump a state vector as CSV rows (index, Re, Im)."""
-    psi = np.asarray(psi)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("fock_index,re_amplitude,im_amplitude\n")
-        for k, a in enumerate(psi):
-            fh.write(f"{k},{a.real:.12e},{a.imag:.12e}\n")

@@ -24,7 +24,6 @@ from magsqueeze.coupling import (
     LoopGeometry,
     MaterialSpec,
     SphereSpec,
-    center_field_magnitude,
     coupling_map,
     coupling_strength,
     loop_field,
@@ -35,6 +34,18 @@ from magsqueeze.coupling import (
 from magsqueeze.errors import ConfigError, NumericalError
 
 GEOM = LoopGeometry(side_length=10.0, current=0.4)
+
+
+def center_field_magnitude(geometry):
+    """Test-local oracle: closed-form center field 2 sqrt(2) mu0 I / (pi L),
+    tesla."""
+    return (
+        2.0
+        * math.sqrt(2.0)
+        * MU0
+        * geometry.current
+        / (math.pi * geometry.side_length)
+    )
 
 
 def spherical_nodes(radius, orders):

@@ -11,6 +11,7 @@ sparse Liouvillian -- rather than against stored trajectories.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,6 @@ from magsqueeze.dynamics import (
     SolverConfig,
     _effective_model,
     _expm_stack,
-    _joint_from_blocks,
     _lindblad_rhs,
     _moment_generator,
     _reachable,
@@ -49,9 +49,9 @@ from magsqueeze.dynamics import (
     postselect_qubit,
     sector_covariance_squeezing,
 )
-from magsqueeze.observables import uhlmann_fidelity
 from magsqueeze.qops import (
     IDENTITY_2,
+    KET_MINUS_X,
     KET_PLUS_X,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -61,6 +61,7 @@ from magsqueeze.qops import (
     number_op,
 )
 from magsqueeze.states import StateDensity, joint_initial_state, superposition_pm
+from test_observables import uhlmann_fidelity  # test-local oracle
 
 DB_PER_NEPER = 10.0 / math.log(10.0) * 2.0  # 8.6859 dB per unit squeezing parameter
 TWO_PI = 2.0 * math.pi
@@ -79,27 +80,21 @@ def solver_for(times, **kw):
     return SolverConfig(sample_times=np.asarray(times, dtype=float), **kw)
 
 
-def dense_lindblad_rhs(h_of_t, channels, sectors=((1, 1),), pair_rate=0.0):
-    """Dense reference for the master-equation RHS: per block and call,
-    dX/dt = A_s X + X A_r^dag + sum_k 2 w_k o_k X o_k^dag - [s != r] pair_rate X
-    with A_s = -i s h(t) - sum_k w_k o_k^dag o_k, all as dense products."""
+def dense_lindblad_rhs(h_of_t, channels):
+    """Dense reference for the master-equation RHS: per call,
+    drho/dt = A rho + rho A^dag + sum_k 2 w_k o_k rho o_k^dag
+    with A = -i h(t) - sum_k w_k o_k^dag o_k, all as dense products."""
     jumps = [(o, 2.0 * w) for o, w in channels]
     sink = sum(w * (o.conj().T @ o) for o, w in channels)
 
     def rhs(t, y):
         h = h_of_t(t)
-        dim = h.shape[0]
-        out = []
-        for x, (s, r) in zip(y.reshape(len(sectors), dim, dim), sectors):
-            a_s = -1.0j * s * h - sink
-            a_r = -1.0j * r * h - sink
-            dx = a_s @ x + x @ a_r.conj().T
-            for o, tw in jumps:
-                dx += tw * (o @ x) @ o.conj().T
-            if s != r:
-                dx -= pair_rate * x
-            out.append(dx.ravel())
-        return np.concatenate(out)
+        x = y.reshape(h.shape)
+        a = -1.0j * h - sink
+        dx = a @ x + x @ a.conj().T
+        for o, tw in jumps:
+            dx += tw * (o @ x) @ o.conj().T
+        return dx.ravel()
 
     return rhs
 
@@ -240,13 +235,10 @@ def test_evolve_master_input_validation(params):
     dim=st.integers(2, 12),
     n_terms=st.integers(0, 3),
     n_channels=st.integers(0, 3),
-    three_blocks=st.booleans(),
-    pair_rate=st.floats(0.0, 2.0),
     t=st.floats(-10.0, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, three_blocks,
-                                         pair_rate, t, seed):
+def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
     # the CSR Liouvillian against dense products on random operators: a
     # non-Hermitian static part, random oscillating terms and channels
     rng = np.random.default_rng(seed)
@@ -257,7 +249,6 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, three_blocks,
     static = rand()
     terms = tuple((rand(), float(rng.uniform(-5.0, 5.0))) for _ in range(n_terms))
     channels = [(rand(), float(rng.uniform(0.0, 1.0))) for _ in range(n_channels)]
-    sectors = ((1, 1), (-1, -1), (1, -1)) if three_blocks else ((1, 1),)
 
     def h_of_t(tt):
         h = static.copy()
@@ -265,12 +256,10 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, three_blocks,
             h += np.exp(1.0j * w * tt) * hk + np.exp(-1.0j * w * tt) * hk.conj().T
         return h
 
-    rhs, rdim, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels, sectors,
-                                   pair_rate)
+    rhs, rdim, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels)
     assert rdim == dim and nnz > 0
-    y = rng.normal(size=len(sectors) * dim * dim) + 1.0j * rng.normal(
-        size=len(sectors) * dim * dim)
-    ref = dense_lindblad_rhs(h_of_t, channels, sectors, pair_rate)(t, y)
+    y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
+    ref = dense_lindblad_rhs(h_of_t, channels)(t, y)
     assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -308,10 +297,30 @@ effective_runs = st.builds(
 
 
 def parity_support(fock_dim, magnon_jumps):
-    """Entries of a block that |0> reaches under the two-photon squeezer:
-    both indices even, and with the thermal pair every i - j even."""
+    """Entries of a sector's magnon state that |0> reaches under the
+    two-photon squeezer: both indices even, and with the thermal pair every
+    i - j even."""
     i, j = np.indices((fock_dim, fock_dim))
     return (i - j) % 2 == 0 if magnon_jumps else (i % 2 == 0) & (j % 2 == 0)
+
+
+def class_support(fock_dim, magnon_jumps, qubit_jumps):
+    """Entries of the joint state that |0, g> reaches under h (x) sb_x.
+    Level (n, q) lies in class n + 2q mod 4, which the Hamiltonian keeps;
+    the thermal pair moves it by -+1, L[sb_x] by 2, on both sides alike, so
+    only the diagonal class blocks of the classes reached fill."""
+    n, q = np.divmod(np.arange(2 * fock_dim), 2)
+    cls = (n + 2 * q) % 4
+    reached = [0, 1, 2, 3] if magnon_jumps else [0, 2] if qubit_jumps else [0]
+    return (cls[:, None] == cls[None, :]) & np.isin(cls, reached)[:, None]
+
+
+def expected_support(run):
+    params, qubit_init, fock_dim, _ = run
+    d = derive(params)
+    if qubit_init in ("plus_x", "minus_x"):
+        return parity_support(fock_dim, d.kappa > 0.0)
+    return class_support(fock_dim, d.kappa > 0.0, d.gamma > 0.0)
 
 
 @given(run=effective_runs, t=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
@@ -319,13 +328,11 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
     # the full-support generator maps a vector on the support into the
     # support, with exact zeros everywhere else
     params, qubit_init, fock_dim, delta = run
-    h, dissipators, rho0, blockwise = _effective_model(params, qubit_init, fock_dim, delta)
+    h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta)
     channels = dissipators.active()
-    sectors = blockwise["sectors"]
-    support = _reachable(h, channels, rho0.matrix, len(sectors))
-    for mask in support:
-        np.testing.assert_array_equal(mask, parity_support(fock_dim, bool(channels)))
-    rhs, _, _ = _lindblad_rhs(h, channels, sectors, blockwise["pair_rate"])
+    support = _reachable(h, channels, rho0.matrix)
+    np.testing.assert_array_equal(support, expected_support(run))
+    rhs, _, _ = _lindblad_rhs(h, channels)
     rng = np.random.default_rng(seed)
     y = np.where(support, rng.normal(size=support.shape)
                  + 1.0j * rng.normal(size=support.shape), 0.0).ravel()
@@ -361,30 +368,46 @@ def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_densit
         if (grown == reached).all():
             break
         reached = grown
-    np.testing.assert_array_equal(_reachable(h, channels, start)[0].ravel(), reached)
+    np.testing.assert_array_equal(_reachable(h, channels, start).ravel(), reached)
 
 
 @given(run=effective_runs)
 def test_reduced_support_matches_full_integration(run):
     # evolve_master integrates only the reachable entries; the oracle runs
-    # the same generator on every entry of the stacked blocks
+    # the same generator on every entry
     params, qubit_init, fock_dim, delta = run
-    h, dissipators, rho0, blockwise = _effective_model(params, qubit_init, fock_dim, delta)
-    sectors = blockwise["sectors"]
+    h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta)
     times = np.arange(0.0, 6.0 + 1.5, 1.5)
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     res = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tight),
-                        store_states=True, **blockwise)
-    assert res.metadata["support"] == len(sectors) * np.count_nonzero(
-        parity_support(fock_dim, bool(dissipators.active())))
-    rhs, dim, _ = _lindblad_rhs(h, dissipators.active(), sectors, blockwise["pair_rate"])
+                        store_states=True)
+    assert res.metadata["support"] == np.count_nonzero(expected_support(run))
+    rhs, dim, _ = _lindblad_rhs(h, dissipators.active())
     ref = solve_ivp(rhs, (0.0, times[-1]), rho0.matrix.ravel().astype(complex),
                     method="DOP853", t_eval=times, rtol=1e-10, atol=1e-12)
     assert ref.success
     for y, state in zip(ref.y.T, res.states):
-        blocks = y.reshape(len(sectors), dim, dim)
-        rho = blocks[0] if len(sectors) == 1 else _joint_from_blocks(blocks, sectors)
+        rho = y.reshape(dim, dim)
         assert_allclose(state.matrix, 0.5 * (rho + rho.conj().T), atol=1e-8)
+
+
+@given(run=effective_runs)
+def test_joint_run_sectors_match_pinned_runs(run):
+    # <s|rho|s> of the joint run from |0, g> evolves as half the pinned s
+    # run: the Hamiltonian acts on it as s h, the thermal pair as on the
+    # pinned state, and L[sb_x] only damps the s != r coherences
+    params, _, fock_dim, delta = run
+    times = np.arange(0.0, 6.0 + 1.5, 1.5)
+    tight = solver_for(times, rel_tol=1e-10, abs_tol=1e-12)
+    joint = evolve_master(*_effective_model(params, "plus_plus_minus", fock_dim, delta),
+                          solver=tight, store_states=True)
+    for init, ket in (("plus_x", KET_PLUS_X), ("minus_x", KET_MINUS_X)):
+        pinned = evolve_master(*_effective_model(params, init, fock_dim, delta),
+                               solver=tight, store_states=True)
+        for state, ref in zip(joint.states, pinned.states):
+            block = np.einsum("a,iajb,b->ij", ket.conj(),
+                              state.matrix.reshape(fock_dim, 2, fock_dim, 2), ket)
+            assert_allclose(block, 0.5 * ref.matrix, atol=1e-8)
 
 
 def test_positivity_monitor_aborts(params):
@@ -575,28 +598,32 @@ def test_joint_run_reduces_to_sector():
 
 
 def test_block_runs_match_dense_joint_oracle():
-    # both conditional runs evolve the effective model as sb_x-sector magnon
-    # blocks; the reference integrates the same model densely on the 2N
-    # joint space (H_cs, build_dissipators_effective) and postselects each
-    # sample.  Delta != 0 and a large gamma exercise the time-dependent
-    # generator and the 4w damping of the (+,-) block.
+    # both conditional runs from |0, g> evolve the effective model on the
+    # reachable entries of the sparse Liouvillian; the reference integrates
+    # the same model with dense products on all 4 N^2 entries of the joint
+    # space (H_cs, build_dissipators_effective) and postselects each sample.
+    # Delta != 0 and a large gamma exercise the time-dependent generator
+    # and the damping of the sb_x coherences.
     hot_qubit = PhysicalParams(gamma=300.0)
     nf = 30
     delta = TWO_PI * 9e-3
     times = np.arange(0.0, 12.0 + 1.0, 1.0)
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
-    rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=nf)
-    rho0.frame = "drive_interaction"
-    dense = evolve_master(build_H_cs(hot_qubit, nf, delta_eff=delta),
-                          build_dissipators_effective(hot_qubit, nf), rho0,
-                          solver=solver_for(times, **tight), store_states=True)
+    rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=nf).matrix
+    rhs = dense_lindblad_rhs(build_H_cs(hot_qubit, nf, delta_eff=delta).at,
+                             build_dissipators_effective(hot_qubit, nf).channels)
+    ref = solve_ivp(rhs, (0.0, times[-1]), rho0.ravel().astype(complex), method="DOP853",
+                    t_eval=times, rtol=1e-10, atol=1e-12)
+    assert ref.success
+    dense = [StateDensity(0.5 * (x + x.conj().T), frame="drive_interaction")
+             for x in ref.y.T.reshape(len(times), 2 * nf, 2 * nf)]
     squeeze = conditional_squeezing_run(hot_qubit, qubit_init="plus_plus_minus",
                                         fock_dim=nf, sample_times=times,
                                         delta_eff=delta, solver=SolverConfig(**tight),
                                         store_states=True)
     sup = conditional_superposition_run(hot_qubit, times, fock_dim=nf, delta_eff=delta,
                                         solver=SolverConfig(**tight))
-    for i, state in enumerate(dense.states):
+    for i, state in enumerate(dense):
         assert_allclose(squeeze.states[i].matrix, state.matrix, atol=1e-8)
         p_plus, rho_plus = postselect_qubit(state, "plus_x")
         assert squeeze.observables["p_plus"][i] == pytest.approx(p_plus, abs=1e-8)
@@ -698,8 +725,30 @@ def test_covariance_is_even_in_delta(cell, times):
         np.testing.assert_array_equal(cov[key][0], cov[key][1])
 
 
+@pytest.mark.parametrize("params, delta", [
+    (NODISS, 0.0),  # ideal: zeta^2 = e^{-2r} falls to 5e-13 by 300 ns
+    (PhysicalParams(), 0.0),
+    (PhysicalParams(), DELTA_OP),
+], ids=["ideal", "resonant", "operating"])
+def test_covariance_squeezing_matches_50_digit_exponential(params, delta):
+    # zeta^2 = 1 + 2n - 2|s| in 50-digit arithmetic from the (n, s, 1) rows
+    # of the same generator; at large squeezing the double-precision
+    # difference of the two large terms would lose every digit
+    times = [30.0, 150.0, 300.0]
+    gen = _moment_generator(derive(params, delta_eff_override=delta), +1)
+    with mpmath.workdps(50):
+        moments = mpmath.matrix(gen[np.ix_([0, 1, 2, 4], [0, 1, 2, 4])].tolist())
+        ref = []
+        for t in times:
+            n, s_re, s_im, _ = mpmath.expm(moments * t)[:, 3]
+            zeta_sq = 1 + 2 * n - 2 * mpmath.sqrt(s_re ** 2 + s_im ** 2)
+            ref.append(float(-10 * mpmath.log10(zeta_sq)))
+    got = sector_covariance_squeezing(params, times, delta_eff=delta)["squeezing_db"]
+    assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+
+
 def test_expm_stack_matches_scipy():
-    # random 4 x 4 matrices and moment generators, scaled to 1-norms from
+    # random 5 x 5 matrices and moment generators, scaled to 1-norms from
     # 1e-3 to 30 and exponentiated as one stack, so each matrix takes its
     # own number of squarings; above norm 1 the gap is scipy's own error
     # (against a 40-digit exponential both stay below 1e-12, ours 1e-14)
@@ -709,7 +758,7 @@ def test_expm_stack_matches_scipy():
         _moment_generator(derive(PhysicalParams(kappa=rng.uniform(0.0, 10.0)),
                                  rng.uniform(-0.2, 0.2)), rng.choice([-1, 1]))
         for _ in range(20)])
-    stack = np.concatenate([rng.normal(size=(20, 4, 4)), gens])
+    stack = np.concatenate([rng.normal(size=(20, 5, 5)), gens])
     stack = (stack / np.abs(stack).sum(axis=-2).max(axis=-1)[:, None, None]
              * norms[:, None, None, None])  # (norm, matrix, 4, 4)
     got = _expm_stack(stack)

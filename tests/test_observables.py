@@ -20,21 +20,41 @@ from magsqueeze import cli, observables
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.observables import (
     default_axes,
-    fock_populations,
     min_quadrature_variance,
     squeezing_db,
-    uhlmann_fidelity,
     wigner,
     wigner_negativity_volume,
 )
 from magsqueeze.qops import (
     annihilation,
     density_from_vector,
-    displacement_operator,
     fock_state,
     parity_operator,
 )
 from magsqueeze.states import squeezed_vacuum_fock
+from test_qops import displacement_operator, matrix_sqrt_psd  # test-local oracles
+
+
+# test-local oracles: the package itself needs neither
+
+
+def uhlmann_fidelity(rho1, rho2):
+    """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho1.shape != rho2.shape:
+        raise DimensionError(f"shape mismatch {rho1.shape} vs {rho2.shape}")
+    s1 = matrix_sqrt_psd(rho1, neg_tol=1e-6)
+    inner = s1 @ rho2 @ s1
+    evals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    evals = np.clip(evals, 0.0, None)
+    return float(np.sum(np.sqrt(evals)))
+
+
+def fock_populations(rho_magnon):
+    """Diagonal of the magnon state in the Fock basis."""
+    return np.real(np.diagonal(np.asarray(rho_magnon))).copy()
+
 
 # ---------------------------------------------------------------------------
 # quadrature variance and dB scale

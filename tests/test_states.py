@@ -19,12 +19,42 @@ from magsqueeze.errors import DimensionError, TruncationError
 from magsqueeze.qops import fock_state, number_op, parity_operator, squeeze_operator
 from magsqueeze.states import (
     joint_initial_state,
-    logical_codewords,
-    squeezed_overlap,
     squeezed_vacuum_fock,
-    state_vector_to_csv,
     superposition_pm,
 )
+
+
+# test-local oracles: the package itself needs none of these
+
+
+def squeezed_overlap(r):
+    """Overlap <{-xi}|{xi}> of opposite squeezed vacua, = cosh(2r)^{-1/2}.
+
+    Independent of the squeezing phase: the relative phase pi between the
+    two parameters always lands on this real positive value.
+    """
+    return 1.0 / math.sqrt(math.cosh(2.0 * r))
+
+
+def logical_codewords(r, fock_dim):
+    """(|0_L>, |1_L>) = even/odd superpositions at real squeezing r > 0.
+
+    Orthogonal by disjoint Fock support ({4m} vs {4m+2})."""
+    if r <= 0:
+        raise ValueError("codewords need r > 0")
+    return (
+        superposition_pm(r, +1, fock_dim),
+        superposition_pm(r, -1, fock_dim),
+    )
+
+
+def state_vector_to_csv(psi, path):
+    """Dump a state vector as CSV rows (index, Re, Im)."""
+    psi = np.asarray(psi)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("fock_index,re_amplitude,im_amplitude\n")
+        for k, a in enumerate(psi):
+            fh.write(f"{k},{a.real:.12e},{a.imag:.12e}\n")
 
 
 @given(
