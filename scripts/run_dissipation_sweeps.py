@@ -2,9 +2,10 @@
 """Dissipation sweeps: peak squeezing vs kappa, vs temperature, and optionally
 the full (kappa, gamma) heatmap.
 
-The kappa and temperature sweeps are master-equation runs; the heatmap uses
-the covariance propagator per cell so a 21x21 grid stays affordable. Each
-sweep writes into its own subdirectory.
+All three read their cells from the exact covariance evolution of the
+conditional sector (sector_covariance_squeezing), one batched call per
+scenario, so no Fock truncation enters. Each sweep writes into its own
+subdirectory.
 """
 
 import argparse
@@ -18,7 +19,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", default=None, metavar="PATH")
     ap.add_argument("--out", default="out/sweeps", metavar="DIR")
-    ap.add_argument("--threads", type=int, default=None, metavar="N")
     ap.add_argument("--heatmap", action="store_true",
                     help="also run the (kappa, gamma) peak-squeezing heatmap")
     ap.add_argument("--heatmap-points", type=int, default=None, metavar="N")
@@ -30,8 +30,6 @@ def main():
     for scenario in names:
         cfg = load_config(args.config)
         cfg.run.output_dir = os.path.join(args.out, scenario)
-        if args.threads is not None:
-            cfg.run.threads = args.threads
         if args.heatmap_points is not None:
             cfg.run.heatmap_points = args.heatmap_points
         manifest = run(ScenarioConfig.from_config(cfg, scenario=scenario))

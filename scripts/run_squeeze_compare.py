@@ -16,15 +16,12 @@ def main():
     ap.add_argument("--config", default=None, metavar="PATH")
     ap.add_argument("--out", default="out/squeeze", metavar="DIR")
     ap.add_argument("--fock-dim", type=int, default=None, metavar="N")
-    ap.add_argument("--threads", type=int, default=None, metavar="N")
     args = ap.parse_args()
 
     cfg = load_config(args.config)
     cfg.run.output_dir = args.out
     if args.fock_dim is not None:
         cfg.run.fock_dim = args.fock_dim
-    if args.threads is not None:
-        cfg.run.threads = args.threads
     manifest = run(ScenarioConfig.from_config(cfg, scenario="squeeze_compare"))
     print(f"squeeze_compare: {len(manifest.outputs)} output(s) in {cfg.run.output_dir}")
     for note in manifest.notes:

@@ -35,7 +35,6 @@ def _build_parser():
                         help="INI config file (unit suffixes required)")
     shared.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (overrides run.output_dir)")
-    shared.add_argument("--threads", type=int, default=None, metavar="N")
     shared.add_argument("--fock-dim", type=int, default=None, metavar="N")
     shared.add_argument("--scenario", default=None, metavar="NAME",
                         help="scenario name (where the command allows a choice)")
@@ -73,8 +72,6 @@ def _load(args):
     cfg = load_config(args.config)
     if args.out is not None:
         cfg.run.output_dir = args.out
-    if args.threads is not None:
-        cfg.run.threads = args.threads
     if args.fock_dim is not None:
         cfg.run.fock_dim = args.fock_dim
     return cfg

@@ -102,7 +102,7 @@ class RunOptions:
     scenario: str = "custom"
     fock_dim: int = 80
     output_dir: str = "out"
-    threads: int = 1
+    threads: int = 1                 # accepted so older configs load; no effect
     time_max: float = 150.0          # ns
     time_step: float = 0.5           # ns
     delta_eff: float = None          # MHz (linear); None -> analytic default

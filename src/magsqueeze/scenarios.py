@@ -2,9 +2,10 @@
 plus a JSON manifest with checksums.
 
 Everything here is deterministic and seed-free; rerunning a scenario with
-the same config produces byte-identical CSV files, and parallel sweep
-execution reproduces the serial result exactly (workers compute isolated
-cells; assembly is index-ordered).
+the same config produces byte-identical CSV files.  The kappa and
+temperature sweeps and the heatmap read every cell from one batched call
+of the exact sector covariance evolution, whose rows do not depend on the
+other cells in the batch.
 
 A note on detuning defaults.  The two-photon interaction is only bounded
 for |Delta_eff| > |g_cs| = 2pi x 7.5 MHz; at or below that the sector
@@ -23,7 +24,6 @@ import math
 import os
 import time as _time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -69,7 +69,6 @@ OPERATING_DETUNING_RAD_NS = TWO_PI * OPERATING_DETUNING_MHZ * 1e-3
 class ScenarioConfig:
     scenario: str = "custom"
     config: Config = field(default_factory=Config)
-    threads: int = 1
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -82,7 +81,7 @@ class ScenarioConfig:
     @classmethod
     def from_config(cls, cfg, scenario=None):
         name = scenario or cfg.run.scenario
-        return cls(scenario=name, config=cfg, threads=cfg.run.threads)
+        return cls(scenario=name, config=cfg)
 
 
 @dataclass
@@ -146,12 +145,9 @@ def write_csv(path, header, rows):
             )
 
 
-def _parallel_map(fn, items, threads):
-    """Order-preserving map over independent work items."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+# manifest note of the scenarios whose cells are covariance evolutions
+_COVARIANCE_NOTE = ("cells: exact sector covariance evolution "
+                    "(sector_covariance_squeezing), no Fock truncation")
 
 
 def _operating_delta(cfg):
@@ -254,57 +250,37 @@ def _run_squeeze_compare(sc, outdir):
     return [path], notes
 
 
-def _squeeze_cell(args):
-    """Worker: one dissipative conditional run, returns its S(t) series."""
-    params, times, delta, fock_dim = args
-    run = _effective_series(params, np.asarray(times), delta, fock_dim)
-    return (
-        run.observables["squeezing_db"].tolist(),
-        run.observables["n_magnon"].tolist(),
-    )
-
-
-def _run_parameter_sweep(sc, outdir, param, column, cells):
-    """Effective conditional runs over one PhysicalParams field, one per
-    (value, fock_dim) cell: every S(t), n(t) series plus each cell's peak,
-    as <param>_sweep.csv and <param>_sweep_peaks.csv."""
+def _run_parameter_sweep(sc, outdir, param, column, values):
+    """Conditional squeezing over one PhysicalParams field, every cell from
+    one batched covariance call: each S(t), n(t) series plus each cell's
+    peak, as <param>_sweep.csv and <param>_sweep_peaks.csv."""
     cfg = sc.config
     delta = _operating_delta(cfg)
     times = _time_grid(cfg)
-    items = [
-        (replace(cfg.params, **{param: v}), times.tolist(), delta, nf)
-        for v, nf in cells
-    ]
-    results = _parallel_map(_squeeze_cell, items, sc.threads)
-    rows = []
-    peaks = []
-    for (v, _), (s_db, n_m) in zip(cells, results):
-        idx = int(np.argmax(s_db))
-        peaks.append((v, float(s_db[idx]), float(times[idx])))
-        for t, s, n in zip(times, s_db, n_m):
-            rows.append((float(v), float(t), float(s), float(n)))
+    out = sector_covariance_squeezing(
+        [replace(cfg.params, **{param: v}) for v in values], times, delta_eff=delta)
+    s_db, n_m = out["squeezing_db"], out["n_magnon"]
+    peak = np.argmax(s_db, axis=1)
+    peaks = [(v, float(s_db[i, peak[i]]), float(times[peak[i]]))
+             for i, v in enumerate(values)]
+    rows = [(float(v), float(t), float(s), float(n))
+            for v, s_row, n_row in zip(values, s_db, n_m)
+            for t, s, n in zip(times, s_row, n_row)]
     path = os.path.join(outdir, f"{param}_sweep.csv")
     write_csv(path, [column, "time_ns", "S_dB", "n_magnon"], rows)
     peak_path = os.path.join(outdir, f"{param}_sweep_peaks.csv")
     write_csv(peak_path, [column, "peak_S_dB", "t_peak_ns"], peaks)
-    return [path, peak_path], [f"delta_eff_rad_ns={delta:.6e}"]
+    return [path, peak_path], [f"delta_eff_rad_ns={delta:.6e}", _COVARIANCE_NOTE]
 
 
 def _run_kappa_sweep(sc, outdir):
-    nf = sc.config.run.fock_dim
     return _run_parameter_sweep(sc, outdir, "kappa", "kappa_MHz",
-                                [(k, nf) for k in (0.5, 1.0, 2.0, 4.0)])
+                                (0.5, 1.0, 2.0, 4.0))
 
 
 def _run_temperature_sweep(sc, outdir):
-    # hot baths need headroom: thermal occupation at 300 mK is ~3.7, and
-    # squeezing stretches the tail
-    nf = sc.config.run.fock_dim
-    return _run_parameter_sweep(
-        sc, outdir, "temperature", "temperature_mK",
-        [(t_mk, nf if t_mk <= 100.0 else max(nf, 150))
-         for t_mk in (10.0, 100.0, 200.0, 300.0)],
-    )
+    return _run_parameter_sweep(sc, outdir, "temperature", "temperature_mK",
+                                (10.0, 100.0, 200.0, 300.0))
 
 
 def _run_heatmap(sc, outdir):
@@ -334,6 +310,7 @@ def _run_heatmap(sc, outdir):
     write_csv(path, ["kappa_MHz", "gamma_kHz", "peak_S_dB", "t_peak_ns"], rows)
     notes = [
         f"delta_eff_rad_ns={delta:.6e}",
+        _COVARIANCE_NOTE,
         "gamma axis is inert for this protocol (qubit channel acts trivially "
         "on sb_x eigenstates); see README",
     ]
@@ -470,15 +447,14 @@ def run(sc):
 # calibration and convergence
 
 
-def calibrate_delta_eff(sc, full_series=None, synthetic_delta=None,
-                        window_mhz=10.0, n_scan=41, t_max=40.0):
+def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
+                        t_max=40.0):
     """Scan Delta_eff around the analytic default and pick the value
     minimizing the time-integrated |S_full - S_eff|.
 
-    full_series: optional (times, S_dB) tuple to calibrate against.  If
-    synthetic_delta is given instead, the "full" series is the effective
-    model itself at that detuning (self-consistency mode).  With neither,
-    the full model is integrated in the rotating frame over [0, t_max].
+    full_series: optional (times, S_dB) tuple to calibrate against.
+    Without it, the full model is integrated in the rotating frame over
+    [0, t_max].
 
     Returns (best_delta_rad_ns, scan_table, convex) where scan_table is a
     list of (delta_rad_ns, objective) rows.
@@ -495,20 +471,16 @@ def calibrate_delta_eff(sc, full_series=None, synthetic_delta=None,
     center = d.Delta_eff
     half = TWO_PI * window_mhz * 1e-3
     grid = np.linspace(center - half, center + half, n_scan)
-    times = np.arange(0.0, t_max + 0.25, 0.5)
 
     if full_series is not None:
         t_ref, s_ref = full_series
-    elif synthetic_delta is not None:
-        out = sector_covariance_squeezing(cfg.params, times, delta_eff=synthetic_delta)
-        t_ref, s_ref = times, out["squeezing_db"]
     else:
         full = conditional_squeezing_run(
             cfg.params,
             qubit_init="plus_x",
             model="full_rotating",
             fock_dim=cfg.run.fock_dim,
-            sample_times=times,
+            sample_times=np.arange(0.0, t_max + 0.25, 0.5),
         )
         t_ref, s_ref = full.times, full.observables["squeezing_db"]
 
@@ -537,14 +509,17 @@ def convergence_check(sc):
     """Rerun the scenario's most demanding point at fock_dim and fock_dim+20.
 
     Reports max |dS| (dB) between the two truncations and, for Wigner
-    scenarios, the max |dW|; flags failure above 0.02 dB / 1e-3.
+    scenarios, the max |dW|; flags failure above 0.02 dB / 1e-3.  The
+    coupling maps and the covariance scenarios have no Fock space to
+    truncate and report as trivially converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
     report = {"fock_dim": nf, "fock_dim_check": nf + 20,
               "max_delta_s_db": 0.0, "max_delta_wigner": 0.0}
 
-    if sc.scenario in ("coupling_map_a", "coupling_map_b"):
+    if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
+                       "temperature_sweep", "max_squeeze_heatmap"):
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
         return report

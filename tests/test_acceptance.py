@@ -73,6 +73,7 @@ from magsqueeze.scenarios import (
 )
 from magsqueeze.states import squeezed_vacuum_fock, superposition_pm
 from test_model import james_effective  # test-local oracle of the averaged model
+from test_scenarios_cli import sweep_digests, write_per_cell_sweep  # per-cell sweep CSVs
 
 DB_PER_NEPER = 20.0 / math.log(10.0)
 GEOM = LoopGeometry(side_length=10.0, current=0.4)
@@ -416,20 +417,18 @@ def test_check_12_determinism(tmp_path):
         digests.append(sha256(str(outdir / "squeeze_custom.csv")))
     rerun_ok = digests[0] == digests[1]
 
-    par = {}
-    for threads in (1, 2):
-        outdir = tmp_path / f"t{threads}"
-        cfg = Config(run=RunOptions(fock_dim=40, time_max=10.0, time_step=1.0,
-                                    output_dir=str(outdir)))
-        run(ScenarioConfig(scenario="kappa_sweep", config=cfg, threads=threads))
-        par[threads] = (
-            sha256(str(outdir / "kappa_sweep.csv")),
-            sha256(str(outdir / "kappa_sweep_peaks.csv")),
-        )
-    parallel_ok = par[1] == par[2]
+    # the batched sweep equals one covariance call per kappa, byte for byte:
+    # how the cells are scheduled never changes the output
+    cfg = Config(run=RunOptions(fock_dim=40, time_max=10.0, time_step=1.0,
+                                output_dir=str(tmp_path / "batched")))
+    run(ScenarioConfig(scenario="kappa_sweep", config=cfg))
+    write_per_cell_sweep(cfg, "kappa", "kappa_MHz", (0.5, 1.0, 2.0, 4.0),
+                         str(tmp_path / "cells"))
+    cells_ok = (sweep_digests(str(tmp_path / "batched"), "kappa")
+                == sweep_digests(str(tmp_path / "cells"), "kappa"))
     dt = time.perf_counter() - t0
-    report(12, rerun_ok and parallel_ok,
-           f"rerun byte-identical: {rerun_ok}, parallel == serial: {parallel_ok}, "
+    report(12, rerun_ok and cells_ok,
+           f"rerun byte-identical: {rerun_ok}, batched == per-cell: {cells_ok}, "
            f"{dt:.0f} s")
     assert rerun_ok
-    assert parallel_ok
+    assert cells_ok

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ import pytest
 from magsqueeze import cli
 from magsqueeze.config import Config, RunOptions, load_config
 from magsqueeze.constants import TWO_PI
+from magsqueeze.dynamics import (
+    SolverConfig,
+    conditional_squeezing_run,
+    sector_covariance_squeezing,
+)
 from magsqueeze.errors import ConfigError, DimensionError, FrameError
 from magsqueeze.model import derive
 from magsqueeze.scenarios import (
+    OPERATING_DETUNING_RAD_NS,
     ScenarioConfig,
     calibrate_delta_eff,
     convergence_check,
@@ -46,6 +53,49 @@ def small_run(fock_dim=40, **kw):
     opts = dict(fock_dim=fock_dim, time_max=10.0, time_step=1.0)
     opts.update(kw)
     return Config(run=RunOptions(**opts))
+
+
+# the 300 mK temperature_sweep cell against a fock-150 master equation on
+# 0..30 ns (1 ns steps): measured max |dS| 2.4e-7 dB, max |dn|/(1+n) 4.1e-11
+TEMP_ME_T_MAX = 30.0
+TEMP_ME_S_TOL_DB = 1e-5
+TEMP_ME_N_TOL = 1e-8
+
+
+def sweep_times(cfg):
+    return np.round(
+        np.arange(0.0, cfg.run.time_max + cfg.run.time_step / 2.0, cfg.run.time_step), 9)
+
+
+def write_per_cell_sweep(cfg, param, column, values, outdir):
+    """The <param>_sweep CSVs written from one sector_covariance_squeezing
+    call per cell, at the operating detuning (cfg leaves delta_eff unset)."""
+    times = sweep_times(cfg)
+    rows, peaks = [], []
+    for v in values:
+        out = sector_covariance_squeezing(replace(cfg.params, **{param: v}), times,
+                                          delta_eff=OPERATING_DETUNING_RAD_NS)
+        s_db, n_m = out["squeezing_db"], out["n_magnon"]
+        i = int(np.argmax(s_db))
+        peaks.append((v, float(s_db[i]), float(times[i])))
+        rows += [(float(v), float(t), float(s), float(n))
+                 for t, s, n in zip(times, s_db, n_m)]
+    os.makedirs(outdir, exist_ok=True)
+    write_csv(os.path.join(outdir, f"{param}_sweep.csv"),
+              [column, "time_ns", "S_dB", "n_magnon"], rows)
+    write_csv(os.path.join(outdir, f"{param}_sweep_peaks.csv"),
+              [column, "peak_S_dB", "t_peak_ns"], peaks)
+
+
+def sweep_digests(outdir, param):
+    return (sha256(os.path.join(outdir, f"{param}_sweep.csv")),
+            sha256(os.path.join(outdir, f"{param}_sweep_peaks.csv")))
+
+
+def synthetic_series(params, delta, t_max=30.0):
+    """An effective-model S(t) at a known detuning, to calibrate against."""
+    times = np.arange(0.0, t_max + 0.25, 0.5)
+    return times, sector_covariance_squeezing(params, times, delta_eff=delta)["squeezing_db"]
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +229,36 @@ def test_rerun_is_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_parallel_matches_serial(tmp_path):
-    digests = {}
-    for threads in (1, 2):
-        outdir = tmp_path / f"t{threads}"
-        cfg = small_run(output_dir=str(outdir))
-        sc = ScenarioConfig(scenario="kappa_sweep", config=cfg, threads=threads)
-        run(sc)
-        digests[threads] = (
-            sha256(str(outdir / "kappa_sweep.csv")),
-            sha256(str(outdir / "kappa_sweep_peaks.csv")),
-        )
-    assert digests[1] == digests[2]
+@pytest.mark.parametrize("param, column, values", [
+    ("kappa", "kappa_MHz", (0.5, 1.0, 2.0, 4.0)),
+    ("temperature", "temperature_mK", (10.0, 100.0, 200.0, 300.0)),
+], ids=["kappa_sweep", "temperature_sweep"])
+def test_sweep_matches_per_cell_covariance(param, column, values, tmp_path):
+    # the batched call gives every cell the bits it gets alone
+    cfg = small_run(output_dir=str(tmp_path / "batched"))
+    manifest = run(ScenarioConfig(scenario=f"{param}_sweep", config=cfg))
+    write_per_cell_sweep(cfg, param, column, values, str(tmp_path / "cells"))
+    assert (sweep_digests(str(tmp_path / "batched"), param)
+            == sweep_digests(str(tmp_path / "cells"), param))
+    assert any("sector_covariance_squeezing" in note for note in manifest.notes)
+
+
+def test_temperature_sweep_hot_series_matches_master_equation(tmp_path):
+    # the 300 mK cell (n_bar ~ 3.7) against a master equation with Fock
+    # headroom for the thermal tail
+    cfg = small_run(output_dir=str(tmp_path), time_max=TEMP_ME_T_MAX, time_step=1.0)
+    run(ScenarioConfig(scenario="temperature_sweep", config=cfg))
+    data = np.loadtxt(tmp_path / "temperature_sweep.csv", delimiter=",", skiprows=1)
+    hot = data[data[:, 0] == 300.0]
+    me = conditional_squeezing_run(
+        replace(cfg.params, temperature=300.0), qubit_init="plus_x", model="effective",
+        fock_dim=150, sample_times=sweep_times(cfg), delta_eff=OPERATING_DETUNING_RAD_NS,
+        solver=SolverConfig(rel_tol=1e-9, abs_tol=1e-11),
+    )
+    np.testing.assert_array_equal(hot[:, 1], me.times)
+    n_me = me.observables["n_magnon"]
+    assert np.max(np.abs(hot[:, 2] - me.observables["squeezing_db"])) < TEMP_ME_S_TOL_DB
+    assert np.max(np.abs(hot[:, 3] - n_me) / (1.0 + n_me)) < TEMP_ME_N_TOL
 
 
 def test_coupling_map_scenario(tmp_path):
@@ -220,7 +288,8 @@ def test_calibrate_recovers_synthetic_detuning():
     d = derive(sc.config.params)
     target = d.Delta_eff + TWO_PI * 1.7e-3
     best, table, convex = calibrate_delta_eff(
-        sc, synthetic_delta=target, window_mhz=2.0, n_scan=21, t_max=30.0
+        sc, full_series=synthetic_series(sc.config.params, target),
+        window_mhz=2.0, n_scan=21, t_max=30.0
     )
     assert len(table) == 21
     spacing = table[1][0] - table[0][0]
@@ -236,7 +305,8 @@ def test_calibrate_warns_when_not_single_minimum():
     target = d.Delta_eff + TWO_PI * 1.7e-3
     with pytest.warns(UserWarning, match="single-minimum"):
         best, table, convex = calibrate_delta_eff(
-            sc, synthetic_delta=target, window_mhz=5.0, n_scan=21, t_max=30.0
+            sc, full_series=synthetic_series(sc.config.params, target),
+            window_mhz=5.0, n_scan=21, t_max=30.0
         )
     assert not convex
     # the best point is still the true target, not the mirror
@@ -244,8 +314,15 @@ def test_calibrate_warns_when_not_single_minimum():
     assert abs(best - target) <= spacing
 
 
-def test_convergence_trivial_for_coupling():
-    rep = convergence_check(ScenarioConfig(scenario="coupling_map_a", config=small_run()))
+@pytest.mark.parametrize("scenario", ["coupling_map_a", "coupling_map_b", "kappa_sweep",
+                                      "temperature_sweep", "max_squeeze_heatmap"])
+def test_convergence_trivial_without_fock_space(scenario, monkeypatch):
+    # nothing these scenarios run is truncated, so nothing may be rerun
+    def no_master_equation(*args, **kwargs):
+        raise AssertionError("convergence_check ran a master equation")
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", no_master_equation)
+    rep = convergence_check(ScenarioConfig(scenario=scenario, config=small_run()))
     assert rep["flagged"] is False
     assert "trivially" in rep["notes"]
 
