@@ -217,11 +217,13 @@ def coupling_map(geometry, material, axes, mode):
         r_vals = np.asarray(axes["R"], dtype=float)
         i_vals = np.asarray(axes["I_p"], dtype=float)
         g = np.empty((len(r_vals), len(i_vals)))
+        b_eff = np.array([
+            loop_field(LoopGeometry(side_length=geometry.side_length, current=cur),
+                       np.zeros(3))[0]
+            for cur in i_vals])
         for i, rad in enumerate(r_vals):
-            for j, cur in enumerate(i_vals):
-                geom = LoopGeometry(side_length=geometry.side_length, current=cur)
-                sph = SphereSpec(center=(0.0, 0.0, 0.0), radius=rad)
-                g[i, j] = coupling_strength(geom, sph, material, point_approx=True).g_ghz
+            n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
+            g[i] = _g_ghz(material, b_eff, n_spins)
         values = (r_vals, i_vals)
     elif mode == "volume_avg":
         names = ("R_um", "x0_um")

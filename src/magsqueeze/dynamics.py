@@ -24,28 +24,28 @@ and w L[sb_x].  The conditional runs dispatch on the qubit start:
 
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
-It is assembled and integrated only on the entries that the start can
-reach (_reachable): the closure of the start's entries under the patterns
-of the Hamiltonian, the sink and the channels.  That set is closed under
-the generator, so every other entry stays exactly zero and is written back
-as zero at the samples; leaving it out changes nothing but the solver's
-error norm.  From |0>, the two-photon term and the thermal pair fill only
-the entries of a sector run with i - j even.  In the joint effective run,
-h (x) sb_x moves level (n, q) only to (n +- 2, 1 - q), so n + 2q mod 4
-splits the 2N levels into four classes, and every channel acts alike on
-both sides of rho: the state stays block-diagonal in the classes, N^2
-entries.  The full models reach the whole joint space.
+It is integrated only on the entries that the start can reach
+(_lindblad_rhs): a breadth-first search from the start's nonzero entries
+along the nonzero entries of the assembled blocks.  That set is closed
+under the generator, so every other entry stays exactly zero and is
+written back as zero at the samples; leaving it out changes nothing but
+the solver's error norm.  From |0>, the two-photon term and the thermal
+pair fill only the entries of a sector run with i - j even.  In the joint
+effective run, h (x) sb_x moves level (n, q) only to (n +- 2, 1 - q), so
+n + 2q mod 4 splits the 2N levels into four classes, and every channel
+acts alike on both sides of rho: the state stays block-diagonal in the
+classes, N^2 entries.  The full models reach the whole joint space.
 """
 
 import math
 import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import DOP853
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DimensionError, NumericalError, StiffnessError
 from .model import (
@@ -153,25 +153,12 @@ def _superop(left, right, n):
     return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
 
 
-class _Operators(NamedTuple):
-    """Sparse parts of a master equation; see _operators."""
-
-    dim: int
-    h0: sp.csr_matrix
-    oscillating: list
-    channels: list
-
-
 def _operators(h, channels):
     """Sparse parts of a master equation: (dim, h0, oscillating, channels).
 
     h is a matrix, None or a SplitHamiltonian; its terms with w = 0 are
     folded into the static h0, the others are the (H_k, w) in oscillating.
-    An h that is already an _Operators is returned as it is, so a run
-    parses its operators once for _reachable and _lindblad_rhs.
     """
-    if isinstance(h, _Operators):
-        return h
     if isinstance(h, SplitHamiltonian):
         static, terms = h.static, list(h.terms)
     elif callable(h):
@@ -197,101 +184,70 @@ def _operators(h, channels):
             h0 = h0 + hk + hk.conj().T
         else:
             oscillating.append((hk, float(w)))
-    return _Operators(dim, h0, oscillating,
-                      [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels])
+    return dim, h0, oscillating, [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels]
 
 
-def _reachable(h, channels, start):
-    """Mask of the entries of start that the master equation of h and
-    channels can make nonzero.
-
-    In X -> A X + X B the factors A and B (H, its terms and the sink
-    o^dag o) move entry (i, j) to (k, j) and to (i, l) along their entries;
-    a jump o X o^dag moves it to (k, l) for o_ki, o_lj != 0.  Taken both
-    ways, the first two fill whole products C x C' of connected components
-    of the pattern of the factors, so the closure under jumps runs on
-    the grid of components.  Signs and cancellations are ignored, so the
-    mask may hold more than the start reaches (only for a non-Hermitian H),
-    never less; it is closed under the generator, whose other entries
-    therefore stay exactly zero.
-    """
-    dim, h0, oscillating, channels = _operators(h, channels)
-    start = np.asarray(start)
-    if start.shape != (dim, dim):
-        raise DimensionError(f"rho0 shape {start.shape} != generator dimension {dim}")
-    pattern = abs(h0) + sum(abs(hk) for hk, _ in oscillating) + sp.identity(dim, format="csr")
-    if channels:
-        stacked = abs(sp.vstack([o for o, _ in channels], format="csr"))
-        pattern = pattern + stacked.T @ stacked  # the sink's pattern
-    pattern = (pattern + pattern.T).tocsr()
-    # connected components by min-label propagation (scipy.sparse.csgraph
-    # would add a megabyte of resident memory on import): each round takes
-    # the least label among an index's neighbours, then that label's own;
-    # labels only fall and stay inside their component
-    label = np.arange(dim)
-    while True:
-        low = np.minimum.reduceat(label[pattern.indices], pattern.indptr[:-1])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    roots = np.flatnonzero(label == np.arange(dim))  # one per component
-    label = np.searchsorted(roots, label)
-    n_comp = len(roots)
-    hops = []
-    for o, _ in channels:
-        o = o.tocoo()
-        hops.append(sp.csr_matrix((np.ones(o.nnz), (label[o.row], label[o.col])),
-                                  shape=(n_comp, n_comp)))
-    grid = np.zeros((n_comp, n_comp), dtype=bool)
-    rows, cols = np.nonzero(start)
-    grid[label[rows], label[cols]] = True
-    while True:
-        grown = grid | (sum(hop @ grid @ hop.T for hop in hops) != 0)
-        if (grown == grid).all():
-            break
-        grid = grown
-    return grid[np.ix_(label, label)]
+def _search(blocks, start):
+    """Flat bool mask of the entries that a breadth-first search from the
+    nonzero entries of start reaches along the nonzero entries of any block."""
+    dim = start.size
+    # column j of the stacked patterns lists the entries that entry j feeds,
+    # at its row modulo dim
+    links = sp.vstack([sp.csr_matrix((op.data != 0, op.indices, op.indptr), shape=op.shape)
+                       for op in blocks], format="csr").tocsc()
+    links.eliminate_zeros()
+    graph = sp.csr_matrix((np.ones(links.nnz), links.indices % dim, links.indptr),
+                          shape=(dim, dim))
+    reached = np.zeros(dim, dtype=bool)
+    for entry in np.flatnonzero(start):
+        if not reached[entry]:
+            reached[breadth_first_order(graph, entry, return_predecessors=False)] = True
+    return reached
 
 
-def _lindblad_rhs(h, channels, support=None):
-    """Return (f(t, y), dim, nnz) for the master equation on the row-major
-    vec of rho (module docstring).  support (a mask closed under the
-    generator: see _reachable) keeps only its entries in y, in row-major
-    order; by default y holds every entry.
+def _lindblad_rhs(h, channels, start=None):
+    """Return (f(t, y), support, nnz) for the master equation on the
+    row-major vec of rho (module docstring).
 
     h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
     Liouvillian, assembled once.  The static part and the channels make L0;
     each oscillating term H_k adds the operators of rho -> -i[H_k, rho] and
-    of the same with H_k^dag.  Each is cut to the support before they sit
-    side by side, [L0, L_1, L_1', ...], so a call is one product with the
-    stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...].
+    of the same with H_k^dag.  With a start matrix, the support is the set
+    of entries a search from its nonzero entries reaches along the nonzero
+    entries of any block; it is closed under the generator, so every other
+    entry stays exactly zero.  Each block is cut to the support before they
+    sit side by side, [L0, L_1, L_1', ...], so a call is one product with the
+    stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...] of the support's
+    entries in row-major order.  Without a start, y holds every entry.
+    support is the dim x dim bool mask of the entries y holds.
     """
     dim, h0, oscillating, channels = _operators(h, channels)
-    keep = None if support is None or support.all() else np.flatnonzero(support)
-
-    def cut(op):
-        return op if keep is None else op[keep][:, keep]
-
+    if start is not None and np.shape(start) != (dim, dim):
+        raise DimensionError(f"rho0 shape {np.shape(start)} != generator dimension {dim}")
     sink = sp.csr_matrix((dim, dim), dtype=complex)
     jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for o, w in channels:
         sink = sink + w * (o.conj().T @ o)
         jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
 
-    ops = [cut(_superop(-1.0j * h0 - sink, 1.0j * h0.conj().T - sink, dim) + jumps)]
+    ops = [_superop(-1.0j * h0 - sink, 1.0j * h0.conj().T - sink, dim) + jumps]
     omegas = [0.0]
     for hk, w in oscillating:
         for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
-            ops.append(cut(_superop(-1.0j * x, 1.0j * x, dim)))
+            ops.append(_superop(-1.0j * x, 1.0j * x, dim))
             omegas.append(sign * w)
+
+    support = np.ones(dim * dim, dtype=bool) if start is None else _search(ops, np.ravel(start))
+    if not support.all():
+        keep = np.flatnonzero(support)
+        ops = [op[keep][:, keep] for op in ops]
     gen = sp.hstack(ops, format="csr")
     omegas = np.array(omegas)
 
     def rhs(t, y):
         return gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
 
-    return rhs, dim, gen.nnz
+    return rhs, support.reshape(dim, dim), gen.nnz
 
 
 def _dop853(rhs, y0, t_grid, cfg):
@@ -341,11 +297,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
 
     channels = dissipators.active() if dissipators is not None else []
     setup0 = _time.perf_counter()
-    ops = _operators(h, channels)
-    support = _reachable(ops, channels, rho0.matrix)
-    rhs, dim, nnz = _lindblad_rhs(ops, channels, support)
+    rhs, support, nnz = _lindblad_rhs(h, channels, rho0.matrix)
     setup_s = _time.perf_counter() - setup0
 
+    dim = len(support)
     y0 = rho0.matrix.astype(complex).ravel()
     keep = np.flatnonzero(support)
     wall0 = _time.perf_counter()

@@ -380,12 +380,14 @@ def superposition_fidelity_series(params, times, fock_dim, delta_eff, solver=Non
     return rows
 
 
+_FIDELITY_TIMES_NS = np.arange(5.0, 40.0 + 2.5, 5.0)
+
+
 def _run_superposition_fidelity(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
-    times = np.arange(5.0, 40.0 + 2.5, 5.0)
     nf = max(cfg.run.fock_dim, 120)
-    rows = superposition_fidelity_series(cfg.params, times, nf, delta)
+    rows = superposition_fidelity_series(cfg.params, _FIDELITY_TIMES_NS, nf, delta)
     path = os.path.join(outdir, "superposition_fidelity.csv")
     write_csv(path, ["time_ns", "p_g", "p_e", "F_sym", "F_antisym"], rows)
     return [path], [f"delta_eff_rad_ns={delta:.6e}", f"fock_dim={nf}"]
@@ -508,15 +510,16 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
 def convergence_check(sc):
     """Rerun the scenario's most demanding point at fock_dim and fock_dim+20.
 
-    Reports max |dS| (dB) between the two truncations and, for Wigner
-    scenarios, the max |dW|; flags failure above 0.02 dB / 1e-3.  The
-    coupling maps and the covariance scenarios have no Fock space to
-    truncate and report as trivially converged.
+    Reports max |dS| (dB) between the two truncations, for Wigner
+    scenarios the max |dW| and for superposition_fidelity the largest
+    change in p_g, p_e, F_sym and F_antisym; flags failure above 0.02 dB /
+    1e-3 / 1e-3.  The coupling maps and the covariance scenarios have no
+    Fock space to truncate and report as trivially converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
-    report = {"fock_dim": nf, "fock_dim_check": nf + 20,
-              "max_delta_s_db": 0.0, "max_delta_wigner": 0.0}
+    report = {"fock_dim": nf, "fock_dim_check": nf + 20, "max_delta_s_db": 0.0,
+              "max_delta_wigner": 0.0, "max_delta_fidelity": 0.0}
 
     if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
                        "temperature_sweep", "max_squeeze_heatmap"):
@@ -542,6 +545,15 @@ def convergence_check(sc):
             # so the difference probes the state truncation only
             grids.append(wigner(rho.matrix, ax, ax, weight_floor=1e-9).values)
         report["max_delta_wigner"] = float(np.max(np.abs(grids[0] - grids[1])))
+    elif sc.scenario == "superposition_fidelity":
+        # the scenario's own leg: the joint run at its floor of 120 levels
+        nf0 = max(nf, 120)
+        report["fock_dim"], report["fock_dim_check"] = nf0, nf0 + 20
+        rows = [np.array(superposition_fidelity_series(
+            cfg.params, _FIDELITY_TIMES_NS, dim, _operating_delta(cfg)))
+            for dim in (nf0, nf0 + 20)]
+        # every column but the time: p_g, p_e, F_sym, F_antisym
+        report["max_delta_fidelity"] = float(np.max(np.abs(rows[0][:, 1:] - rows[1][:, 1:])))
     else:
         delta = _operating_delta(cfg)
         times = np.arange(0.0, min(cfg.run.time_max, 60.0) + 0.5, 1.0)
@@ -553,5 +565,6 @@ def convergence_check(sc):
 
     report["flagged"] = (
         report["max_delta_s_db"] > 0.02 or report["max_delta_wigner"] > 1e-3
+        or report["max_delta_fidelity"] > 1e-3
     )
     return report

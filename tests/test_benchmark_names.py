@@ -1,6 +1,7 @@
 """The benchmark traces the package by replacing names in module namespaces
 (benchmark/spans.py, PATCHES).  A rename or a dropped import in the package
-would break every traced benchmark run, so each entry must still resolve.
+would break every traced benchmark run, so each entry must still resolve,
+and the span counters must still find the result fields they read.
 Likewise every config the benchmark writes (benchmark/workloads.py) must
 still load: a dropped config key would fail every operation with exit 2.
 """
@@ -10,9 +11,14 @@ import os
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from magsqueeze.config import load_config
+from magsqueeze.dynamics import SolverConfig, evolve_master, magnon_thermal_dissipators
+from magsqueeze.model import PhysicalParams
+from magsqueeze.observables import wigner
+from magsqueeze.qops import StateDensity
 from magsqueeze.scenarios import ScenarioConfig
 
 BENCHMARK_DIR = os.path.join(
@@ -51,3 +57,22 @@ def test_workload_configs_load(workload, tmp_path):
             path.write_text(WORKLOADS.ini_text(op.ini), encoding="utf-8")
             cfg = load_config(str(path), env={})
             ScenarioConfig.from_config(cfg)
+
+
+def test_span_counters_read_real_results():
+    # a counter that reads a renamed field would record zero, not fail
+    rho0 = np.zeros((6, 6), dtype=complex)
+    rho0[1, 1] = 1.0
+    result = evolve_master(None, magnon_thermal_dissipators(PhysicalParams(), 6),
+                           StateDensity(rho0), solver=SolverConfig(sample_times=[0.0, 1.0, 2.0]))
+    counts = SPANS._evolve_counts((), {}, result)
+    assert counts == {"rhs_evals": result.metadata["n_rhs_evals"], "samples": 3}
+    assert counts["rhs_evals"] > 0
+
+    ket = np.zeros(8, dtype=complex)
+    ket[0] = 1.0
+    axis = np.linspace(-6.0, 6.0, 5)
+    grid = wigner(ket, axis, axis)
+    counts = SPANS._wigner_counts((), {}, grid)
+    assert counts == {"points": 25, "rank_points": 25 * grid.meta["rank"]}
+    assert grid.meta["rank"] > 0

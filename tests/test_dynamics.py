@@ -36,7 +36,6 @@ from magsqueeze.dynamics import (
     _expm_stack,
     _lindblad_rhs,
     _moment_generator,
-    _reachable,
     _sector_exact_states,
     _sector_split,
     build_dissipators_full,
@@ -256,8 +255,8 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
             h += np.exp(1.0j * w * tt) * hk + np.exp(-1.0j * w * tt) * hk.conj().T
         return h
 
-    rhs, rdim, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels)
-    assert rdim == dim and nnz > 0
+    rhs, support, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels)
+    assert support.shape == (dim, dim) and support.all() and nnz > 0
     y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
     ref = dense_lindblad_rhs(h_of_t, channels)(t, y)
     assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -275,7 +274,8 @@ def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
     params = PhysicalParams()
     split = builder(params, fock_dim)
     channels = build_dissipators_full(params, fock_dim).active()
-    rhs, dim, _ = _lindblad_rhs(split, channels)
+    rhs, support, _ = _lindblad_rhs(split, channels)
+    dim = len(support)
     assert dim == 2 * fock_dim
     rng = np.random.default_rng(seed)
     y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
@@ -330,7 +330,7 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
     params, qubit_init, fock_dim, delta = run
     h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta)
     channels = dissipators.active()
-    support = _reachable(h, channels, rho0.matrix)
+    _, support, _ = _lindblad_rhs(h, channels, rho0.matrix)
     np.testing.assert_array_equal(support, expected_support(run))
     rhs, _, _ = _lindblad_rhs(h, channels)
     rng = np.random.default_rng(seed)
@@ -342,12 +342,15 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
 
 
 @given(dim=st.integers(1, 8), n_channels=st.integers(0, 2), h_density=st.floats(0.0, 0.4),
-       o_density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+       o_density=st.floats(0.0, 0.6), oscillating=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
 def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_density, o_density,
-                                                       seed):
-    # random sparse Hermitian H, channels and start: the mask equals the
-    # entries a breadth-first search over the dense Liouvillian reaches
+                                                       oscillating, seed):
+    # random sparse Hermitian H, optionally plus one oscillating term of its
+    # own pattern, channels and start: the mask equals the entries a
+    # breadth-first search over the dense Liouvillian reaches, linked at
+    # two times so that the pattern of every stacked block is covered
     rng = np.random.default_rng(seed)
 
     def sparse_rand(density):
@@ -355,20 +358,25 @@ def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_densit
         return keep * (rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim)))
 
     a = sparse_rand(h_density)
-    h = a + a.conj().T
+    split = SplitHamiltonian(a + a.conj().T)
+    if oscillating:
+        split = SplitHamiltonian(split.static, ((sparse_rand(h_density),
+                                                 float(rng.uniform(0.5, 5.0))),))
     channels = [(sparse_rand(o_density), float(rng.uniform(0.1, 1.0)))
                 for _ in range(n_channels)]
     start = np.zeros((dim, dim), dtype=complex)
     start[rng.integers(0, dim), rng.integers(0, dim)] = 1.0
-    rhs = dense_lindblad_rhs(lambda t: h, channels)
-    linked = np.abs(np.array([rhs(0.0, e) for e in np.eye(dim * dim)]).T) > 0
+    rhs = dense_lindblad_rhs(split.at, channels)
+    linked = np.abs(np.array([rhs(t, e) for t in (0.3, 1.1)
+                              for e in np.eye(dim * dim)]).T) > 0
+    linked = linked[:, :dim * dim] | linked[:, dim * dim:]
     reached = start.ravel() != 0
     while True:
         grown = reached | linked[:, reached].any(axis=1)
         if (grown == reached).all():
             break
         reached = grown
-    np.testing.assert_array_equal(_reachable(h, channels, start).ravel(), reached)
+    np.testing.assert_array_equal(_lindblad_rhs(split, channels, start)[1].ravel(), reached)
 
 
 @given(run=effective_runs)
@@ -382,7 +390,8 @@ def test_reduced_support_matches_full_integration(run):
     res = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tight),
                         store_states=True)
     assert res.metadata["support"] == np.count_nonzero(expected_support(run))
-    rhs, dim, _ = _lindblad_rhs(h, dissipators.active())
+    rhs, support, _ = _lindblad_rhs(h, dissipators.active())
+    dim = len(support)
     ref = solve_ivp(rhs, (0.0, times[-1]), rho0.matrix.ravel().astype(complex),
                     method="DOP853", t_eval=times, rtol=1e-10, atol=1e-12)
     assert ref.success

@@ -327,6 +327,21 @@ def test_convergence_trivial_without_fock_space(scenario, monkeypatch):
     assert "trivially" in rep["notes"]
 
 
+def test_convergence_checks_the_fidelity_leg(monkeypatch):
+    # superposition_fidelity runs the joint master equation at
+    # max(fock_dim, 120) on its 5-40 ns grid; that leg, not the pinned
+    # sector run of custom, is what the report compares at 120 and 140
+    def no_pinned_run(*args, **kwargs):
+        raise AssertionError("convergence_check ran the pinned sector master equation")
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", no_pinned_run)
+    rep = convergence_check(ScenarioConfig(scenario="superposition_fidelity",
+                                           config=small_run(fock_dim=40)))
+    assert (rep["fock_dim"], rep["fock_dim_check"]) == (120, 140)
+    assert 0.0 < rep["max_delta_fidelity"] < 1e-3
+    assert rep["flagged"] is False
+
+
 def test_convergence_passes_at_adequate_truncation():
     cfg = small_run(fock_dim=80, time_max=30.0)
     rep = convergence_check(ScenarioConfig(scenario="custom", config=cfg))
