@@ -38,7 +38,6 @@ from .model import (
     DerivedParams,
     PhysicalParams,
     SplitHamiltonian,
-    analytic_propagator,
     build_H_cs,
     build_H_rot,
     build_H_tot,

@@ -15,10 +15,11 @@ and w L[sb_x].  The conditional runs dispatch on the qubit start:
 * sb_x eigenstate qubit (plus_x, minus_x) -> the magnon state of that
   sector alone: its <s|rho|s> block is closed under the generator, and the
   qubit channel only damps the s != r coherences, which such a start never
-  fills.  Without magnon dissipation it has a closed form (the
-  time-dependent two-photon Hamiltonian factors as H(t) = V H(0) V^dag with
-  V = e^{+i Delta n t}, so U(t) = e^{+i Delta n t} e^{-i(H(0) + Delta n) t});
-  otherwise it is one master equation on N x N magnon matrices;
+  fills.  Without magnon dissipation the sector Hamiltonian is quadratic,
+  so the state stays a pure squeezed vacuum S(zeta)|0> (up to a global
+  phase), and every metric comes from the exact, untruncated covariance
+  (sector_covariance_squeezing); otherwise it is one master equation on
+  N x N magnon matrices;
 * any other effective start, and the full models -> one master equation on
   the 2N joint space.
 
@@ -69,11 +70,12 @@ from .qops import (
     SIGMA_Z,
     StateDensity,
     annihilation,
-    herm_eig,
+    density_from_vector,
+    herm_eig,  # unused here; benchmark/spans.py traces dynamics.herm_eig
     kron,
 )
 from .observables import min_quadrature_variance, squeezing_db
-from .states import joint_initial_state
+from .states import joint_initial_state, squeezed_vacuum_fock
 
 
 @dataclass
@@ -419,28 +421,6 @@ def _sector_split(params, fock_dim, delta_eff, sector=+1):
     return SplitHamiltonian(terms=((sector * block, w),))
 
 
-def _sector_exact_states(params, fock_dim, sector, delta_eff, times):
-    """Closed-form pure evolution of |0> under the sector Hamiltonian.
-
-    Uses H(t) = V H(0) V^dag with V = e^{+i Delta n t}:
-    psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.  H(0) + Delta n
-    keeps Fock parity, so only the even levels are diagonalised; the odd
-    amplitudes are exact zeros.  Returns one row psi(t) per time.
-    """
-    h = _sector_split(params, fock_dim, delta_eff, sector)
-    (_, w), = h.terms
-    delta = -0.5 * w  # the term oscillates at w = -2 Delta
-    n_even = np.arange(0, fock_dim, 2, dtype=float)
-    gen = h.at(0.0)[::2, ::2] + delta * np.diag(n_even)
-    evals, vecs = herm_eig(gen)
-    times = np.asarray(times, dtype=float)
-    # <v_k|0> is conj(vecs[0, k])
-    even = (vecs * vecs[0].conj()) @ np.exp(-1.0j * np.outer(evals, times))
-    out = np.zeros((len(times), fock_dim), dtype=complex)
-    out[:, ::2] = (np.exp(1.0j * delta * np.outer(n_even, times)) * even).T
-    return out
-
-
 # sb_x sign of the qubit starts that pin the run to one sector
 _PINNED = {"plus_x": +1, "minus_x": -1}
 
@@ -466,30 +446,16 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
             LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
 
 
-def _magnon_metrics(rho_m):
+def _magnon_metrics(rho_m, p_plus):
     qv = min_quadrature_variance(rho_m)
-    return {
-        "zeta_sq": qv.value,
-        "squeezing_db": squeezing_db(qv.value),
-        "theta_star": qv.angle,
-        "n_magnon": qv.n_mean,
-    }
-
-
-_METRIC_KEYS = ("p_plus", "zeta_sq", "squeezing_db", "theta_star", "n_magnon")
+    return {"p_plus": p_plus, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
+            "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
 
 def _pinned_metrics(sign):
     """Sample hook of a pinned sb_x = sign sector: its own magnon state's
     metrics, with p_plus the probability of sb_x = +1 (1 or 0)."""
-    p_plus = 1.0 if sign > 0 else 0.0
-
-    def hook(t, rho_m):
-        out = _magnon_metrics(rho_m)
-        out["p_plus"] = p_plus
-        return out
-
-    return hook
+    return lambda t, rho_m: _magnon_metrics(rho_m, float(sign > 0))
 
 
 def _plus_x_metrics(params, frame_tag):
@@ -500,9 +466,7 @@ def _plus_x_metrics(params, frame_tag):
         state = frame_transform(StateDensity(rho_joint, frame=frame_tag, time=float(t)),
                                 "drive_interaction", params)
         p, rho_m = postselect_qubit(state, "plus_x")
-        out = _magnon_metrics(rho_m.matrix)
-        out["p_plus"] = p
-        return out
+        return _magnon_metrics(rho_m.matrix, p)
 
     return hook
 
@@ -542,10 +506,24 @@ def conditional_squeezing_run(
         "delta_eff": d.Delta_eff,
     }
 
-    sign = None
+    sign = _PINNED.get(qubit_init) if model == "effective" else None
+    if sign is not None and d.kappa == 0.0:
+        # without magnon loss the sector state stays a pure squeezed vacuum
+        cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
+        obs = {k: cov[k] for k in ("zeta_sq", "squeezing_db", "n_magnon")}
+        obs["p_plus"] = np.full(len(sample_times), float(sign > 0))
+        # min_quadrature_variance's angle, and its 0 for the vacuum
+        s = cov["s"]
+        obs["theta_star"] = np.where(s == 0.0, 0.0, np.angle(s) / 2.0 + math.pi / 2.0)
+        states = None if not store_states else [
+            StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
+                         frame="drive_interaction", time=float(t))
+            for t, z in zip(sample_times, _squeeze_parameters(cov))]
+        return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
+                                dict(meta, path="sector_exact"))
+
     if model == "effective":
         h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta_eff)
-        sign = _PINNED.get(qubit_init)
     elif model in ("full_lab", "full_rotating"):
         if model == "full_lab":
             h, frame_tag = build_H_tot(params, fock_dim), "lab"
@@ -560,23 +538,9 @@ def conditional_squeezing_run(
     if sign is None:
         meta["path"] = "joint_master_equation"
         hook = _plus_x_metrics(params, rho0.frame)
-    elif dissipators.active():
+    else:
         meta["path"] = "sector_master_equation"
         hook = _pinned_metrics(sign)
-    else:
-        # exact closed-form sector propagation
-        hook = _pinned_metrics(sign)
-        psis = _sector_exact_states(params, fock_dim, sign, delta_eff, sample_times)
-        rhos = [np.outer(psi, psi.conj()) for psi in psis]
-        samples = [hook(t, rho_m) for t, rho_m in zip(sample_times, rhos)]
-        return TrajectoryResult(
-            times=sample_times.copy(),
-            observables={k: np.asarray([s[k] for s in samples]) for k in _METRIC_KEYS},
-            states=[StateDensity(rho_m, frame="drive_interaction", time=float(t))
-                    for t, rho_m in zip(sample_times, rhos)] if store_states else None,
-            frame="drive_interaction",
-            metadata=dict(meta, path="sector_exact"),
-        )
 
     cfg = replace(solver or SolverConfig(), sample_times=sample_times)
     if model == "full_lab":
@@ -646,10 +610,12 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
     d det/dt = -2 kappa det + 2 kappa (2 n_bar + 1)(1 + 2n), as the
     Hamiltonian part is traceless, so zeta^2 = det / (1 + 2n + 2|s|) comes
     without the cancellation of 1 + 2n - 2|s| when both terms are large.
-    Starts from vacuum.  No truncation enters here -- this is the infinite-dimensional
-    result, used as a cross-check oracle and as a fast cell evaluator for
-    sweeps.  The map s -> -s^* takes the Delta solution onto the -Delta
-    one, so every output is even in Delta.
+    Starts from vacuum.  No truncation enters here -- this is the
+    infinite-dimensional result.  The map s -> -s^* takes the Delta solution
+    onto the -Delta one, so zeta_sq, squeezing_db, n_magnon and s_abs are
+    even in Delta.  The returned s is <m^2> in the drive frame of build_H_cs
+    and the master equation, e^{+2i Delta t} times the static-frame value,
+    and is not even in Delta.
 
     The equations are linear with constant coefficients: with y = (n,
     Re s, Im s, det, 1), y' = G y, so each step t_{k-1} -> t_k (t_{-1} = 0) is
@@ -657,8 +623,9 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
 
     params and delta_eff may each be one value or a sequence; they are
     broadcast against each other into cells, all on the same times.
-    Returns a dict with times and the zeta_sq, squeezing_db, n_magnon and
-    s_abs arrays, with a leading cell axis when either input is a sequence.
+    Returns a dict with times and the zeta_sq, squeezing_db, n_magnon,
+    s_abs and (complex) s arrays, with a leading cell axis when either
+    input is a sequence.
     """
     times = np.asarray(times, dtype=float)
     one_p, one_d = isinstance(params, PhysicalParams), np.ndim(delta_eff) == 0
@@ -668,11 +635,10 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
     if {len(cells_p), len(cells_d)} - {1, n_cells}:
         raise DimensionError(
             f"{len(cells_p)} parameter sets and {len(cells_d)} detunings do not broadcast")
-    gen = np.array([
-        _moment_generator(derive(p, delta_eff_override=dl), sector)
-        for p, dl in zip(cells_p * (n_cells // len(cells_p)),
-                         cells_d * (n_cells // len(cells_d)))
-    ])
+    cells = [derive(p, delta_eff_override=dl)
+             for p, dl in zip(cells_p * (n_cells // len(cells_p)),
+                              cells_d * (n_cells // len(cells_d)))]
+    gen = np.array([_moment_generator(d, sector) for d in cells])
     steps, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     props = _expm_stack(steps[:, None, None, None] * gen)  # (step, cell, 5, 5)
 
@@ -696,11 +662,20 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
         "squeezing_db": -10.0 * np.log10(zeta_sq),
         "n_magnon": n,
         "s_abs": s_abs,
+        "s": (np.exp(2.0j * np.outer([d.Delta_eff for d in cells], times))
+              * (out[1] + 1.0j * out[2])),
     }
     if one_p and one_d:
         result = {k: v[0] for k, v in result.items()}
     result["times"] = times
     return result
+
+
+def _squeeze_parameters(cov):
+    """zeta per time of the pure states S(zeta)|0> (up to a global phase) of
+    a dissipation-free sector run, from its covariance: S(zeta)|0> has
+    <n> = sinh^2 r and <m^2> = -e^{i arg zeta} sinh r cosh r."""
+    return np.arcsinh(np.sqrt(cov["n_magnon"])) * np.exp(1.0j * np.angle(-cov["s"]))
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +685,19 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
 def ideal_superposition_targets(params, times, fock_dim, delta_eff=None):
     """Zero-dissipation references for the superposition protocol.
 
-    Starting from |0> (x) |g| = (|+x> + |-x>)/sqrt(2), the exact sector
-    propagators give psi(t) = [chi_+ (x) |+x> + chi_- (x) |-x>]/sqrt(2);
-    measuring the qubit in {g, e} leaves (chi_+ +- chi_-)/norm.
-    Returns one dict {"g": (prob, ket), "e": (prob, ket)} per time.
+    Starting from |0> (x) |g> = (|+x> + |-x>)/sqrt(2), the dissipation-free
+    sectors give psi(t) = [chi_+ (x) |+x> + chi_- (x) |-x>]/sqrt(2) with
+    chi_+- = S(+-zeta)|0> up to one global phase they share, zeta from the
+    kappa = 0 covariance of the +1 sector; measuring the qubit in {g, e}
+    leaves (chi_+ +- chi_-)/norm.  Returns one dict
+    {"g": (prob, ket), "e": (prob, ket)} per time.  Raises TruncationError
+    where fock_dim cannot hold chi_+-.
     """
-    chi_p = _sector_exact_states(params, fock_dim, +1, delta_eff, times)
-    chi_m = _sector_exact_states(params, fock_dim, -1, delta_eff, times)
+    cov = sector_covariance_squeezing(replace(params, kappa=0.0), times, delta_eff)
     out = []
-    for psi_p, psi_m in zip(chi_p, chi_m):
+    for zeta in _squeeze_parameters(cov):
+        psi_p = squeezed_vacuum_fock(zeta, fock_dim)
+        psi_m = squeezed_vacuum_fock(-zeta, fock_dim)
         targets = {}
         for outcome, sign in (("g", +1.0), ("e", -1.0)):
             raw = 0.5 * (psi_p + sign * psi_m)

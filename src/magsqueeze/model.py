@@ -1,5 +1,5 @@
 """Hamiltonians, derived parameters, frames, and the conditional-squeezing
-propagator for the driven flux-qubit / YIG-sphere hybrid.
+parameter for the driven flux-qubit / YIG-sphere hybrid.
 
 Physics conventions (also see qops):
 
@@ -51,7 +51,6 @@ from .qops import (
     annihilation,
     kron,
     number_op,
-    squeeze_operator,
 )
 
 FRAMES = ("lab", "rotating_half_pump", "drive_interaction")
@@ -276,9 +275,10 @@ def build_H_cs(params, fock_dim, delta_eff=None):
 
     with g_cs = -2 g_x g_z / omega_p (negative at the default working point,
     so the prefactor -(g_cs/2) is positive).  The normalization is fixed so
-    that the exact time-ordered propagator of this Hamiltonian is the
+    that at Delta_eff = 0 the exact propagator of this Hamiltonian is the
     conditional squeezer with parameter squeezing_parameter(t): on the
-    sb_x = +-1 sectors it generates S(+-xi(t)).  Commutes with sb_x at all t.
+    sb_x = +-1 sectors it generates S(+-xi(t)); at other detunings xi(t) is
+    its leading Magnus term.  Commutes with sb_x at all t.
     One term, -(g_cs/2) m^2 (x) sb_x at w = -2 Delta_eff, and no static part.
     """
     d = derive(params)
@@ -301,31 +301,6 @@ def squeezing_parameter(params, t, delta_eff=None):
     if abs(delta) < 1e-9:
         return -1.0j * d.g_cs * t
     return -d.g_cs * (np.exp(2.0j * delta * t) - 1.0) / (2.0 * delta)
-
-
-def analytic_propagator(params, t, fock_dim, delta_eff=None):
-    """Closed-form conditional propagator
-
-        U(t) = S(xi(t)) (x) P_+  +  S(-xi(t)) (x) P_-
-
-    with P_+- the projectors on the sb_x = +-1 qubit states.  Exact for
-    Delta_eff = 0; for nonzero detuning it is the leading Magnus
-    approximation to the time-ordered propagator of build_H_cs.  Warns when
-    sinh^2|xi| approaches the truncation capacity fock_dim/6.
-    """
-    n = int(fock_dim)
-    xi = squeezing_parameter(params, t, delta_eff=delta_eff)
-    if math.sinh(abs(xi)) ** 2 > n / 6.0:
-        warnings.warn(
-            f"analytic_propagator: sinh^2|xi| = {math.sinh(abs(xi))**2:.1f} exceeds "
-            f"fock_dim/6 = {n/6:.1f}; truncation artifacts likely",
-            stacklevel=2,
-        )
-    proj_plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    proj_minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    return kron(squeeze_operator(xi, n), proj_plus) + kron(
-        squeeze_operator(-xi, n), proj_minus
-    )
 
 
 # ---------------------------------------------------------------------------

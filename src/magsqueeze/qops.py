@@ -92,22 +92,6 @@ def parity_operator(fock_dim):
     return np.diag((-1.0) ** np.arange(n)).astype(complex)
 
 
-def squeeze_operator(xi, fock_dim):
-    """Single-mode squeezer S(xi) = exp[(xi* m^2 - xi m^dag^2)/2], truncated.
-
-    Built through the exact exponential of the anti-Hermitian generator, so
-    the matrix is exactly unitary at every truncation; faithfulness to the
-    ideal squeezer is limited to the low-Fock block (the top rows feel the
-    truncation first).
-    """
-    n = int(fock_dim)
-    m = annihilation(n)
-    m2 = m @ m
-    gen = 0.5 * (np.conj(xi) * m2 - xi * m2.conj().T)   # anti-Hermitian
-    evals, vecs = eigh(1.0j * gen)
-    return (vecs * np.exp(-1.0j * evals)) @ vecs.conj().T
-
-
 # ---------------------------------------------------------------------------
 # composites and linear-algebra helpers
 

@@ -14,8 +14,9 @@ number grows without bound, which no truncated simulation represents
 honestly.  Dissipative scenarios therefore default to an operating
 detuning just above threshold (below), which preserves > 8 dB conditional
 squeezing while keeping occupations of order unity.  The ideal
-superposition scenarios run at Delta_eff = 0 where the closed-form
-squeezing propagator is exact.
+superposition states are squeezed vacua at Delta_eff = 0, where
+xi(t) = -i g_cs t; the fidelity targets are the squeezed vacua of the
+exact dissipation-free sector covariance at the run's own detuning.
 """
 
 import hashlib
@@ -358,15 +359,17 @@ def superposition_fidelity_series(params, times, fock_dim, delta_eff, solver=Non
     """Dissipative superposition protocol vs zero-dissipation targets.
 
     Returns rows (t, p_g, p_e, F_g, F_e): postselected magnon states
-    against the exact-unitary evolution of the same truncated generator.
+    against the untruncated dissipation-free states
+    (ideal_superposition_targets), written into the run's fock_dim; a
+    target that does not fit raises TruncationError before the run starts.
     """
+    times = np.asarray(times, dtype=float)
+    all_targets = ideal_superposition_targets(params, times, fock_dim, delta_eff)
     solver = solver or SolverConfig(rel_tol=1e-9, abs_tol=1e-11)
     run = conditional_superposition_run(
-        params, np.asarray(times, dtype=float), fock_dim=fock_dim,
-        delta_eff=delta_eff, solver=solver,
+        params, times, fock_dim=fock_dim, delta_eff=delta_eff, solver=solver,
     )
     rows = []
-    all_targets = ideal_superposition_targets(params, run.times, fock_dim, delta_eff)
     for i, (t, targets) in enumerate(zip(run.times, all_targets)):
         row = [float(t), float(run.observables["p_g"][i]),
                float(run.observables["p_e"][i])]

@@ -2,8 +2,8 @@
 and the joint magnon-qubit start of the protocols.
 
 All states are built by direct Fock-coefficient recurrence (numerically
-stable at any truncation); the matrix-exponential squeezer in qops serves
-as an independent cross-check in the tests.
+stable at any truncation); the tests cross-check it against a truncated
+matrix-exponential squeezer of their own (tests/test_model.py).
 
 Conventions: xi = r e^{i varphi}; S(xi) = exp[(xi* m^2 - xi m^dag^2)/2];
 

@@ -48,7 +48,6 @@ from magsqueeze.dynamics import (
     sector_covariance_squeezing,
 )
 from magsqueeze.model import (
-    analytic_propagator,
     build_H_cs,
     derive,
     sideband_interaction_terms,
@@ -72,6 +71,7 @@ from magsqueeze.scenarios import (
     superposition_fidelity_series,
 )
 from magsqueeze.states import squeezed_vacuum_fock, superposition_pm
+from test_model import analytic_propagator  # test-local oracle of the ideal propagator
 from test_model import james_effective  # test-local oracle of the averaged model
 from test_scenarios_cli import sweep_digests, write_per_cell_sweep  # per-cell sweep CSVs
 

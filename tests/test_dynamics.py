@@ -14,16 +14,15 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from magsqueeze.errors import DimensionError, NumericalError, StiffnessError
+from magsqueeze.errors import DimensionError, NumericalError, StiffnessError, TruncationError
 from magsqueeze.model import (
     PhysicalParams,
     SplitHamiltonian,
-    analytic_propagator,
     build_H_cs,
     build_H_rot,
     build_H_tot,
@@ -36,8 +35,8 @@ from magsqueeze.dynamics import (
     _expm_stack,
     _lindblad_rhs,
     _moment_generator,
-    _sector_exact_states,
     _sector_split,
+    _squeeze_parameters,
     build_dissipators_full,
     conditional_squeezing_run,
     conditional_superposition_run,
@@ -57,9 +56,17 @@ from magsqueeze.qops import (
     SIGMA_X,
     SIGMA_Z,
     annihilation,
+    herm_eig,
     number_op,
 )
-from magsqueeze.states import StateDensity, joint_initial_state, superposition_pm
+from magsqueeze.observables import min_quadrature_variance
+from magsqueeze.states import (
+    StateDensity,
+    joint_initial_state,
+    squeezed_vacuum_fock,
+    superposition_pm,
+)
+from test_model import analytic_propagator  # test-local oracle
 from test_observables import uhlmann_fidelity  # test-local oracle
 
 DB_PER_NEPER = 10.0 / math.log(10.0) * 2.0  # 8.6859 dB per unit squeezing parameter
@@ -531,10 +538,9 @@ def test_sector_exact_ideal_law():
     assert res.metadata["path"] == "sector_exact"
     assert res.frame == "drive_interaction"
     assert_allclose(res.observables["p_plus"], 1.0, atol=1e-12)
-    # 1e-7 rather than machine precision: the truncated-exponential squeeze
-    # operator is least accurate near the Fock-space edge
+    # the untruncated covariance: exact to round-off
     assert_allclose(res.observables["squeezing_db"],
-                    DB_PER_NEPER * abs(d.g_cs) * times, atol=1e-7)
+                    DB_PER_NEPER * abs(d.g_cs) * times, atol=1e-10)
     # the minus_x sector squeezes the orthogonal quadrature at the same rate
     res_m = conditional_squeezing_run(NODISS, qubit_init="minus_x", model="effective",
                                       fock_dim=80, sample_times=times, delta_eff=0.0)
@@ -587,6 +593,25 @@ def test_pinned_run_without_magnon_dissipation_is_exact():
     assert runs[0].metadata["path"] == "sector_exact"
     for key, series in runs[1].observables.items():
         np.testing.assert_array_equal(runs[0].observables[key], series)
+
+
+def test_pinned_run_without_magnon_loss_reads_the_covariance():
+    # no Fock truncation enters the series: fock_dim only sizes stored kets
+    params = PhysicalParams(kappa=0.0)
+    times = np.arange(0.0, 40.0 + 0.5, 0.5)
+    for init, sector in (("plus_x", +1), ("minus_x", -1)):
+        run = conditional_squeezing_run(params, qubit_init=init, fock_dim=20,
+                                        sample_times=times, delta_eff=DELTA_OP)
+        assert run.metadata["path"] == "sector_exact"
+        assert run.states is None
+        cov = sector_covariance_squeezing(params, times, DELTA_OP, sector)
+        for key in ("zeta_sq", "squeezing_db", "n_magnon"):
+            np.testing.assert_array_equal(run.observables[key], cov[key])
+        assert run.observables["theta_star"][0] == 0.0  # the vacuum's convention
+    # a stored ket that 20 levels cannot hold is refused
+    with pytest.raises(TruncationError):
+        conditional_squeezing_run(params, fock_dim=20, sample_times=[40.0],
+                                  delta_eff=0.0, store_states=True)
 
 
 def test_joint_run_reduces_to_sector():
@@ -861,20 +886,113 @@ def test_unknown_model_raises(params):
 # superposition protocol
 
 
+def sector_exact_states(params, fock_dim, sector, delta_eff, times):
+    """Test-local oracle: pure evolution of |0> under the truncated sector
+    Hamiltonian, by eigendecomposition.
+
+    Uses H(t) = V H(0) V^dag with V = e^{+i Delta n t}:
+    psi(t) = e^{+i Delta n t} e^{-i (H(0) + Delta n) t} |0>.  H(0) + Delta n
+    keeps Fock parity, so only the even levels are diagonalised; the odd
+    amplitudes are exact zeros.  Returns one row psi(t) per time.
+    """
+    h = _sector_split(params, fock_dim, delta_eff, sector)
+    (_, w), = h.terms
+    delta = -0.5 * w  # the term oscillates at w = -2 Delta
+    n_even = np.arange(0, fock_dim, 2, dtype=float)
+    gen = h.at(0.0)[::2, ::2] + delta * np.diag(n_even)
+    evals, vecs = herm_eig(gen)
+    times = np.asarray(times, dtype=float)
+    # <v_k|0> is conj(vecs[0, k])
+    even = (vecs * vecs[0].conj()) @ np.exp(-1.0j * np.outer(evals, times))
+    out = np.zeros((len(times), fock_dim), dtype=complex)
+    out[:, ::2] = (np.exp(1.0j * delta * np.outer(n_even, times)) * even).T
+    return out
+
+
+def sector_kets(params, fock_dim, sector, delta_eff, times):
+    """The package's pure sector states S(zeta)|0>, zeta from the covariance."""
+    cov = sector_covariance_squeezing(params, times, delta_eff, sector)
+    return [squeezed_vacuum_fock(z, fock_dim) for z in _squeeze_parameters(cov)]
+
+
+def phased_defect(ket, reference, phase):
+    """1 - Re <reference|phase ket>: zero only when phase ket equals the
+    normalised reference, global phase included."""
+    return 1.0 - float(np.real(phase * np.vdot(reference, ket)))
+
+
 @pytest.mark.parametrize("sector", [+1, -1])
 @pytest.mark.parametrize("delta", [0.0, DELTA_OP])
 def test_sector_exact_states_match_full_exponential(sector, delta):
-    # the closed form diagonalises only the even Fock levels; the oracle
-    # exponentiates H(0) + Delta n on every level
+    # the eigendecomposition oracle diagonalises only the even Fock levels;
+    # expm exponentiates H(0) + Delta n on every level.  The package's
+    # squeezed vacua carry no global phase: S(zeta)|0> has a real, positive
+    # vacuum amplitude, so expm's vacuum amplitude supplies it.
     nf = 40
     times = np.array([0.0, 3.0, 11.5])
-    psis = _sector_exact_states(NODISS, nf, sector, delta, times)
+    psis = sector_exact_states(NODISS, nf, sector, delta, times)
+    kets = sector_kets(NODISS, nf, sector, delta, times)
     h = _sector_split(NODISS, nf, delta, sector)
     n = np.arange(nf, dtype=float)
-    for t, psi in zip(times, psis):
+    for t, psi, ket in zip(times, psis, kets):
         u = expm(-1.0j * (h.at(0.0) + delta * np.diag(n)) * t)
-        assert_allclose(psi, np.exp(1.0j * delta * n * t) * u[:, 0], atol=1e-12)
+        exact = np.exp(1.0j * delta * n * t) * u[:, 0]
+        assert_allclose(psi, exact, atol=1e-12)
         assert np.all(psi[1::2] == 0.0)
+        assert phased_defect(ket, exact, exact[0] / abs(exact[0])) < 1e-12
+        assert np.all(ket[1::2] == 0.0)
+
+
+@given(delta_mhz=st.floats(-12.0, 12.0), sector=st.sampled_from([+1, -1]),
+       t=st.floats(0.5, 29.0), nf=st.integers(40, 300),
+       kappa=st.sampled_from([0.0, 0.5, 2.0]))
+@settings(max_examples=40)
+def test_gaussian_sector_states_match_the_eigendecomposition(delta_mhz, sector, t, nf, kappa):
+    # |Delta| up to 12 MHz lies on both sides of the threshold |g_cs| = 7.5 MHz
+    delta = TWO_PI * delta_mhz * 1e-3
+    (zeta,) = _squeeze_parameters(sector_covariance_squeezing(NODISS, [t], delta, sector))
+    untruncated = squeezed_vacuum_fock(zeta, 1000)
+    assume(np.vdot(untruncated[nf:], untruncated[nf:]).real < 1e-12)
+    ket, = sector_kets(NODISS, nf, sector, delta, [t])
+
+    oracle = {s: sector_exact_states(NODISS, nf, s, delta, [t])[0] for s in (+1, -1)}
+    # one global phase, shared by both sectors: that of the vacuum amplitude
+    assert oracle[-1][0] == pytest.approx(oracle[+1][0], abs=1e-12)
+    phase = oracle[+1][0] / abs(oracle[+1][0])
+    assert phased_defect(ket, oracle[sector], phase) < 1e-10
+    assert phased_defect(squeezed_vacuum_fock(-zeta, nf), oracle[-sector], phase) < 1e-10
+
+    # the pinned run without magnon loss: stored state and metrics
+    init = "plus_x" if sector > 0 else "minus_x"
+    run = conditional_squeezing_run(PhysicalParams(kappa=0.0), qubit_init=init,
+                                    fock_dim=nf, sample_times=[t], delta_eff=delta,
+                                    store_states=True)
+    assert run.metadata["path"] == "sector_exact"
+    rho = run.states[0].matrix
+    assert 1.0 - float(np.real(np.vdot(oracle[sector], rho @ oracle[sector]))) < 1e-10
+    qv = min_quadrature_variance(np.outer(oracle[sector], oracle[sector].conj()))
+    assert run.observables["n_magnon"][0] == pytest.approx(qv.n_mean, rel=1e-9, abs=1e-12)
+    assert run.observables["zeta_sq"][0] == pytest.approx(qv.value, rel=1e-8)
+    # theta* is defined modulo pi
+    assert abs(np.exp(2.0j * run.observables["theta_star"][0])
+               - np.exp(2.0j * qv.angle)) < 1e-7
+
+    # the targets ignore the run's dissipation
+    targets, = ideal_superposition_targets(PhysicalParams(kappa=kappa), [t], nf, delta)
+    for outcome, sign in (("g", +1.0), ("e", -1.0)):
+        raw = 0.5 * (oracle[+1] + sign * oracle[-1])
+        p = float(np.vdot(raw, raw).real)
+        p_new, target = targets[outcome]
+        assert p_new == pytest.approx(p, rel=1e-9)
+        assert phased_defect(target, raw / math.sqrt(p), phase) < 1e-10
+
+
+def test_ideal_targets_refuse_a_truncation_that_cannot_hold_them():
+    # Delta = 0, 29 ns: r = 1.37, and 120 levels leave 2.35e-8 of chi_+- out
+    with pytest.raises(TruncationError, match="fock_dim=120"):
+        ideal_superposition_targets(NODISS, [29.0], 120, delta_eff=0.0)
+    targets, = ideal_superposition_targets(NODISS, [29.0], 200, delta_eff=0.0)
+    assert targets["g"][0] + targets["e"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_superposition_targets(derived):

@@ -12,6 +12,7 @@ the interior block that excludes the top two magnon levels.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
 
 from magsqueeze.constants import TWO_PI
 from magsqueeze.errors import FrameError, NumericalError
@@ -26,7 +28,6 @@ from magsqueeze.model import (
     FRAMES,
     PhysicalParams,
     SplitHamiltonian,
-    analytic_propagator,
     build_H_cs,
     build_H_rot,
     build_H_tot,
@@ -46,7 +47,6 @@ from magsqueeze.qops import (
     density_from_vector,
     kron,
     number_op,
-    squeeze_operator,
 )
 
 
@@ -380,6 +380,50 @@ def test_h_eff_is_free_part_plus_james_static(params):
 
 # ---------------------------------------------------------------------------
 # conditional squeezing Hamiltonian and its closed-form propagator
+#
+# test-local oracles: the package takes the dissipation-free sector from its
+# Gaussian covariance and needs neither dense exponential
+
+
+def squeeze_operator(xi, fock_dim):
+    """Single-mode squeezer S(xi) = exp[(xi* m^2 - xi m^dag^2)/2], truncated.
+
+    Built through the exact exponential of the anti-Hermitian generator, so
+    the matrix is exactly unitary at every truncation; faithfulness to the
+    ideal squeezer is limited to the low-Fock block (the top rows feel the
+    truncation first).
+    """
+    n = int(fock_dim)
+    m = annihilation(n)
+    m2 = m @ m
+    gen = 0.5 * (np.conj(xi) * m2 - xi * m2.conj().T)   # anti-Hermitian
+    evals, vecs = eigh(1.0j * gen)
+    return (vecs * np.exp(-1.0j * evals)) @ vecs.conj().T
+
+
+def analytic_propagator(params, t, fock_dim, delta_eff=None):
+    """Closed-form conditional propagator
+
+        U(t) = S(xi(t)) (x) P_+  +  S(-xi(t)) (x) P_-
+
+    with P_+- the projectors on the sb_x = +-1 qubit states.  Exact for
+    Delta_eff = 0; for nonzero detuning it is the leading Magnus
+    approximation to the time-ordered propagator of build_H_cs.  Warns when
+    sinh^2|xi| approaches the truncation capacity fock_dim/6.
+    """
+    n = int(fock_dim)
+    xi = squeezing_parameter(params, t, delta_eff=delta_eff)
+    if math.sinh(abs(xi)) ** 2 > n / 6.0:
+        warnings.warn(
+            f"analytic_propagator: sinh^2|xi| = {math.sinh(abs(xi))**2:.1f} exceeds "
+            f"fock_dim/6 = {n/6:.1f}; truncation artifacts likely",
+            stacklevel=2,
+        )
+    proj_plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    proj_minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    return kron(squeeze_operator(xi, n), proj_plus) + kron(
+        squeeze_operator(-xi, n), proj_minus
+    )
 
 
 def test_h_cs_structure(params):

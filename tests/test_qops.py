@@ -22,8 +22,8 @@ from magsqueeze.qops import (
     kron,
     number_op,
     parity_operator,
-    squeeze_operator,
 )
+from test_model import squeeze_operator  # test-local oracle
 
 N = 24
 

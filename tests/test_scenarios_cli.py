@@ -420,6 +420,16 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_fidelity_refuses_targets_beyond_the_truncation(tmp_path, capsys, monkeypatch):
+    # at Delta_eff = 0 the 40 ns target has r = 1.88, which the scenario's
+    # 120 levels cannot hold: exit 3 before the master equation runs
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_superposition_run", None)
+    ini = write_ini(tmp_path, "[run]\ndelta_eff = 0 MHz\n")
+    code = cli.main(["fidelity", "--config", ini, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "fock_dim=120" in capsys.readouterr().err
+
+
 def test_cli_wigner_vacuum(tmp_path, capsys):
     ini = write_ini(tmp_path, "[run]\nwigner_points = 41\nfock_dim = 40\n")
     code = cli.main(["wigner", "--state", "vacuum", "--config", ini,

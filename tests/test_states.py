@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsqueeze.errors import DimensionError, TruncationError
-from magsqueeze.qops import fock_state, number_op, parity_operator, squeeze_operator
+from magsqueeze.qops import fock_state, number_op, parity_operator
 from magsqueeze.states import (
     joint_initial_state,
     squeezed_vacuum_fock,
     superposition_pm,
 )
+from test_model import squeeze_operator  # test-local oracle
 
 
 # test-local oracles: the package itself needs none of these
