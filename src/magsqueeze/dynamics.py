@@ -23,6 +23,13 @@ and w L[sb_x].  The conditional runs dispatch on the qubit start:
 * any other effective start, and the full models -> one master equation on
   the 2N joint space.
 
+The superposition run from |0> (x) |g> also has a closed form: each of its
+sb_x blocks is a Gaussian operator, the diagonal ones from the sector
+covariance and the (+,-) coherence from a matrix Riccati equation solved
+exactly by Radon's lemma (superposition_blocks).  The superposition_wigner
+grids come from there; the fidelity series still runs the joint master
+equation.
+
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
 It is integrated only on the entries that the start can reach
@@ -207,6 +214,22 @@ def _search(blocks, start):
     return reached
 
 
+def _cut(op, keep, dim):
+    """op[keep][:, keep] for a CSR op and sorted keep, bit for bit: the row
+    cut, then the kept columns renumbered through a monotone lookup (so
+    each row keeps its order) and the others dropped."""
+    rows = op[keep]
+    lookup = np.full(dim, -1, dtype=rows.indices.dtype)
+    lookup[keep] = np.arange(keep.size, dtype=rows.indices.dtype)
+    cols = lookup[rows.indices]
+    inside = cols >= 0
+    if inside.all():  # the kept rows read only kept entries, as in the effective runs
+        return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(keep.size, keep.size))
+    counts = np.concatenate([[0], np.cumsum(inside)]).astype(rows.indptr.dtype)
+    return sp.csr_matrix((rows.data[inside], cols[inside], counts[rows.indptr]),
+                         shape=(keep.size, keep.size))
+
+
 def _lindblad_rhs(h, channels, start=None):
     """Return (f(t, y), support, nnz) for the master equation on the
     row-major vec of rho (module docstring).
@@ -242,7 +265,7 @@ def _lindblad_rhs(h, channels, start=None):
     support = np.ones(dim * dim, dtype=bool) if start is None else _search(ops, np.ravel(start))
     if not support.all():
         keep = np.flatnonzero(support)
-        ops = [op[keep][:, keep] for op in ops]
+        ops = [_cut(op, keep, dim * dim) for op in ops]
     gen = sp.hstack(ops, format="csr")
     omegas = np.array(omegas)
 
@@ -676,6 +699,68 @@ def _squeeze_parameters(cov):
     a dissipation-free sector run, from its covariance: S(zeta)|0> has
     <n> = sinh^2 r and <m^2> = -e^{i arg zeta} sinh r cosh r."""
     return np.arcsinh(np.sqrt(cov["n_magnon"])) * np.exp(1.0j * np.angle(-cov["s"]))
+
+
+def _coherence_generator(d):
+    """Real 8 x 8 form of the Radon generator G = [[A, Q], [-B, -A]] of
+    superposition_blocks, a complex 4 x 4 acting on [U; V]."""
+    c = -d.g_cs / 2.0
+    eye = np.eye(2)
+    a = np.diag([1.0j * d.Delta_eff, -1.0j * d.Delta_eff]) - (d.kappa / 2.0) * eye
+    q = -1.0j * c * eye + d.kappa * (d.n_bar_m + 0.5) * SIGMA_X.real
+    g = np.block([[a, q], [4.0j * c * eye, -a]])
+    return np.block([[g.real, -g.imag], [g.imag, g.real]])
+
+
+def superposition_blocks(params, times, delta_eff=None):
+    """The three sb_x blocks X_sr = <s x|rho|r x> of the superposition run
+    (|0> (x) |g> under the effective model), exact and untruncated.
+
+    Each block is a Gaussian operator, fixed by Tr X and the normalised
+    moments a = <m^2>, b = <m^dag^2>, n = <m^dag m> (<A> = Tr(X A)/Tr X,
+    drive frame).  The diagonal blocks are half the sector states:
+    Tr = 1/2, a = s, b = s^*, n from sector_covariance_squeezing.  The
+    coherence X = X_+- obeys
+
+        X' = -i{h, X} + D_kappa[X] - 4 w X
+
+    (the qubit channel w L[sb_x] damps it at 4w).  In the static frame,
+    with C = -g_cs/2, Wick's theorem closes the moments into the matrix
+    Riccati equation M' = A M + M A + M B M + Q for M = [[b, n + 1/2],
+    [n + 1/2, a]], M(0) = sigma_x/2, with A = i Delta sigma_z - kappa/2,
+    B = -4iC and Q = -iC + kappa (n_bar + 1/2) sigma_x.  Radon's lemma
+    makes it linear: [U; V] = e^{G t} [sigma_x/2; 1] with G = [[A, Q],
+    [-B, -A]], M = U V^-1.  Since (ln Tr X)' = -2iC (a + b) - 4w =
+    Tr(B M)/2 - 4w and (ln det V)' = kappa - Tr(B M),
+
+        Tr X = 1/2 e^{(kappa/2 - 4w) t} / sqrt(det V).
+
+    a and b are rotated to the drive frame by e^{+-2i Delta t}.  The root
+    is the principal one: R = i^{m^dag m} takes h to -h, so X_-+ = X_+-^dag
+    = R X_+- R^dag and Tr X is real; it starts at 1/2 and cannot reach 0
+    at finite det V, so det V stays real positive.
+
+    Returns {"++": blk, "--": blk, "+-": blk}, each blk a tuple (trace, a,
+    b, n) of arrays over times.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise DimensionError("superposition block times must be >= 0")
+    d = derive(params, delta_eff_override=delta_eff)
+    blocks = {}
+    for key, sector in (("++", +1), ("--", -1)):
+        cov = sector_covariance_squeezing(params, times, delta_eff, sector)
+        blocks[key] = (np.full(len(times), 0.5), cov["s"], cov["s"].conj(), cov["n_magnon"])
+    prop = _expm_stack(times[:, None, None] * _coherence_generator(d))
+    # e^{Gt} [sigma_x/2; 1]: its complex 4 x 2 from the real 8 x 8 embedding
+    uv = (prop[:, :4, :4] + 1.0j * prop[:, 4:, :4]) @ np.vstack([SIGMA_X / 2.0, np.eye(2)])
+    u, v = uv[:, :2], uv[:, 2:]
+    m = u @ np.linalg.inv(v)
+    w = _sx_weight(d)
+    phase = np.exp(2.0j * d.Delta_eff * times)
+    blocks["+-"] = (0.5 * np.exp((d.kappa / 2.0 - 4.0 * w) * times) / np.sqrt(np.linalg.det(v)),
+                    m[:, 1, 1] * phase, m[:, 0, 0] / phase, m[:, 0, 1] - 0.5)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,13 @@ class WignerGrid:
         return float(np.sum(self.values) * self.cell_area)
 
     def to_csv(self, path):
+        """One (re, im, W) row per point, im outer, %.12e, LF endings."""
+        nx, ny = len(self.re_axis), len(self.im_axis)
+        rows = zip(np.tile(self.re_axis, ny).tolist(), np.repeat(self.im_axis, nx).tolist(),
+                   self.values.ravel().tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re_alpha,im_alpha,wigner\n")
-            for iy, y in enumerate(self.im_axis):
-                for ix, x in enumerate(self.re_axis):
-                    fh.write(f"{x:.12e},{y:.12e},{self.values[iy, ix]:.12e}\n")
+            fh.write("".join(map("%.12e,%.12e,%.12e\n".__mod__, rows)))
 
     def descriptor(self):
         return {
@@ -262,6 +264,13 @@ def wigner(rho_magnon, re_axis=None, im_axis=None, weight_floor=1e-13):
     grid.meta["fock_dim"] = pad
     grid.meta["pad_tail"] = tail
     grid.meta["rank"] = basis.shape[1]
+    return _flag_boundary(grid)
+
+
+def _flag_boundary(grid):
+    """Record the largest |W| on the grid's edge as meta["boundary_max_abs"]
+    and warn, at the caller of the grid's maker, when it exceeds 1e-4."""
+    values = grid.values
     boundary = max(
         float(np.max(np.abs(values[0, :]))),
         float(np.max(np.abs(values[-1, :]))),
@@ -273,9 +282,56 @@ def wigner(rho_magnon, re_axis=None, im_axis=None, weight_floor=1e-13):
         warnings.warn(
             f"Wigner support reaches the grid boundary (|W| = {boundary:.2e}); "
             "extend the axes",
-            stacklevel=2,
+            stacklevel=3,
         )
     return grid
+
+
+def gaussian_wigner(trace, a, b, n, re_axis, im_axis):
+    """W[y, x] of a zero-mean Gaussian operator X from Tr X and its
+    normalised moments a = <m^2>, b = <m^dag^2>, n = <m^dag m>:
+
+        W = Tr X exp(-r^T C^-1 r / 2) / (2 pi sqrt(det C)),  r = (x, y),
+
+    C_xx = (a + b + 2n + 1)/4, C_yy = (2n + 1 - a - b)/4, C_xy = (a - b)/4i,
+    the symmetric covariance of x = Re alpha, y = Im alpha.  Complex for a
+    non-Hermitian X, such as a coherence between two states; the root is
+    the principal one, which is the continuous branch wherever det C stays
+    near the positive axis (for a state, det C > 0).
+    """
+    cxx = (a + b + 2.0 * n + 1.0) / 4.0
+    cyy = (2.0 * n + 1.0 - a - b) / 4.0
+    cxy = (a - b) / 4.0j
+    det = cxx * cyy - cxy * cxy
+    x = np.asarray(re_axis, dtype=float)[None, :]
+    y = np.asarray(im_axis, dtype=float)[:, None]
+    quad = (cyy * x * x - 2.0 * cxy * x * y + cxx * y * y) / det
+    return trace * np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
+
+
+def superposition_grids(blocks, re_axis, im_axis):
+    """Post-selected Wigner grids of the superposition run from its three
+    Gaussian sb_x blocks, {"++", "--", "+-"}: (trace, a, b, n) each, as
+    for gaussian_wigner.
+
+    |g>, |e> = (|+x> +- |-x>)/sqrt(2), so the outcome g (e) leaves
+    (X_++ + X_-- +- (X_+- + X_-+))/(2p), X_-+ = X_+-^dag, whose Wigner
+    function is (W_++ + W_-- +- 2 Re W_+-)/(2p) with
+    p = (Tr X_++ + Tr X_--)/2 +- Re Tr X_+-.  Returns {"g": (p, grid),
+    "e": (p, grid)}; an outcome of weight at or below 1e-12 raises.
+    """
+    re_axis = np.asarray(re_axis, dtype=float)
+    im_axis = np.asarray(im_axis, dtype=float)
+    w = {key: gaussian_wigner(*blk, re_axis, im_axis) for key, blk in blocks.items()}
+    half = 0.5 * (blocks["++"][0] + blocks["--"][0]).real
+    out = {}
+    for outcome, sign in (("g", 1.0), ("e", -1.0)):
+        p = float(half + sign * np.real(blocks["+-"][0]))
+        if p <= 1e-12:
+            raise NumericalError(f"outcome {outcome} has probability {p:.3e}")
+        values = (w["++"].real + w["--"].real + 2.0 * sign * w["+-"].real) / (2.0 * p)
+        out[outcome] = (p, _flag_boundary(WignerGrid(re_axis, im_axis, values)))
+    return out
 
 
 def wigner_negativity_volume(grid):

@@ -7,6 +7,11 @@ temperature sweeps and the heatmap read every cell from one batched call
 of the exact sector covariance evolution, whose rows do not depend on the
 other cells in the batch.
 
+superposition_wigner runs no master equation either: every grid, ideal
+and dissipative, is drawn from the closed-form Gaussian sb_x blocks of the
+superposition run (dynamics.superposition_blocks), so fock_dim does not
+enter it.
+
 A note on detuning defaults.  The two-photon interaction is only bounded
 for |Delta_eff| > |g_cs| = 2pi x 7.5 MHz; at or below that the sector
 dynamics are a detuned parametric amplifier past threshold and the magnon
@@ -38,11 +43,13 @@ from .dynamics import (
     conditional_superposition_run,
     ideal_superposition_targets,
     sector_covariance_squeezing,
+    superposition_blocks,
 )
 from .errors import ConfigError
 from .model import derive, squeezing_parameter
-from .observables import wigner
-from .states import superposition_pm
+from .observables import superposition_grids
+from .observables import wigner  # unused here; benchmark/spans.py traces scenarios.wigner
+from .states import superposition_pm  # unused here; benchmark/spans.py traces it too
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -322,36 +329,24 @@ def _run_superposition_wigner(sc, outdir):
     cfg = sc.config
     t_sup = cfg.run.superposition_time
     xi = squeezing_parameter(cfg.params, t_sup, delta_eff=0.0)
-    half_width, n_pts = 8.0, cfg.run.wigner_points
-    ax = np.linspace(-half_width, half_width, n_pts)
+    ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
 
     outputs, notes = [], [f"t={t_sup} ns, xi={xi:.6f} (delta_eff=0)"]
-    ket_dim = 420            # holds psi+- to round-off (1e-30) up to 29 ns
-    for sign, tag in ((+1, "sym"), ((-1), "antisym")):
-        ket = superposition_pm(xi, sign, ket_dim)
-        grid = wigner(ket, ax, ax)
-        base = os.path.join(outdir, f"wigner_ideal_{tag}")
-        grid.to_csv(base + ".csv")
-        grid.to_json(base + ".json")
-        outputs += [base + ".csv", base + ".json"]
-
-    # dissipative counterparts: evolve |0>|g> under the effective model at
-    # delta_eff = 0 and postselect the qubit energy basis at t_sup
-    nf = max(cfg.run.fock_dim, 120)
-    run = conditional_superposition_run(
-        cfg.params, np.array([t_sup]), fock_dim=nf, delta_eff=0.0
-    )
-    for outcome, tag in (("g", "sym"), ("e", "antisym")):
-        rho = run.metadata[f"states_{outcome}"][-1]
-        grid = wigner(rho.matrix, ax, ax, weight_floor=1e-6)
-        base = os.path.join(outdir, f"wigner_dissipative_{tag}")
-        grid.to_csv(base + ".csv")
-        grid.to_json(base + ".json")
-        outputs += [base + ".csv", base + ".json"]
-    notes.append(f"dissipative run fock_dim={nf}; ideal kets at {ket_dim}")
-    notes.append(
-        f"p_g={run.observables['p_g'][-1]:.6f} p_e={run.observables['p_e'][-1]:.6f}"
-    )
+    # both legs post-select the run from |0>|g> at delta_eff = 0; without
+    # dissipation its outcomes are psi+- = S(xi)|0> +- S(-xi)|0>
+    ideal = replace(cfg.params, kappa=0.0, gamma=0.0)
+    for kind, params in (("ideal", ideal), ("dissipative", cfg.params)):
+        blocks = superposition_blocks(params, [t_sup], delta_eff=0.0)
+        grids = superposition_grids({key: [x[0] for x in blk] for key, blk in blocks.items()},
+                                    ax, ax)
+        for outcome, tag in (("g", "sym"), ("e", "antisym")):
+            base = os.path.join(outdir, f"wigner_{kind}_{tag}")
+            grids[outcome][1].to_csv(base + ".csv")
+            grids[outcome][1].to_json(base + ".json")
+            outputs += [base + ".csv", base + ".json"]
+    notes.append("grids: closed-form Gaussian sb_x blocks (superposition_blocks), "
+                 "no Fock truncation")
+    notes.append(f"p_g={grids['g'][0]:.6f} p_e={grids['e'][0]:.6f}")
     return outputs, notes
 
 
@@ -513,42 +508,25 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
 def convergence_check(sc):
     """Rerun the scenario's most demanding point at fock_dim and fock_dim+20.
 
-    Reports max |dS| (dB) between the two truncations, for Wigner
-    scenarios the max |dW| and for superposition_fidelity the largest
-    change in p_g, p_e, F_sym and F_antisym; flags failure above 0.02 dB /
-    1e-3 / 1e-3.  The coupling maps and the covariance scenarios have no
-    Fock space to truncate and report as trivially converged.
+    Reports max |dS| (dB) between the two truncations, and for
+    superposition_fidelity the largest change in p_g, p_e, F_sym and
+    F_antisym; flags failure above 0.02 dB / 1e-3.  The coupling maps, the
+    covariance scenarios and superposition_wigner (closed-form Gaussian
+    blocks) have no Fock space to truncate and report as trivially
+    converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
     report = {"fock_dim": nf, "fock_dim_check": nf + 20, "max_delta_s_db": 0.0,
-              "max_delta_wigner": 0.0, "max_delta_fidelity": 0.0}
+              "max_delta_fidelity": 0.0}
 
     if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
-                       "temperature_sweep", "max_squeeze_heatmap"):
+                       "temperature_sweep", "max_squeeze_heatmap", "superposition_wigner"):
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
         return report
 
-    if sc.scenario == "superposition_wigner":
-        # the demanding point is the dissipative leg: the joint master
-        # equation truncated at nf (ideal kets are built at a fixed 420 and
-        # guarded separately).  Mirror the scenario's internal floor.
-        nf0 = max(nf, 120)
-        report["fock_dim"], report["fock_dim_check"] = nf0, nf0 + 20
-        t_sup = cfg.run.superposition_time
-        ax = np.linspace(-8.0, 8.0, 101)
-        grids = []
-        for dim in (nf0, nf0 + 20):
-            run_out = conditional_superposition_run(
-                cfg.params, np.array([t_sup]), fock_dim=dim, delta_eff=0.0
-            )
-            rho = run_out.metadata["states_e"][-1]      # antisym: widest support
-            # wigner pads each state until the displacements no longer ring,
-            # so the difference probes the state truncation only
-            grids.append(wigner(rho.matrix, ax, ax, weight_floor=1e-9).values)
-        report["max_delta_wigner"] = float(np.max(np.abs(grids[0] - grids[1])))
-    elif sc.scenario == "superposition_fidelity":
+    if sc.scenario == "superposition_fidelity":
         # the scenario's own leg: the joint run at its floor of 120 levels
         nf0 = max(nf, 120)
         report["fock_dim"], report["fock_dim_check"] = nf0, nf0 + 20
@@ -566,8 +544,5 @@ def convergence_check(sc):
             series.append(run_out.observables["squeezing_db"])
         report["max_delta_s_db"] = float(np.max(np.abs(series[0] - series[1])))
 
-    report["flagged"] = (
-        report["max_delta_s_db"] > 0.02 or report["max_delta_wigner"] > 1e-3
-        or report["max_delta_fidelity"] > 1e-3
-    )
+    report["flagged"] = report["max_delta_s_db"] > 0.02 or report["max_delta_fidelity"] > 1e-3
     return report

@@ -14,6 +14,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
@@ -31,6 +32,7 @@ from magsqueeze.model import (
 from magsqueeze.dynamics import (
     LindbladSpec,
     SolverConfig,
+    _cut,
     _effective_model,
     _expm_stack,
     _lindblad_rhs,
@@ -46,6 +48,7 @@ from magsqueeze.dynamics import (
     magnon_thermal_dissipators,
     postselect_qubit,
     sector_covariance_squeezing,
+    superposition_blocks,
 )
 from magsqueeze.qops import (
     IDENTITY_2,
@@ -59,7 +62,7 @@ from magsqueeze.qops import (
     herm_eig,
     number_op,
 )
-from magsqueeze.observables import min_quadrature_variance
+from magsqueeze.observables import min_quadrature_variance, superposition_grids, wigner
 from magsqueeze.states import (
     StateDensity,
     joint_initial_state,
@@ -384,6 +387,28 @@ def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_densit
             break
         reached = grown
     np.testing.assert_array_equal(_lindblad_rhs(split, channels, start)[1].ravel(), reached)
+
+
+@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+       closed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_cut_is_the_fancy_index_bit_for_bit(n, density, share, closed, seed):
+    # the one-pass cut returns the arrays of op[keep][:, keep] exactly, both
+    # when the kept rows read dropped columns and when they do not (closed)
+    rng = np.random.default_rng(seed)
+    keep = np.flatnonzero(rng.random(n) < share)
+    assume(keep.size > 0)
+    dense = (rng.random((n, n)) < density) * (rng.normal(size=(n, n)) + 1.0j)
+    if closed:
+        dense[np.ix_(keep, np.setdiff1d(np.arange(n), keep))] = 0.0
+    op = sp.csr_matrix(dense)
+    op.data[::3] = 0.0  # stored zeros stay stored
+    expected, got = op[keep][:, keep], _cut(op, keep, n)
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(expected, name), getattr(got, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert got.shape == expected.shape
 
 
 @given(run=effective_runs)
@@ -1029,6 +1054,85 @@ def test_conditional_superposition_run_ideal_limit(derived):
         fid = uhlmann_fidelity(np.outer(ket, ket.conj()),
                                res.metadata[bucket][-1].matrix)
         assert fid > 1.0 - 1e-7
+
+
+def converged_fock(params, t, delta):
+    """Fock dimension at which the superposition run has converged: 2K + 20
+    levels, with K such that a squeezed vacuum of the sector's <n> keeps
+    (n / (n + 1))^K = 1e-12 beyond level 2K (234 levels at Delta = 0,
+    29 ns, where 200 levels still leave 5e-8 in W)."""
+    n = max(float(sector_covariance_squeezing(params, [t], delta)["n_magnon"][0]), 1e-3)
+    return max(40, 2 * math.ceil(12.0 * math.log(10.0) / math.log1p(1.0 / n)) + 20)
+
+
+def block_moments(x):
+    """(Tr X, <m^2>, <m^dag^2>, <m^dag m>) of a magnon block, <A> = Tr(X A)/Tr X."""
+    k = np.arange(1, x.shape[0], dtype=float)
+    pair = np.sqrt(k[:-1] * k[1:])
+    tr = np.trace(x)
+    return (tr, np.diagonal(x, -2) @ pair / tr, np.diagonal(x, 2) @ pair / tr,
+            np.diagonal(x) @ np.arange(x.shape[0]) / tr)
+
+
+def blocks_at(blocks, i=0):
+    return {key: [v[i] for v in blk] for key, blk in blocks.items()}
+
+
+SUPERPOSITION_AXIS = np.linspace(-8.0, 8.0, 11)
+
+
+@given(t=st.floats(1.0, 29.0), kappa=st.floats(0.0, 0.6),
+       temperature=st.floats(5.0, 40.0), delta=st.sampled_from([0.0, DELTA_OP]))
+@settings(max_examples=8)
+def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, delta):
+    # the joint run at a fock where it has converged: its (+,-) block, the
+    # post-selected grids and p_g against the closed-form Gaussian blocks.
+    # The moments weigh level k by up to k^2, so the solver's absolute
+    # tolerance on the near-empty top levels is 1e-13: at 1e-11 it alone
+    # moves <m^dag m> by 5e-7 at 240 levels.  Measured worst cases (29 ns):
+    # 3.4e-8 in W, 1.3e-8 in the moments, 7e-12 in p.
+    params = PhysicalParams(kappa=kappa, temperature=temperature)
+    nf = converged_fock(params, t, delta)
+    h, dissipators, rho0 = _effective_model(params, "plus_plus_minus", nf, delta)
+    rho = evolve_master(h, dissipators, rho0, store_states=True,
+                        solver=solver_for([t], rel_tol=1e-9, abs_tol=1e-13)).states[0]
+    r4 = rho.matrix.reshape(nf, 2, nf, 2)
+    coherence = np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), r4, KET_MINUS_X)
+
+    blocks = blocks_at(superposition_blocks(params, [t], delta))
+    assert_allclose(blocks["+-"], block_moments(coherence), rtol=0, atol=1e-7)
+    grids = superposition_grids(blocks, SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+    for outcome in ("g", "e"):
+        p, state = postselect_qubit(rho, outcome)
+        assert grids[outcome][0] == pytest.approx(p, abs=1e-8)
+        oracle = wigner(state.matrix, SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+        assert_allclose(grids[outcome][1].values, oracle.values, rtol=0, atol=1e-7)
+
+
+@given(t=st.floats(1.0, 29.0), delta=st.sampled_from([0.0, DELTA_OP]))
+@settings(max_examples=10)
+def test_superposition_blocks_without_dissipation_give_the_ideal_states(t, delta, derived):
+    # at kappa = gamma = 0 the grids are those of (S(zeta)|0> +- S(-zeta)|0>)/N:
+    # psi+- themselves at Delta = 0, the ideal targets at any Delta
+    grids = superposition_grids(blocks_at(superposition_blocks(NODISS, [t], delta)),
+                                SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+    targets, = ideal_superposition_targets(NODISS, [t], 420, delta)
+    for outcome, sign in (("g", +1), ("e", -1)):
+        p, ket = targets[outcome]
+        if delta == 0.0:
+            ket = superposition_pm(-1.0j * derived.g_cs * t, sign, 420)
+        assert grids[outcome][0] == pytest.approx(p, abs=1e-12)
+        oracle = wigner(ket, SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+        assert_allclose(grids[outcome][1].values, oracle.values, rtol=0, atol=1e-12)
+
+
+def test_superposition_blocks_refuse_negative_times():
+    with pytest.raises(DimensionError):
+        superposition_blocks(NODISS, [1.0, -1.0])
+    # t = 0: the outcome e has no weight and no grid
+    with pytest.raises(NumericalError, match="outcome e"):
+        superposition_grids(blocks_at(superposition_blocks(NODISS, [0.0])),
+                            SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
 
 
 def test_default_sample_times():

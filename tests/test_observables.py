@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from magsqueeze import cli, observables
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.observables import (
+    WignerGrid,
     default_axes,
+    gaussian_wigner,
     min_quadrature_variance,
     squeezing_db,
     wigner,
@@ -314,6 +316,39 @@ def test_wigner_boundary_warning():
     ax = np.linspace(-1.5, 1.5, 11)
     with pytest.warns(UserWarning, match="boundary"):
         wigner(ket, ax, ax)
+
+
+def per_row_csv(grid):
+    """Test-local oracle: the grid CSV written one f-string row at a time."""
+    lines = ["re_alpha,im_alpha,wigner\n"]
+    for iy, y in enumerate(grid.im_axis):
+        for ix, x in enumerate(grid.re_axis):
+            lines.append(f"{x:.12e},{y:.12e},{grid.values[iy, ix]:.12e}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_wigner_grid_csv_matches_the_per_row_writer(tmp_path, rng):
+    re_axis = np.linspace(-3.0, 5.0, 7)
+    im_axis = np.linspace(-2.0, 2.0, 5)      # holds 0.0
+    values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-30, 5, size=(5, 7))
+    values[1, 2], values[3, 4] = -0.0, 0.0
+    grid = WignerGrid(re_axis, im_axis, values)
+    grid.to_csv(tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == per_row_csv(grid)
+    assert b"-0.000000000000e+00" in per_row_csv(grid)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.8, 1.1 * np.exp(0.7j)])
+def test_gaussian_wigner_matches_displaced_parity(zeta):
+    # S(zeta)|0>: <n> = sinh^2 r, <m^2> = -e^{i arg zeta} sinh r cosh r
+    r = abs(zeta)
+    a = -np.exp(1.0j * np.angle(zeta)) * math.sinh(r) * math.cosh(r)
+    ax = np.linspace(-6.0, 6.0, 25)
+    values = gaussian_wigner(1.0, a, np.conj(a), math.sinh(r) ** 2, ax, ax)
+    oracle = wigner(squeezed_vacuum_fock(zeta, 200), ax, ax)
+    # displaced parity carries ~2e-11 of round-off at r = 1.1 far out
+    np.testing.assert_allclose(values.real, oracle.values, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(values.imag, 0.0, atol=1e-15)
 
 
 def test_negativity_volume_fock_one():

@@ -279,6 +279,47 @@ def test_write_csv_format(tmp_path):
     )
 
 
+def run_superposition_wigner(tmp_path, monkeypatch, **run_options):
+    # the scenario reads closed-form Gaussian blocks: no master equation,
+    # no displaced parity
+    def forbidden(*args, **kwargs):
+        raise AssertionError("superposition_wigner left the closed form")
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_superposition_run", forbidden)
+    monkeypatch.setattr("magsqueeze.scenarios.wigner", forbidden)
+    cfg = Config(run=RunOptions(output_dir=str(tmp_path), **run_options))
+    manifest = run(ScenarioConfig(scenario="superposition_wigner", config=cfg))
+    descriptors = {
+        name: json.loads((tmp_path / f"wigner_{name}.json").read_text())
+        for name in ("ideal_sym", "ideal_antisym", "dissipative_sym", "dissipative_antisym")}
+    return manifest, descriptors
+
+
+def test_superposition_wigner_writes_closed_form_grids(tmp_path, monkeypatch):
+    manifest, descriptors = run_superposition_wigner(
+        tmp_path, monkeypatch, superposition_time=17.0, wigner_points=41)
+    assert [o["path"] for o in manifest.outputs] == [
+        f"wigner_{kind}_{tag}.{ext}" for kind in ("ideal", "dissipative")
+        for tag in ("sym", "antisym") for ext in ("csv", "json")]
+    for desc in descriptors.values():
+        # no Fock pad: the keys of a displaced-parity grid are gone
+        assert set(desc) == {"re_axis", "im_axis", "normalization", "boundary_max_abs"}
+        assert desc["re_axis"] == [-8.0, 8.0, 41]
+        assert desc["boundary_max_abs"] < 1e-4
+    p_g, p_e = (float(part.split("=")[1]) for part in manifest.notes[-1].split())
+    assert manifest.notes[-1].startswith("p_g=")
+    assert p_g + p_e == pytest.approx(1.0, abs=2e-6)
+
+
+def test_superposition_wigner_warns_when_the_grid_is_too_small(tmp_path, monkeypatch):
+    # at 45 ns psi+- reach well past |alpha| = 8 (r = 2.1): every grid warns
+    with pytest.warns(UserWarning, match="Wigner support reaches the grid boundary") as caught:
+        _, descriptors = run_superposition_wigner(
+            tmp_path, monkeypatch, superposition_time=45.0, wigner_points=21)
+    assert len(caught) == 4
+    assert all(desc["boundary_max_abs"] > 1e-4 for desc in descriptors.values())
+
+
 # ---------------------------------------------------------------------------
 # calibration and convergence
 
@@ -315,13 +356,16 @@ def test_calibrate_warns_when_not_single_minimum():
 
 
 @pytest.mark.parametrize("scenario", ["coupling_map_a", "coupling_map_b", "kappa_sweep",
-                                      "temperature_sweep", "max_squeeze_heatmap"])
+                                      "temperature_sweep", "max_squeeze_heatmap",
+                                      "superposition_wigner"])
 def test_convergence_trivial_without_fock_space(scenario, monkeypatch):
     # nothing these scenarios run is truncated, so nothing may be rerun
     def no_master_equation(*args, **kwargs):
         raise AssertionError("convergence_check ran a master equation")
 
     monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", no_master_equation)
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_superposition_run",
+                        no_master_equation)
     rep = convergence_check(ScenarioConfig(scenario=scenario, config=small_run()))
     assert rep["flagged"] is False
     assert "trivially" in rep["notes"]
