@@ -214,22 +214,6 @@ def _search(blocks, start):
     return reached
 
 
-def _cut(op, keep, dim):
-    """op[keep][:, keep] for a CSR op and sorted keep, bit for bit: the row
-    cut, then the kept columns renumbered through a monotone lookup (so
-    each row keeps its order) and the others dropped."""
-    rows = op[keep]
-    lookup = np.full(dim, -1, dtype=rows.indices.dtype)
-    lookup[keep] = np.arange(keep.size, dtype=rows.indices.dtype)
-    cols = lookup[rows.indices]
-    inside = cols >= 0
-    if inside.all():  # the kept rows read only kept entries, as in the effective runs
-        return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(keep.size, keep.size))
-    counts = np.concatenate([[0], np.cumsum(inside)]).astype(rows.indptr.dtype)
-    return sp.csr_matrix((rows.data[inside], cols[inside], counts[rows.indptr]),
-                         shape=(keep.size, keep.size))
-
-
 def _lindblad_rhs(h, channels, start=None):
     """Return (f(t, y), support, nnz) for the master equation on the
     row-major vec of rho (module docstring).
@@ -265,7 +249,7 @@ def _lindblad_rhs(h, channels, start=None):
     support = np.ones(dim * dim, dtype=bool) if start is None else _search(ops, np.ravel(start))
     if not support.all():
         keep = np.flatnonzero(support)
-        ops = [_cut(op, keep, dim * dim) for op in ops]
+        ops = [op[keep][:, keep] for op in ops]
     gen = sp.hstack(ops, format="csr")
     omegas = np.array(omegas)
 

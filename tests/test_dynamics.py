@@ -14,7 +14,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
@@ -32,7 +31,6 @@ from magsqueeze.model import (
 from magsqueeze.dynamics import (
     LindbladSpec,
     SolverConfig,
-    _cut,
     _effective_model,
     _expm_stack,
     _lindblad_rhs,
@@ -387,28 +385,6 @@ def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_densit
             break
         reached = grown
     np.testing.assert_array_equal(_lindblad_rhs(split, channels, start)[1].ravel(), reached)
-
-
-@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
-       closed=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=100)
-def test_cut_is_the_fancy_index_bit_for_bit(n, density, share, closed, seed):
-    # the one-pass cut returns the arrays of op[keep][:, keep] exactly, both
-    # when the kept rows read dropped columns and when they do not (closed)
-    rng = np.random.default_rng(seed)
-    keep = np.flatnonzero(rng.random(n) < share)
-    assume(keep.size > 0)
-    dense = (rng.random((n, n)) < density) * (rng.normal(size=(n, n)) + 1.0j)
-    if closed:
-        dense[np.ix_(keep, np.setdiff1d(np.arange(n), keep))] = 0.0
-    op = sp.csr_matrix(dense)
-    op.data[::3] = 0.0  # stored zeros stay stored
-    expected, got = op[keep][:, keep], _cut(op, keep, n)
-    for name in ("data", "indices", "indptr"):
-        x, y = getattr(expected, name), getattr(got, name)
-        assert x.dtype == y.dtype
-        np.testing.assert_array_equal(x, y)
-    assert got.shape == expected.shape
 
 
 @given(run=effective_runs)
