@@ -15,11 +15,10 @@ and w L[sb_x].  The conditional runs dispatch on the qubit start:
 * sb_x eigenstate qubit (plus_x, minus_x) -> the magnon state of that
   sector alone: its <s|rho|s> block is closed under the generator, and the
   qubit channel only damps the s != r coherences, which such a start never
-  fills.  Without magnon dissipation the sector Hamiltonian is quadratic,
-  so the state stays a pure squeezed vacuum S(zeta)|0> (up to a global
-  phase), and every metric comes from the exact, untruncated covariance
-  (sector_covariance_squeezing); otherwise it is one master equation on
-  N x N magnon matrices;
+  fills.  The sector Hamiltonian is quadratic and the channels thermal, so
+  at any kappa the state stays Gaussian, every metric comes from the exact,
+  untruncated covariance (sector_covariance_squeezing), and fock_dim is
+  held to the state's exact Fock tail;
 * any other effective start, and the full models -> one master equation on
   the 2N joint space.
 
@@ -55,7 +54,7 @@ import scipy.sparse as sp
 from scipy.integrate import DOP853
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import DimensionError, NumericalError, StiffnessError
+from .errors import DimensionError, NumericalError, StiffnessError, TruncationError
 from .model import (
     PhysicalParams,
     SplitHamiltonian,
@@ -82,7 +81,8 @@ from .qops import (
     kron,
 )
 from .observables import min_quadrature_variance, squeezing_db
-from .states import joint_initial_state, squeezed_vacuum_fock
+from .states import (MIXED_TAIL_TOL, gaussian_fock_populations, joint_initial_state,
+                     squeezed_vacuum_fock)
 
 
 @dataclass
@@ -453,18 +453,6 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
             LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
 
 
-def _magnon_metrics(rho_m, p_plus):
-    qv = min_quadrature_variance(rho_m)
-    return {"p_plus": p_plus, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
-            "theta_star": qv.angle, "n_magnon": qv.n_mean}
-
-
-def _pinned_metrics(sign):
-    """Sample hook of a pinned sb_x = sign sector: its own magnon state's
-    metrics, with p_plus the probability of sb_x = +1 (1 or 0)."""
-    return lambda t, rho_m: _magnon_metrics(rho_m, float(sign > 0))
-
-
 def _plus_x_metrics(params, frame_tag):
     """Sample hook: joint state -> drive_interaction frame -> sb_x = +1
     postselection -> p_plus and the magnon metrics."""
@@ -473,13 +461,24 @@ def _plus_x_metrics(params, frame_tag):
         state = frame_transform(StateDensity(rho_joint, frame=frame_tag, time=float(t)),
                                 "drive_interaction", params)
         p, rho_m = postselect_qubit(state, "plus_x")
-        return _magnon_metrics(rho_m.matrix, p)
+        qv = min_quadrature_variance(rho_m.matrix)
+        return {"p_plus": p, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
+                "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
     return hook
 
 
 def default_sample_times(t_max=150.0, dt=0.5):
     return np.round(np.arange(0.0, t_max + dt / 2.0, dt), 9)
+
+
+def sector_fock_tail(cov, fock_dim):
+    """(tail, t): the largest population that the states of one sector
+    covariance run leave beyond fock_dim, and its first sample time."""
+    tails = 1.0 - gaussian_fock_populations(cov["n_magnon"], cov["s_abs"],
+                                            fock_dim).sum(axis=-1)
+    worst = int(np.argmax(tails))
+    return float(tails[worst]), float(cov["times"][worst])
 
 
 def conditional_squeezing_run(
@@ -500,6 +499,14 @@ def conditional_squeezing_run(
     representation), or "full_rotating" (exact half-pump-frame transform).
     Full-model samples are transformed to the drive_interaction frame
     before the sb_x = +1 postselection.
+
+    A pinned effective run (plus_x, minus_x) reads the exact sector
+    covariance (path "sector_exact") and raises TruncationError where its
+    Fock tail beyond fock_dim passes MIXED_TAIL_TOL; metadata records the
+    worst tail (max_fock_tail, max_fock_tail_time).  delta_eff=None takes
+    the analytic 2.007 MHz, below the two-photon threshold, so the default
+    run is refused.  Stored states with magnon loss come from the sector
+    master equation under solver; without it, they are S(zeta)|0>.
     """
     if sample_times is None:
         sample_times = default_sample_times()
@@ -514,20 +521,31 @@ def conditional_squeezing_run(
     }
 
     sign = _PINNED.get(qubit_init) if model == "effective" else None
-    if sign is not None and d.kappa == 0.0:
-        # without magnon loss the sector state stays a pure squeezed vacuum
+    if sign is not None:
         cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
+        tail, t_tail = sector_fock_tail(cov, fock_dim)
+        if tail > MIXED_TAIL_TOL:
+            raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
+                                  f"fock_dim={fock_dim} at t = {t_tail:.3f} ns "
+                                  f"(tolerance {MIXED_TAIL_TOL:.0e})")
         obs = {k: cov[k] for k in ("zeta_sq", "squeezing_db", "n_magnon")}
         obs["p_plus"] = np.full(len(sample_times), float(sign > 0))
         # min_quadrature_variance's angle, and its 0 for the vacuum
         s = cov["s"]
         obs["theta_star"] = np.where(s == 0.0, 0.0, np.angle(s) / 2.0 + math.pi / 2.0)
-        states = None if not store_states else [
-            StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
-                         frame="drive_interaction", time=float(t))
-            for t, z in zip(sample_times, _squeeze_parameters(cov))]
+        states = None
+        if store_states and d.kappa == 0.0:
+            states = [StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
+                                   frame="drive_interaction", time=float(t))
+                      for t, z in zip(sample_times, _squeeze_parameters(cov))]
+        elif store_states:
+            states = evolve_master(
+                *_effective_model(params, qubit_init, fock_dim, delta_eff),
+                solver=replace(solver or SolverConfig(), sample_times=sample_times),
+                store_states=True).states
         return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
-                                dict(meta, path="sector_exact"))
+                                dict(meta, path="sector_exact", max_fock_tail=tail,
+                                     max_fock_tail_time=t_tail))
 
     if model == "effective":
         h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta_eff)
@@ -542,21 +560,15 @@ def conditional_squeezing_run(
     else:
         raise DimensionError(f"unknown model {model!r}")
 
-    if sign is None:
-        meta["path"] = "joint_master_equation"
-        hook = _plus_x_metrics(params, rho0.frame)
-    else:
-        meta["path"] = "sector_master_equation"
-        hook = _pinned_metrics(sign)
-
     cfg = replace(solver or SolverConfig(), sample_times=sample_times)
     if model == "full_lab":
         # the 3 GHz drive needs explicit step limiting
         cfg.max_step = min(cfg.max_step, 0.01) if cfg.max_step else 0.01
 
-    result = evolve_master(h, dissipators, rho0, solver=cfg, sample_hook=hook,
+    result = evolve_master(h, dissipators, rho0, solver=cfg,
+                           sample_hook=_plus_x_metrics(params, rho0.frame),
                            store_states=store_states)
-    result.metadata.update(meta)
+    result.metadata.update(meta, path="joint_master_equation")
     return result
 
 

@@ -43,12 +43,14 @@ from .dynamics import (
     conditional_superposition_run,
     ideal_superposition_targets,
     sector_covariance_squeezing,
+    sector_fock_tail,
     superposition_blocks,
 )
 from .errors import ConfigError
 from .model import derive, squeezing_parameter
 from .observables import superposition_grids
 from .observables import wigner  # unused here; benchmark/spans.py traces scenarios.wigner
+from .states import MIXED_TAIL_TOL
 from .states import superposition_pm  # unused here; benchmark/spans.py traces it too
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -196,27 +198,22 @@ def _run_coupling_map(sc, outdir, mode):
     return [path], [f"mode={mode}"]
 
 
-def _effective_series(params, times, delta_eff, fock_dim):
-    # strongly damped runs (kappa ~ 4 MHz over 150 ns) accumulate enough
-    # integration error at the library default tolerances to trip the
-    # positivity monitor; pin the solver a decade tighter here
-    run = conditional_squeezing_run(
-        params,
-        qubit_init="plus_x",
-        model="effective",
-        fock_dim=fock_dim,
-        sample_times=times,
-        delta_eff=delta_eff,
-        solver=SolverConfig(rel_tol=1e-9, abs_tol=1e-11),
-    )
-    return run
+def _effective_leg(cfg, delta):
+    """The pinned plus_x effective run on the scenario's time grid, and the
+    manifest note of its path and worst Fock tail."""
+    run = conditional_squeezing_run(cfg.params, qubit_init="plus_x", model="effective",
+                                    fock_dim=cfg.run.fock_dim, sample_times=_time_grid(cfg),
+                                    delta_eff=delta)
+    meta = run.metadata
+    return run, (f"effective: path={meta['path']}, max_fock_tail={meta['max_fock_tail']:.2e} "
+                 f"at t={meta['max_fock_tail_time']:g} ns, fock_dim={meta['fock_dim']}")
 
 
 def _run_squeeze_compare(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
     times = _time_grid(cfg)
-    eff = _effective_series(cfg.params, times, delta, cfg.run.fock_dim)
+    eff, eff_note = _effective_leg(cfg, delta)
 
     # full model in the exact half-pump rotating frame (unitarily identical
     # to the lab-frame drive, far cheaper to step)
@@ -253,6 +250,7 @@ def _run_squeeze_compare(sc, outdir):
     )
     notes = [
         f"delta_eff_rad_ns={delta:.6e}",
+        eff_note,
         f"full-model window 0..{t_full_max} ns (rotating-frame integration)",
     ]
     return [path], notes
@@ -395,17 +393,16 @@ def _run_custom(sc, outdir):
     """Minimal deterministic run: effective conditional squeezing series."""
     cfg = sc.config
     delta = _operating_delta(cfg)
-    times = _time_grid(cfg)
-    run = _effective_series(cfg.params, times, delta, cfg.run.fock_dim)
+    run, eff_note = _effective_leg(cfg, delta)
     rows = [
         (float(t), float(s), float(n))
         for t, s, n in zip(
-            times, run.observables["squeezing_db"], run.observables["n_magnon"]
+            run.times, run.observables["squeezing_db"], run.observables["n_magnon"]
         )
     ]
     path = os.path.join(outdir, "squeeze_custom.csv")
     write_csv(path, ["time_ns", "S_dB", "n_magnon"], rows)
-    return [path], [f"delta_eff_rad_ns={delta:.6e}"]
+    return [path], [f"delta_eff_rad_ns={delta:.6e}", eff_note]
 
 
 _SCENARIO_BODIES = {
@@ -506,27 +503,24 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
 
 
 def convergence_check(sc):
-    """Rerun the scenario's most demanding point at fock_dim and fock_dim+20.
+    """Check the scenario's truncated leg against its fock_dim.
 
-    Reports max |dS| (dB) between the two truncations, and for
-    superposition_fidelity the largest change in p_g, p_e, F_sym and
-    F_antisym; flags failure above 0.02 dB / 1e-3.  The coupling maps, the
-    covariance scenarios and superposition_wigner (closed-form Gaussian
-    blocks) have no Fock space to truncate and report as trivially
-    converged.
+    custom and squeeze_compare: the worst Fock tail of the pinned effective
+    run (the exact sector covariance) over the scenario's time grid, as
+    max_fock_tail and its time; flagged above MIXED_TAIL_TOL.
+    superposition_fidelity: the largest change in p_g, p_e, F_sym and
+    F_antisym from max(fock_dim, 120) to 20 levels more; flagged above
+    1e-3.  The other scenarios truncate nothing: trivially converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
-    report = {"fock_dim": nf, "fock_dim_check": nf + 20, "max_delta_s_db": 0.0,
-              "max_delta_fidelity": 0.0}
+    report = {"fock_dim": nf}
 
     if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
                        "temperature_sweep", "max_squeeze_heatmap", "superposition_wigner"):
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
-        return report
-
-    if sc.scenario == "superposition_fidelity":
+    elif sc.scenario == "superposition_fidelity":
         # the scenario's own leg: the joint run at its floor of 120 levels
         nf0 = max(nf, 120)
         report["fock_dim"], report["fock_dim_check"] = nf0, nf0 + 20
@@ -535,14 +529,10 @@ def convergence_check(sc):
             for dim in (nf0, nf0 + 20)]
         # every column but the time: p_g, p_e, F_sym, F_antisym
         report["max_delta_fidelity"] = float(np.max(np.abs(rows[0][:, 1:] - rows[1][:, 1:])))
+        report["flagged"] = report["max_delta_fidelity"] > 1e-3
     else:
-        delta = _operating_delta(cfg)
-        times = np.arange(0.0, min(cfg.run.time_max, 60.0) + 0.5, 1.0)
-        series = []
-        for dim in (nf, nf + 20):
-            run_out = _effective_series(cfg.params, times, delta, dim)
-            series.append(run_out.observables["squeezing_db"])
-        report["max_delta_s_db"] = float(np.max(np.abs(series[0] - series[1])))
-
-    report["flagged"] = report["max_delta_s_db"] > 0.02 or report["max_delta_fidelity"] > 1e-3
+        cov = sector_covariance_squeezing(cfg.params, _time_grid(cfg), _operating_delta(cfg))
+        report["max_fock_tail"], report["max_fock_tail_time"] = sector_fock_tail(cov, nf)
+        report["fock_tail_tol"] = MIXED_TAIL_TOL
+        report["flagged"] = report["max_fock_tail"] > MIXED_TAIL_TOL
     return report

@@ -21,11 +21,7 @@ import pytest
 from magsqueeze import cli
 from magsqueeze.config import Config, RunOptions, load_config
 from magsqueeze.constants import TWO_PI
-from magsqueeze.dynamics import (
-    SolverConfig,
-    conditional_squeezing_run,
-    sector_covariance_squeezing,
-)
+from magsqueeze.dynamics import sector_covariance_squeezing
 from magsqueeze.errors import ConfigError, DimensionError, FrameError
 from magsqueeze.model import derive
 from magsqueeze.scenarios import (
@@ -36,6 +32,8 @@ from magsqueeze.scenarios import (
     run,
     write_csv,
 )
+from magsqueeze.states import MIXED_TAIL_TOL
+from test_dynamics import sector_master_equation  # test-local oracle
 
 
 def sha256(path):
@@ -217,6 +215,16 @@ def test_custom_scenario_writes_outputs_and_manifest(tmp_path):
     assert entry["path"] == "squeeze_custom.csv"
     assert entry["sha256"] == sha256(str(csv_path))
     assert entry["bytes"] == os.path.getsize(csv_path)
+    # the effective leg names its path and its worst Fock tail
+    assert data["notes"][1] == ("effective: path=sector_exact, max_fock_tail=3.33e-16 "
+                                "at t=10 ns, fock_dim=40")
+
+
+def test_squeeze_compare_notes_name_the_effective_path(tmp_path):
+    cfg = small_run(output_dir=str(tmp_path), time_max=1.0)
+    manifest = run(ScenarioConfig(scenario="squeeze_compare", config=cfg))
+    assert any(note.startswith("effective: path=sector_exact, max_fock_tail=")
+               and note.endswith("fock_dim=40") for note in manifest.notes)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -250,11 +258,9 @@ def test_temperature_sweep_hot_series_matches_master_equation(tmp_path):
     run(ScenarioConfig(scenario="temperature_sweep", config=cfg))
     data = np.loadtxt(tmp_path / "temperature_sweep.csv", delimiter=",", skiprows=1)
     hot = data[data[:, 0] == 300.0]
-    me = conditional_squeezing_run(
-        replace(cfg.params, temperature=300.0), qubit_init="plus_x", model="effective",
-        fock_dim=150, sample_times=sweep_times(cfg), delta_eff=OPERATING_DETUNING_RAD_NS,
-        solver=SolverConfig(rel_tol=1e-9, abs_tol=1e-11),
-    )
+    me = sector_master_equation(replace(cfg.params, temperature=300.0), +1, 150,
+                                sweep_times(cfg), OPERATING_DETUNING_RAD_NS,
+                                rel_tol=1e-9, abs_tol=1e-11)
     np.testing.assert_array_equal(hot[:, 1], me.times)
     n_me = me.observables["n_magnon"]
     assert np.max(np.abs(hot[:, 2] - me.observables["squeezing_db"])) < TEMP_ME_S_TOL_DB
@@ -386,10 +392,13 @@ def test_convergence_checks_the_fidelity_leg(monkeypatch):
     assert rep["flagged"] is False
 
 
-def test_convergence_passes_at_adequate_truncation():
+def test_convergence_passes_at_adequate_truncation(monkeypatch):
+    # the report reads the exact Fock tail: no run, no master equation
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", None)
     cfg = small_run(fock_dim=80, time_max=30.0)
     rep = convergence_check(ScenarioConfig(scenario="custom", config=cfg))
-    assert rep["max_delta_s_db"] < 0.02
+    assert rep["max_fock_tail"] == pytest.approx(1.08e-10, rel=1e-2)
+    assert rep["max_fock_tail"] < MIXED_TAIL_TOL == rep["fock_tail_tol"]
     assert rep["flagged"] is False
 
 
@@ -398,7 +407,9 @@ def test_convergence_flags_small_truncation():
     # the occupation tail over a 60 ns window
     cfg = small_run(fock_dim=40, time_max=60.0)
     rep = convergence_check(ScenarioConfig(scenario="custom", config=cfg))
-    assert rep["max_delta_s_db"] > 0.02
+    assert rep["max_fock_tail"] == pytest.approx(2.52e-4, rel=1e-2)
+    assert rep["max_fock_tail_time"] == 55.0
+    assert rep["max_fock_tail"] > MIXED_TAIL_TOL
     assert rep["flagged"] is True
 
 
@@ -474,6 +485,20 @@ def test_cli_fidelity_refuses_targets_beyond_the_truncation(tmp_path, capsys, mo
     assert "fock_dim=120" in capsys.readouterr().err
 
 
+def test_cli_custom_below_threshold_is_refused(tmp_path, capsys):
+    # Delta_eff = 2 MHz lies below the two-photon threshold: by 45 ns the
+    # sector state leaves 4.1e-2 beyond 60 levels, and the run exits 3
+    # before it writes its CSV
+    ini = write_ini(tmp_path, "[run]\nfock_dim = 60\ntime_max = 45 ns\ndelta_eff = 2 MHz\n")
+    code = cli.main(["sweep", "--scenario", "custom", "--config", ini,
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "4.08e-02 of its population beyond fock_dim=60 at t = 45.000 ns" in err
+    assert not (tmp_path / "o" / "squeeze_custom.csv").exists()
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_cli_wigner_vacuum(tmp_path, capsys):
     ini = write_ini(tmp_path, "[run]\nwigner_points = 41\nfock_dim = 40\n")
     code = cli.main(["wigner", "--state", "vacuum", "--config", ini,
@@ -493,6 +518,7 @@ def test_cli_converge_strict_exit_code(tmp_path, capsys):
     assert code == 4
     report = json.loads(capsys.readouterr().out)
     assert report["flagged"] is True
+    assert report["max_fock_tail"] > MIXED_TAIL_TOL
     # same report without --strict is informational only
     code = cli.main(["converge", "--scenario", "custom", "--config", ini,
                      "--out", str(tmp_path / "o")])

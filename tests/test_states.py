@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from magsqueeze.errors import DimensionError, TruncationError
 from magsqueeze.qops import fock_state, number_op, parity_operator
 from magsqueeze.states import (
+    gaussian_fock_populations,
     joint_initial_state,
     squeezed_vacuum_fock,
     superposition_pm,
@@ -86,6 +87,37 @@ def test_squeezed_vacuum_basics():
 def test_squeezed_vacuum_truncation_guard():
     with pytest.raises(TruncationError):
         squeezed_vacuum_fock(1.5, 40)
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.05, 0.7, 3.7])
+def test_gaussian_populations_of_a_thermal_state(n_bar):
+    # s = 0 is the thermal state: p_n = n_bar^n / (n_bar + 1)^(n + 1)
+    n = np.arange(60)
+    p = gaussian_fock_populations(n_bar, 0.0, 60)
+    np.testing.assert_allclose(p, n_bar ** n / (n_bar + 1.0) ** (n + 1), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 1.6])
+def test_gaussian_populations_of_a_squeezed_vacuum(r):
+    # <n> = sinh^2 r and |<m^2>| = sinh r cosh r: p_0 = 1/cosh r, and every
+    # p_n and the tail beyond 60 levels are those of the recurrence's ket
+    # at 2000 levels, which holds all but 1e-300 of it
+    p = gaussian_fock_populations(math.sinh(r) ** 2, math.sinh(r) * math.cosh(r), 60)
+    assert p[0] == pytest.approx(1.0 / math.cosh(r), rel=1e-13)
+    weights = np.abs(squeezed_vacuum_fock(r, 2000)) ** 2
+    np.testing.assert_allclose(p, weights[:60], rtol=0.0, atol=1e-14)
+    assert 1.0 - p.sum() == pytest.approx(weights[60:].sum(), rel=1e-9, abs=1e-15)
+
+
+def test_gaussian_populations_broadcast_over_samples():
+    n = np.array([[0.0, 0.5], [2.0, 3.0]])
+    s = np.array([0.0, 0.4])
+    p = gaussian_fock_populations(n, s, 30)
+    assert p.shape == (2, 2, 30)
+    for i in range(2):
+        for j in range(2):
+            np.testing.assert_allclose(p[i, j], gaussian_fock_populations(n[i, j], s[j], 30),
+                                       rtol=0.0, atol=1e-15)
 
 
 @given(r=st.floats(0.05, 1.5))
