@@ -212,8 +212,8 @@ def _effective_leg(cfg, delta):
 def _run_squeeze_compare(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
-    times = _time_grid(cfg)
     eff, eff_note = _effective_leg(cfg, delta)
+    times = eff.times
 
     # full model in the exact half-pump rotating frame (unitarily identical
     # to the lab-frame drive, far cheaper to step)
