@@ -30,6 +30,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
 from .qops import herm_eig
+from .states import squeezed_vacuum_dyad
 
 
 class QuadratureVariance(NamedTuple):
@@ -287,6 +288,14 @@ def _flag_boundary(grid):
     return grid
 
 
+def _wigner_covariance(a, b, n):
+    """(C_xx, C_yy, C_xy) of a zero-mean Gaussian operator from its
+    normalised moments a = <m^2>, b = <m^dag^2>, n = <m^dag m>: the
+    symmetric covariance of x = Re alpha, y = Im alpha in its Wigner
+    function, complex for a non-Hermitian operator."""
+    return (a + b + 2.0 * n + 1.0) / 4.0, (2.0 * n + 1.0 - a - b) / 4.0, (a - b) / 4.0j
+
+
 def gaussian_wigner(trace, a, b, n, re_axis, im_axis):
     """W[y, x] of a zero-mean Gaussian operator X from Tr X and its
     normalised moments a = <m^2>, b = <m^dag^2>, n = <m^dag m>:
@@ -299,14 +308,43 @@ def gaussian_wigner(trace, a, b, n, re_axis, im_axis):
     the principal one, which is the continuous branch wherever det C stays
     near the positive axis (for a state, det C > 0).
     """
-    cxx = (a + b + 2.0 * n + 1.0) / 4.0
-    cyy = (2.0 * n + 1.0 - a - b) / 4.0
-    cxy = (a - b) / 4.0j
+    cxx, cyy, cxy = _wigner_covariance(a, b, n)
     det = cxx * cyy - cxy * cxy
     x = np.asarray(re_axis, dtype=float)[None, :]
     y = np.asarray(im_axis, dtype=float)[:, None]
     quad = (cyy * x * x - 2.0 * cxy * x * y + cxx * y * y) / det
     return trace * np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
+
+
+def gaussian_overlap(x, y):
+    """Tr(X Y) of two zero-mean Gaussian operators, each given as (trace, a,
+    b, n) as for gaussian_wigner; the entries broadcast.
+
+    Tr(X Y) = pi * integral of W_X W_Y d^2 alpha, a Gaussian integral:
+
+        Tr(X Y) = Tr X Tr Y / (2 sqrt(det(C_X + C_Y)))
+
+    (the vacuum with itself gives 1).  The root is the principal one, the
+    continuous branch while det(C_X + C_Y) stays off the negative real axis
+    (for two states it is real positive).
+    """
+    cx, cy = _wigner_covariance(*x[1:]), _wigner_covariance(*y[1:])
+    cxx, cyy, cxy = (u + v for u, v in zip(cx, cy))
+    return x[0] * y[0] / (2.0 * np.sqrt(cxx * cyy - cxy * cxy))
+
+
+def _outcome_weights(blocks):
+    """{"g": (+1, p_g), "e": (-1, p_e)} of the superposition blocks, with
+    p = (Tr X_++ + Tr X_--)/2 +- Re Tr X_+-; an outcome of weight at or
+    below 1e-12 raises."""
+    half = 0.5 * np.real(np.add(blocks["++"][0], blocks["--"][0]))
+    out = {}
+    for outcome, sign in (("g", 1.0), ("e", -1.0)):
+        p = half + sign * np.real(blocks["+-"][0])
+        if np.any(p <= 1e-12):
+            raise NumericalError(f"outcome {outcome} has probability {np.min(p):.3e}")
+        out[outcome] = (sign, p)
+    return out
 
 
 def superposition_grids(blocks, re_axis, im_axis):
@@ -323,14 +361,48 @@ def superposition_grids(blocks, re_axis, im_axis):
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
     w = {key: gaussian_wigner(*blk, re_axis, im_axis) for key, blk in blocks.items()}
-    half = 0.5 * (blocks["++"][0] + blocks["--"][0]).real
     out = {}
-    for outcome, sign in (("g", 1.0), ("e", -1.0)):
-        p = float(half + sign * np.real(blocks["+-"][0]))
-        if p <= 1e-12:
-            raise NumericalError(f"outcome {outcome} has probability {p:.3e}")
+    for outcome, (sign, p) in _outcome_weights(blocks).items():
+        p = float(p)
         values = (w["++"].real + w["--"].real + 2.0 * sign * w["+-"].real) / (2.0 * p)
         out[outcome] = (p, _flag_boundary(WignerGrid(re_axis, im_axis, values)))
+    return out
+
+
+def superposition_fidelities(blocks, zeta):
+    """Outcome weights and fidelities of the superposition run against the
+    dissipation-free targets (chi_+ +- chi_-)/N, chi_+- = S(+-zeta)|0>, in
+    closed form and untruncated.
+
+    blocks are the three sb_x blocks {"++", "--", "+-"} as for
+    superposition_grids, zeta the targets' squeeze parameter; both run over
+    the same times.  With X_-+ = X_+-^dag (trace conj(Tr X_+-),
+    a = conj(b_+-), b = conj(a_+-), n = conj(n_+-)) and sigma_+ = 1,
+    sigma_- = +-1 for the outcome g (e), the post-selected state is
+    sum_sr sigma_s sigma_r X_sr / (2p) and
+
+        F^2 = sum_{jk,sr} sigma_j sigma_k sigma_s sigma_r <chi_j|X_sr|chi_k>
+              / (2p N^2),   N^2 = sum_jk sigma_j sigma_k <chi_j|chi_k>,
+
+    each of the 16 terms the Gaussian overlap Tr(X_sr |chi_k><chi_j|)
+    (gaussian_overlap, squeezed_vacuum_dyad).  For a pure target the
+    Uhlmann fidelity is sqrt(<psi|rho|psi>).  Returns {"g": (p, F),
+    "e": (p, F)}, arrays over times; an outcome of weight at or below 1e-12
+    raises.
+    """
+    tr, a, b, n = blocks["+-"]
+    x = {(+1, +1): blocks["++"], (-1, -1): blocks["--"], (+1, -1): blocks["+-"],
+         (-1, +1): (np.conj(tr), np.conj(b), np.conj(a), np.conj(n))}
+    signs = list(x)
+    dyads = {(j, k): squeezed_vacuum_dyad(zeta, k, j) for j, k in signs}
+    out = {}
+    for outcome, (sign, p) in _outcome_weights(blocks).items():
+        weight = {+1: 1.0, -1: sign}
+        norm_sq = sum(weight[j] * weight[k] * dyads[j, k][0] for j, k in signs).real
+        f_sq = sum(weight[j] * weight[k] * weight[s] * weight[r]
+                   * gaussian_overlap(x[s, r], dyads[j, k])
+                   for j, k in signs for s, r in signs)
+        out[outcome] = (p, np.sqrt(np.maximum(0.0, np.real(f_sq) / (2.0 * p * norm_sq))))
     return out
 
 

@@ -7,10 +7,12 @@ temperature sweeps and the heatmap read every cell from one batched call
 of the exact sector covariance evolution, whose rows do not depend on the
 other cells in the batch.
 
-superposition_wigner runs no master equation either: every grid, ideal
-and dissipative, is drawn from the closed-form Gaussian sb_x blocks of the
-superposition run (dynamics.superposition_blocks), so fock_dim does not
-enter it.
+superposition_wigner and superposition_fidelity run no master equation
+either: every grid, ideal and dissipative, and every outcome weight and
+fidelity is read from the closed-form Gaussian sb_x blocks of the
+superposition run (dynamics.superposition_blocks), the fidelities as
+Gaussian overlaps with the targets' outer products, so fock_dim enters
+neither.
 
 A note on detuning defaults.  The two-photon interaction is only bounded
 for |Delta_eff| > |g_cs| = 2pi x 7.5 MHz; at or below that the sector
@@ -38,17 +40,17 @@ from .config import Config
 from .constants import TWO_PI
 from .coupling import YIG, coupling_map
 from .dynamics import (
-    SolverConfig,
+    _squeeze_parameters,
     conditional_squeezing_run,
-    conditional_superposition_run,
-    ideal_superposition_targets,
     sector_covariance_squeezing,
     sector_fock_tail,
     superposition_blocks,
 )
+# unused here; benchmark/spans.py traces both names
+from .dynamics import conditional_superposition_run, ideal_superposition_targets
 from .errors import ConfigError
 from .model import derive, squeezing_parameter
-from .observables import superposition_grids
+from .observables import superposition_fidelities, superposition_grids
 from .observables import wigner  # unused here; benchmark/spans.py traces scenarios.wigner
 from .states import MIXED_TAIL_TOL
 from .states import superposition_pm  # unused here; benchmark/spans.py traces it too
@@ -348,32 +350,23 @@ def _run_superposition_wigner(sc, outdir):
     return outputs, notes
 
 
-def superposition_fidelity_series(params, times, fock_dim, delta_eff, solver=None):
+def superposition_fidelity_series(params, times, delta_eff):
     """Dissipative superposition protocol vs zero-dissipation targets.
 
-    Returns rows (t, p_g, p_e, F_g, F_e): postselected magnon states
-    against the untruncated dissipation-free states
-    (ideal_superposition_targets), written into the run's fock_dim; a
-    target that does not fit raises TruncationError before the run starts.
+    Returns rows (t, p_g, p_e, F_g, F_e): the post-selected magnon states
+    of the run from |0> (x) |g> against (S(zeta)|0> +- S(-zeta)|0>)/N, zeta
+    from the kappa = 0 sector covariance at the run's own detuning, read as
+    Gaussian overlaps of the closed-form sb_x blocks
+    (superposition_fidelities): nothing is truncated and no master
+    equation runs.  An outcome of weight at or below 1e-12 (e at t = 0)
+    raises NumericalError.
     """
     times = np.asarray(times, dtype=float)
-    all_targets = ideal_superposition_targets(params, times, fock_dim, delta_eff)
-    solver = solver or SolverConfig(rel_tol=1e-9, abs_tol=1e-11)
-    run = conditional_superposition_run(
-        params, times, fock_dim=fock_dim, delta_eff=delta_eff, solver=solver,
-    )
-    rows = []
-    for i, (t, targets) in enumerate(zip(run.times, all_targets)):
-        row = [float(t), float(run.observables["p_g"][i]),
-               float(run.observables["p_e"][i])]
-        for outcome in ("g", "e"):
-            rho = run.metadata[f"states_{outcome}"][i].matrix
-            _, ket = targets[outcome]
-            # Uhlmann fidelity against a pure target reduces to sqrt(<psi|rho|psi>)
-            f = math.sqrt(max(0.0, float(np.real(np.vdot(ket, rho @ ket)))))
-            row.append(f)
-        rows.append(tuple(row))
-    return rows
+    zeta = _squeeze_parameters(
+        sector_covariance_squeezing(replace(params, kappa=0.0), times, delta_eff))
+    out = superposition_fidelities(superposition_blocks(params, times, delta_eff), zeta)
+    (p_g, f_g), (p_e, f_e) = out["g"], out["e"]
+    return [tuple(float(v) for v in row) for row in zip(times, p_g, p_e, f_g, f_e)]
 
 
 _FIDELITY_TIMES_NS = np.arange(5.0, 40.0 + 2.5, 5.0)
@@ -382,11 +375,11 @@ _FIDELITY_TIMES_NS = np.arange(5.0, 40.0 + 2.5, 5.0)
 def _run_superposition_fidelity(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
-    nf = max(cfg.run.fock_dim, 120)
-    rows = superposition_fidelity_series(cfg.params, _FIDELITY_TIMES_NS, nf, delta)
+    rows = superposition_fidelity_series(cfg.params, _FIDELITY_TIMES_NS, delta)
     path = os.path.join(outdir, "superposition_fidelity.csv")
     write_csv(path, ["time_ns", "p_g", "p_e", "F_sym", "F_antisym"], rows)
-    return [path], [f"delta_eff_rad_ns={delta:.6e}", f"fock_dim={nf}"]
+    return [path], [f"delta_eff_rad_ns={delta:.6e}",
+                    "closed-form Gaussian overlaps (superposition_blocks), no Fock truncation"]
 
 
 def _run_custom(sc, outdir):
@@ -507,29 +500,19 @@ def convergence_check(sc):
 
     custom and squeeze_compare: the worst Fock tail of the pinned effective
     run (the exact sector covariance) over the scenario's time grid, as
-    max_fock_tail and its time; flagged above MIXED_TAIL_TOL.
-    superposition_fidelity: the largest change in p_g, p_e, F_sym and
-    F_antisym from max(fock_dim, 120) to 20 levels more; flagged above
-    1e-3.  The other scenarios truncate nothing: trivially converged.
+    max_fock_tail and its time; flagged above MIXED_TAIL_TOL.  The other
+    scenarios, superposition_fidelity and superposition_wigner among them,
+    truncate nothing: trivially converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
     report = {"fock_dim": nf}
 
     if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
-                       "temperature_sweep", "max_squeeze_heatmap", "superposition_wigner"):
+                       "temperature_sweep", "max_squeeze_heatmap", "superposition_wigner",
+                       "superposition_fidelity"):
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
-    elif sc.scenario == "superposition_fidelity":
-        # the scenario's own leg: the joint run at its floor of 120 levels
-        nf0 = max(nf, 120)
-        report["fock_dim"], report["fock_dim_check"] = nf0, nf0 + 20
-        rows = [np.array(superposition_fidelity_series(
-            cfg.params, _FIDELITY_TIMES_NS, dim, _operating_delta(cfg)))
-            for dim in (nf0, nf0 + 20)]
-        # every column but the time: p_g, p_e, F_sym, F_antisym
-        report["max_delta_fidelity"] = float(np.max(np.abs(rows[0][:, 1:] - rows[1][:, 1:])))
-        report["flagged"] = report["max_delta_fidelity"] > 1e-3
     else:
         cov = sector_covariance_squeezing(cfg.params, _time_grid(cfg), _operating_delta(cfg))
         report["max_fock_tail"], report["max_fock_tail_time"] = sector_fock_tail(cov, nf)

@@ -76,6 +76,30 @@ def squeezed_vacuum_fock(xi, fock_dim):
     return c / np.linalg.norm(c)
 
 
+def squeezed_vacuum_dyad(zeta, ket_sign, bra_sign):
+    """|chi_k><chi_j| as a zero-mean Gaussian operator (trace, a, b, n), in
+    the form of observables.gaussian_wigner, for chi_k = S(ket_sign zeta)|0>
+    and chi_j = S(bra_sign zeta)|0>; zeta may be an array.  Untruncated.
+
+    S(zeta)|0> = cosh(r)^{-1/2} exp(-tau m^dag^2 / 2)|0> with
+    tau = e^{i arg zeta} tanh r, so m|chi_k> = -tau_k m^dag|chi_k>, and with
+    D = 1 - tau_j^* tau_k:
+
+        Tr = <chi_j|chi_k> = ((1 - |tau_j|^2)(1 - |tau_k|^2))^{1/4} / sqrt(D),
+        a = -tau_k / D,  b = -tau_j^* / D,  n = tau_j^* tau_k / D.
+
+    1 - |tau|^2 is taken as sech^2 r, and so is D for equal signs: 1 - tanh^2 r
+    would cancel to 0 near r = 20.  For opposite signs D = 1 + tanh^2 r.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    r = np.abs(zeta)
+    tau = np.exp(1.0j * np.angle(zeta)) * np.tanh(r)
+    sech = 1.0 / np.cosh(r)
+    d = sech ** 2 if ket_sign == bra_sign else 1.0 + np.tanh(r) ** 2
+    tau_k, tau_j_conj = ket_sign * tau, bra_sign * tau.conj()
+    return sech / np.sqrt(d), -tau_k / d, -tau_j_conj / d, tau_j_conj * tau_k / d
+
+
 def superposition_pm(xi, sign, fock_dim):
     """Normalized even/odd superposition [S(xi) +- S(-xi)]|0> / sqrt(N_pm).
 

@@ -360,7 +360,7 @@ def test_check_09_wigner_grids():
 def test_check_10_fidelity_dynamics():
     t0 = time.perf_counter()
     times = np.arange(5.0, 42.5, 5.0)
-    rows = superposition_fidelity_series(PhysicalParams(), times, 120, DELTA_OP)
+    rows = superposition_fidelity_series(PhysicalParams(), times, DELTA_OP)
     f_g = np.array([row[3] for row in rows])
     f_e = np.array([row[4] for row in rows])
     dt = time.perf_counter() - t0

@@ -10,6 +10,7 @@ sparse Liouvillian -- rather than against stored trajectories.
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -61,6 +62,7 @@ from magsqueeze.qops import (
     number_op,
 )
 from magsqueeze.observables import (
+    _wigner_covariance,
     min_quadrature_variance,
     squeezing_db,
     superposition_grids,
@@ -71,9 +73,11 @@ from magsqueeze.states import (
     StateDensity,
     gaussian_fock_populations,
     joint_initial_state,
+    squeezed_vacuum_dyad,
     squeezed_vacuum_fock,
     superposition_pm,
 )
+from magsqueeze.scenarios import superposition_fidelity_series
 from test_model import analytic_propagator  # test-local oracle
 from test_observables import uhlmann_fidelity  # test-local oracle
 
@@ -1199,6 +1203,70 @@ def test_superposition_blocks_refuse_negative_times():
     with pytest.raises(NumericalError, match="outcome e"):
         superposition_grids(blocks_at(superposition_blocks(NODISS, [0.0])),
                             SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+
+
+def overlap_determinants(params, times, delta):
+    """det(C_X + C_Y) of the 16 Gaussian overlaps of superposition_fidelities
+    over times: X one of the four sb_x blocks, Y one of the four target dyads."""
+    blocks = superposition_blocks(params, times, delta)
+    tr, a, b, n = blocks["+-"]
+    xs = [blocks["++"], blocks["--"], blocks["+-"], (tr.conj(), b.conj(), a.conj(), n.conj())]
+    zeta = _squeeze_parameters(sector_covariance_squeezing(replace(params, kappa=0.0),
+                                                           times, delta))
+    dets = []
+    for x in xs:
+        for ket_sign in (1, -1):
+            for bra_sign in (1, -1):
+                y = squeezed_vacuum_dyad(zeta, ket_sign, bra_sign)
+                cxx, cyy, cxy = (u + v for u, v in zip(_wigner_covariance(*x[1:]),
+                                                        _wigner_covariance(*y[1:])))
+                dets.append(cxx * cyy - cxy * cxy)
+    return np.array(dets)
+
+
+@given(frac=st.floats(0.0, 1.0), kappa=st.floats(0.0, 0.6),
+       temperature=st.floats(5.0, 40.0), delta=st.sampled_from([0.0, DELTA_OP, -DELTA_OP]))
+@settings(max_examples=6)
+def test_superposition_fidelity_matches_the_master_equation(frac, kappa, temperature, delta):
+    # the closed-form p and F against the joint run and the ket targets at a
+    # fock where both have converged (converged_fock: 234 levels at Delta = 0,
+    # 29 ns), at the solver tolerances where the run's own error is ~1e-11
+    t = 1.0 + frac * ((29.0 if delta == 0.0 else 40.0) - 1.0)
+    params = PhysicalParams(kappa=kappa, temperature=temperature)
+    nf = converged_fock(params, t, delta)
+    run = conditional_superposition_run(params, [t], fock_dim=nf, delta_eff=delta,
+                                        solver=SolverConfig(rel_tol=1e-10, abs_tol=1e-13))
+    targets, = ideal_superposition_targets(params, [t], nf, delta)
+    (row,) = superposition_fidelity_series(params, [t], delta)
+    for i, outcome in enumerate(("g", "e")):
+        ket = targets[outcome][1]
+        rho = run.metadata[f"states_{outcome}"][0].matrix
+        assert row[1 + i] == pytest.approx(run.observables[f"p_{outcome}"][0], abs=1e-9)
+        assert row[3 + i] == pytest.approx(
+            math.sqrt(np.vdot(ket, rho @ ket).real), abs=1e-9)
+    # the principal root is the continuous one: on the way to t every
+    # det(C_X + C_Y) stays in the right half-plane, off the negative axis
+    dets = overlap_determinants(params, np.linspace(0.0, t, 33), delta)
+    assert np.all(dets.real > 0.0)
+
+
+def test_superposition_fidelity_in_the_ideal_limit(derived):
+    # kappa = gamma = 0, Delta = 0, 40 ns: r = 1.88, where ket targets need
+    # 420 levels; the closed form reaches the targets themselves
+    t = 40.0
+    r = abs(derived.g_cs) * t
+    (row,) = superposition_fidelity_series(NODISS, [t], 0.0)
+    overlap = math.cosh(2.0 * r) ** -0.5
+    assert row[1] == pytest.approx(0.5 * (1.0 + overlap), abs=1e-12)
+    assert row[2] == pytest.approx(0.5 * (1.0 - overlap), abs=1e-12)
+    assert row[3] == pytest.approx(1.0, abs=1e-12)
+    assert row[4] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_superposition_fidelity_refuses_an_empty_outcome():
+    # t = 0: the run is still |0>|g>, so the outcome e has no weight
+    with pytest.raises(NumericalError, match="outcome e"):
+        superposition_fidelity_series(PhysicalParams(), [0.0, 5.0], DELTA_OP)
 
 
 def test_default_sample_times():

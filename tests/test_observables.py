@@ -21,6 +21,7 @@ from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.observables import (
     WignerGrid,
     default_axes,
+    gaussian_overlap,
     gaussian_wigner,
     min_quadrature_variance,
     squeezing_db,
@@ -33,7 +34,7 @@ from magsqueeze.qops import (
     fock_state,
     parity_operator,
 )
-from magsqueeze.states import squeezed_vacuum_fock
+from magsqueeze.states import squeezed_vacuum_dyad, squeezed_vacuum_fock
 from test_qops import displacement_operator, matrix_sqrt_psd  # test-local oracles
 
 
@@ -349,6 +350,26 @@ def test_gaussian_wigner_matches_displaced_parity(zeta):
     # displaced parity carries ~2e-11 of round-off at r = 1.1 far out
     np.testing.assert_allclose(values.real, oracle.values, rtol=0, atol=1e-10)
     np.testing.assert_allclose(values.imag, 0.0, atol=1e-15)
+
+
+@given(r=st.tuples(st.floats(0.0, 1.3), st.floats(0.0, 1.3)),
+       phase=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+       signs=st.tuples(*[st.sampled_from([1, -1])] * 4))
+@settings(max_examples=30)
+def test_gaussian_overlap_matches_fock_traces(r, phase, signs):
+    # Tr(X Y) for the non-Hermitian X = |chi_k><chi_j|, Y = |chi_l><chi_i| of
+    # two squeezed-vacuum pairs is <chi_i|chi_k><chi_j|chi_l>
+    zetas = [ri * np.exp(1.0j * ph) for ri, ph in zip(r, phase)]
+    (k, j), (l, i) = signs[:2], signs[2:]
+    ket = {(z, s): squeezed_vacuum_fock(s * zetas[z], 300) for z in (0, 1) for s in (1, -1)}
+    oracle = np.vdot(ket[1, i], ket[0, k]) * np.vdot(ket[0, j], ket[1, l])
+    value = gaussian_overlap(squeezed_vacuum_dyad(zetas[0], k, j),
+                             squeezed_vacuum_dyad(zetas[1], l, i))
+    assert abs(value - oracle) < 1e-12
+
+
+def test_gaussian_overlap_of_vacuum_is_one():
+    assert gaussian_overlap((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)) == 1.0
 
 
 def test_negativity_volume_fock_one():

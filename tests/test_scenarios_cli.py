@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from magsqueeze import cli
 from magsqueeze.config import Config, RunOptions, load_config
@@ -326,6 +327,26 @@ def test_superposition_wigner_warns_when_the_grid_is_too_small(tmp_path, monkeyp
     assert all(desc["boundary_max_abs"] > 1e-4 for desc in descriptors.values())
 
 
+def test_superposition_fidelity_reads_closed_form_overlaps(tmp_path, monkeypatch):
+    # the scenario scores the closed-form Gaussian blocks against the
+    # targets' outer products: no master equation, no Fock ket
+    def forbidden(*args, **kwargs):
+        raise AssertionError("superposition_fidelity left the closed form")
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_superposition_run", forbidden)
+    monkeypatch.setattr("magsqueeze.dynamics.evolve_master", forbidden)
+    monkeypatch.setattr("magsqueeze.dynamics.squeezed_vacuum_fock", forbidden)
+    cfg = Config(run=RunOptions(output_dir=str(tmp_path)))
+    manifest = run(ScenarioConfig(scenario="superposition_fidelity", config=cfg))
+    assert [o["path"] for o in manifest.outputs] == ["superposition_fidelity.csv"]
+    assert manifest.notes[-1] == ("closed-form Gaussian overlaps (superposition_blocks), "
+                                  "no Fock truncation")
+    data = np.loadtxt(tmp_path / "superposition_fidelity.csv", delimiter=",", skiprows=1)
+    assert_allclose(data[:, 0], np.arange(5.0, 42.5, 5.0))
+    assert_allclose(data[:, 1] + data[:, 2], 1.0, rtol=0, atol=1e-12)
+    assert np.all(data[:, 4] <= data[:, 3])
+
+
 # ---------------------------------------------------------------------------
 # calibration and convergence
 
@@ -363,7 +384,7 @@ def test_calibrate_warns_when_not_single_minimum():
 
 @pytest.mark.parametrize("scenario", ["coupling_map_a", "coupling_map_b", "kappa_sweep",
                                       "temperature_sweep", "max_squeeze_heatmap",
-                                      "superposition_wigner"])
+                                      "superposition_wigner", "superposition_fidelity"])
 def test_convergence_trivial_without_fock_space(scenario, monkeypatch):
     # nothing these scenarios run is truncated, so nothing may be rerun
     def no_master_equation(*args, **kwargs):
@@ -377,19 +398,22 @@ def test_convergence_trivial_without_fock_space(scenario, monkeypatch):
     assert "trivially" in rep["notes"]
 
 
-def test_convergence_checks_the_fidelity_leg(monkeypatch):
-    # superposition_fidelity runs the joint master equation at
-    # max(fock_dim, 120) on its 5-40 ns grid; that leg, not the pinned
-    # sector run of custom, is what the report compares at 120 and 140
-    def no_pinned_run(*args, **kwargs):
-        raise AssertionError("convergence_check ran the pinned sector master equation")
+def test_convergence_checks_the_fidelity_leg(tmp_path, capsys, monkeypatch):
+    # superposition_fidelity reads closed-form Gaussian overlaps, so its leg
+    # has no truncation: converge reruns neither the pinned sector run of
+    # custom nor any master equation, and --strict passes at fock_dim = 40
+    def no_run(*args, **kwargs):
+        raise AssertionError("convergence_check ran a truncated leg")
 
-    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", no_pinned_run)
-    rep = convergence_check(ScenarioConfig(scenario="superposition_fidelity",
-                                           config=small_run(fock_dim=40)))
-    assert (rep["fock_dim"], rep["fock_dim_check"]) == (120, 140)
-    assert 0.0 < rep["max_delta_fidelity"] < 1e-3
-    assert rep["flagged"] is False
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", no_run)
+    monkeypatch.setattr("magsqueeze.dynamics.evolve_master", no_run)
+    ini = write_ini(tmp_path, "[run]\nfock_dim = 40\n")
+    code = cli.main(["converge", "--scenario", "superposition_fidelity", "--config", ini,
+                     "--out", str(tmp_path / "o"), "--strict"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "fock_dim": 40, "flagged": False,
+        "notes": "no Fock-space content; trivially converged"}
 
 
 def test_convergence_passes_at_adequate_truncation(monkeypatch):
@@ -475,14 +499,18 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_cli_fidelity_refuses_targets_beyond_the_truncation(tmp_path, capsys, monkeypatch):
-    # at Delta_eff = 0 the 40 ns target has r = 1.88, which the scenario's
-    # 120 levels cannot hold: exit 3 before the master equation runs
-    monkeypatch.setattr("magsqueeze.scenarios.conditional_superposition_run", None)
+def test_cli_fidelity_scores_targets_past_the_ket_truncation(tmp_path):
+    # at Delta_eff = 0 the 40 ns target has r = 1.88, which a ket needs 420
+    # levels to hold; the closed form has no truncation and scores it
     ini = write_ini(tmp_path, "[run]\ndelta_eff = 0 MHz\n")
     code = cli.main(["fidelity", "--config", ini, "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "fock_dim=120" in capsys.readouterr().err
+    assert code == 0
+    path = tmp_path / "o" / "superposition_fidelity.csv"
+    assert path.read_text().splitlines()[0] == "time_ns,p_g,p_e,F_sym,F_antisym"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (8, 5)
+    assert_allclose(data[:, 1] + data[:, 2], 1.0, rtol=0, atol=1e-12)
+    assert np.all((data[:, 3:] > 0.0) & (data[:, 3:] <= 1.0))
 
 
 def test_cli_custom_below_threshold_is_refused(tmp_path, capsys):

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsqueeze.errors import DimensionError, TruncationError
-from magsqueeze.qops import fock_state, number_op, parity_operator
+from magsqueeze.qops import annihilation, fock_state, number_op, parity_operator
 from magsqueeze.states import (
     gaussian_fock_populations,
     joint_initial_state,
+    squeezed_vacuum_dyad,
     squeezed_vacuum_fock,
     superposition_pm,
 )
@@ -118,6 +119,42 @@ def test_gaussian_populations_broadcast_over_samples():
         for j in range(2):
             np.testing.assert_allclose(p[i, j], gaussian_fock_populations(n[i, j], s[j], 30),
                                        rtol=0.0, atol=1e-15)
+
+
+def dyad_moments(ket, bra):
+    """(Tr, <m^2>, <m^dag^2>, <m^dag m>) of |ket><bra| from Fock amplitudes,
+    <A> = <bra|A|ket> / <bra|ket>."""
+    m = annihilation(len(ket))
+    tr = np.vdot(bra, ket)
+    return (tr, np.vdot(bra, m @ m @ ket) / tr, np.vdot(m @ m @ bra, ket) / tr,
+            np.vdot(m @ bra, m @ ket) / tr)
+
+
+@given(r=st.floats(0.0, 1.3), phase=st.floats(-math.pi, math.pi),
+       ket_sign=st.sampled_from([1, -1]), bra_sign=st.sampled_from([1, -1]))
+@settings(max_examples=30)
+def test_squeezed_vacuum_dyad_matches_the_kets(r, phase, ket_sign, bra_sign):
+    zeta = r * np.exp(1.0j * phase)
+    kets = {s: squeezed_vacuum_fock(s * zeta, 300) for s in (1, -1)}
+    np.testing.assert_allclose(squeezed_vacuum_dyad(zeta, ket_sign, bra_sign),
+                               dyad_moments(kets[ket_sign], kets[bra_sign]),
+                               rtol=1e-12, atol=1e-13)
+
+
+def test_squeezed_vacuum_dyad_keeps_its_digits_at_large_r():
+    # tanh(20) rounds to 1, so 1 - tanh^2 r would be 0: sech^2 r keeps D
+    r, phase = 20.0, np.exp(0.3j)
+    sc = math.sinh(r) * math.cosh(r)
+    tr, a, b, n = squeezed_vacuum_dyad(r * phase, 1, 1)
+    assert tr == pytest.approx(1.0, rel=1e-15)
+    assert n == pytest.approx(math.sinh(r) ** 2, rel=1e-14)
+    assert a == pytest.approx(-phase * sc, rel=1e-14)
+    assert b == pytest.approx(-phase.conjugate() * sc, rel=1e-14)
+    # <chi_-|chi_+> = cosh(2r)^{-1/2}, and |chi_+><chi_-| has <m^dag m> = -sinh^2 r / cosh 2r
+    tr, a, b, n = squeezed_vacuum_dyad(r * phase, 1, -1)
+    assert tr == pytest.approx(math.cosh(2.0 * r) ** -0.5, rel=1e-14)
+    assert n == pytest.approx(-math.sinh(r) ** 2 / math.cosh(2.0 * r), rel=1e-14)
+    assert a == pytest.approx(-phase * sc / math.cosh(2.0 * r), rel=1e-14)
 
 
 @given(r=st.floats(0.05, 1.5))
