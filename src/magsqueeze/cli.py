@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import scenarios
-from .config import load_config
+from .config import load_config, require_fock_floor
 from .errors import ConfigError, DimensionError, FrameError, NumericalError, TruncationError
 from .model import squeezing_parameter
 from .observables import wigner, wigner_negativity_volume
@@ -95,6 +95,7 @@ def _run_scenario(args):
 
 def _run_wigner(args):
     cfg = _load(args)
+    require_fock_floor(cfg.run, "wigner")
     os.makedirs(cfg.run.output_dir, exist_ok=True)
     ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
     if args.state == "vacuum":
@@ -129,6 +130,7 @@ def _run_calibrate(args):
 
 def _run_converge(args):
     cfg = _load(args)
+    require_fock_floor(cfg.run, "converge")
     scenario = args.scenario or cfg.run.scenario
     sc = scenarios.ScenarioConfig.from_config(cfg, scenario=scenario)
     report = scenarios.convergence_check(sc)

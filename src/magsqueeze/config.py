@@ -68,6 +68,10 @@ _RUN_QUANTITY_UNITS = {
 _RUN_INT_KEYS = {"fock_dim", "threads", "heatmap_points", "wigner_points"}
 _RUN_STR_KEYS = {"scenario", "output_dir"}
 
+# fock_dim floor of the runs in which a Fock truncation enters (custom,
+# squeeze_compare, calibrate, converge, wigner); the others ignore fock_dim
+MIN_FOCK_DIM = 40
+
 
 def parse_quantity(text, unit, where):
     """Parse "value suffix" into the canonical unit; reject bare numbers."""
@@ -135,6 +139,13 @@ def _apply_env(cp, env):
                 cp.set(section, key, env[env_key])
 
 
+def require_fock_floor(run, what):
+    """Refuse a fock_dim below MIN_FOCK_DIM for a run that truncates."""
+    if run.fock_dim < MIN_FOCK_DIM:
+        raise ConfigError(f"run.fock_dim: {run.fock_dim} below the minimum of "
+                          f"{MIN_FOCK_DIM} for {what}")
+
+
 def load_config(path=None, env=None):
     """Read an INI file (optional) plus environment overrides into a Config."""
     env = os.environ if env is None else env
@@ -187,8 +198,6 @@ def load_config(path=None, env=None):
                 setattr(run, key, str(text).strip())
             else:
                 raise ConfigError(f"{where}: unknown option")
-    if run.fock_dim < 40:
-        raise ConfigError(f"run.fock_dim: {run.fock_dim} below the minimum of 40")
     if run.time_step <= 0 or run.time_max <= 0:
         raise ConfigError("run.time_max and run.time_step must be positive")
 

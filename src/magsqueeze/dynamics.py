@@ -26,15 +26,21 @@ The superposition run from |0> (x) |g> also has a closed form: each of its
 sb_x blocks is a Gaussian operator, the diagonal ones from the sector
 covariance and the (+,-) coherence from a matrix Riccati equation solved
 exactly by Radon's lemma (superposition_blocks).  The superposition_wigner
-grids come from there; the fidelity series still runs the joint master
-equation.
+grids and the fidelity series come from there; no scenario integrates the
+effective model.  The master equations below serve the full models, and the
+effective ones serve as test oracles.
 
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
-It is integrated only on the entries that the start can reach
-(_lindblad_rhs): a breadth-first search from the start's nonzero entries
-along the nonzero entries of the assembled blocks.  That set is closed
-under the generator, so every other entry stays exactly zero and is
+The static part and the start must be Hermitian.  Then rho stays Hermitian,
+and the Liouvillian keeps only the rows of the entries on and above the
+diagonal: each entry below it is the conjugate of its mirror, so one call
+costs about half a full product.  DOP853 combines RHS values with real
+coefficients, so the integrated rho stays exactly Hermitian.  It is
+integrated only on the entries that the start can reach (_lindblad_rhs):
+a breadth-first search from the start's nonzero entries, and their
+mirrors, along the nonzero entries of the assembled blocks.  That set is
+closed under the generator, so every other entry stays exactly zero and is
 written back as zero at the samples; leaving it out changes nothing but
 the solver's error norm.  From |0>, the two-photon term and the thermal
 pair fill only the entries of a sector run with i - j even.  In the joint
@@ -50,9 +56,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import DOP853
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DimensionError, NumericalError, StiffnessError, TruncationError
 from .model import (
@@ -155,9 +158,19 @@ def magnon_thermal_dissipators(params, fock_dim):
 # ---------------------------------------------------------------------------
 # master-equation integrator
 
+HERMITIAN_TOL = 1e-12  # relative defect above which rho0 or a static H is refused
+
+
+def _hermitian_defect(x):
+    """max |x - x^dag| relative to max |x| (0 for a zero matrix); x dense or sparse."""
+    scale = abs(x).max()
+    return float(abs(x - x.conj().T).max() / scale) if scale else 0.0
+
 
 def _superop(left, right, n):
     """X -> left X + X right on the row-major vec of an n x n block."""
+    import scipy.sparse as sp
+
     eye = sp.identity(n, dtype=complex, format="csr")
     return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
 
@@ -167,7 +180,11 @@ def _operators(h, channels):
 
     h is a matrix, None or a SplitHamiltonian; its terms with w = 0 are
     folded into the static h0, the others are the (H_k, w) in oscillating.
+    A static part that is not Hermitian to HERMITIAN_TOL of its largest
+    entry raises DimensionError; h0 is its exact Hermitian part.
     """
+    import scipy.sparse as sp
+
     if isinstance(h, SplitHamiltonian):
         static, terms = h.static, list(h.terms)
     elif callable(h):
@@ -186,6 +203,11 @@ def _operators(h, channels):
             f"got shapes {sorted({x.shape for x in mats})}")
 
     h0 = sp.csr_matrix((dim, dim) if static is None else static, dtype=complex)
+    defect = _hermitian_defect(h0)
+    if defect > HERMITIAN_TOL:
+        raise DimensionError(f"the static Hamiltonian is not Hermitian (relative defect "
+                             f"{defect:.2e})")
+    h0 = 0.5 * (h0 + h0.conj().T)
     oscillating = []
     for hk, w in terms:
         hk = sp.csr_matrix(hk, dtype=complex)
@@ -199,6 +221,9 @@ def _operators(h, channels):
 def _search(blocks, start):
     """Flat bool mask of the entries that a breadth-first search from the
     nonzero entries of start reaches along the nonzero entries of any block."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
     dim = start.size
     # column j of the stacked patterns lists the entries that entry j feeds,
     # at its row modulo dim
@@ -222,17 +247,32 @@ def _lindblad_rhs(h, channels, start=None):
     Liouvillian, assembled once.  The static part and the channels make L0;
     each oscillating term H_k adds the operators of rho -> -i[H_k, rho] and
     of the same with H_k^dag.  With a start matrix, the support is the set
-    of entries a search from its nonzero entries reaches along the nonzero
-    entries of any block; it is closed under the generator, so every other
-    entry stays exactly zero.  Each block is cut to the support before they
-    sit side by side, [L0, L_1, L_1', ...], so a call is one product with the
-    stacked copies [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...] of the support's
-    entries in row-major order.  Without a start, y holds every entry.
+    of entries a search from its nonzero entries, and their mirrors, reaches
+    along the nonzero entries of any block; it is closed under the
+    generator, so every other entry stays exactly zero.  Each block is cut
+    to the support before they sit side by side, [L0, L_1, L_1', ...], so
+    a call is one product with the stacked copies [y, e^{i w_1 t} y,
+    e^{-i w_1 t} y, ...] of the support's entries in row-major order.
+    Without a start, y holds every entry.
+
+    The generator maps a Hermitian rho to a Hermitian drho/dt, so only the
+    rows of the support's upper triangle (i <= j) are kept: the product
+    gives those entries, the diagonal is made real, and each entry below the
+    diagonal is the conjugate of its mirror.  f is therefore exact only on
+    the vec of a Hermitian matrix.  A start that is not Hermitian to
+    HERMITIAN_TOL raises DimensionError, and so does a support that is not
+    transpose-symmetric, which a Hermitian h cannot produce.
     support is the dim x dim bool mask of the entries y holds.
     """
+    import scipy.sparse as sp
+
     dim, h0, oscillating, channels = _operators(h, channels)
-    if start is not None and np.shape(start) != (dim, dim):
-        raise DimensionError(f"rho0 shape {np.shape(start)} != generator dimension {dim}")
+    if start is not None:
+        if np.shape(start) != (dim, dim):
+            raise DimensionError(f"rho0 shape {np.shape(start)} != generator dimension {dim}")
+        defect = _hermitian_defect(np.asarray(start))
+        if defect > HERMITIAN_TOL:
+            raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
     sink = sp.csr_matrix((dim, dim), dtype=complex)
     jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for o, w in channels:
@@ -246,15 +286,33 @@ def _lindblad_rhs(h, channels, start=None):
             ops.append(_superop(-1.0j * x, 1.0j * x, dim))
             omegas.append(sign * w)
 
-    support = np.ones(dim * dim, dtype=bool) if start is None else _search(ops, np.ravel(start))
-    if not support.all():
-        keep = np.flatnonzero(support)
+    if start is None:
+        support = np.ones(dim * dim, dtype=bool)
+    else:
+        nonzero = np.asarray(start) != 0
+        support = _search(ops, np.ravel(nonzero | nonzero.T))
+    if not np.array_equal(support.reshape(dim, dim), support.reshape(dim, dim).T):
+        raise DimensionError("the support is not transpose-symmetric: "
+                             "the generator does not keep rho Hermitian")
+    keep = np.flatnonzero(support)
+    if keep.size < dim * dim:
         ops = [op[keep][:, keep] for op in ops]
-    gen = sp.hstack(ops, format="csr")
+    row, col = np.divmod(keep, dim)
+    upper = np.flatnonzero(row <= col)
+    lower = np.flatnonzero(row > col)
+    rank = np.cumsum(row <= col) - 1  # an upper entry's position in upper
+    src = rank[np.searchsorted(keep, col[lower] * dim + row[lower])]  # mirror (j, i)
+    diag = np.flatnonzero(row[upper] == col[upper])
+    gen = sp.hstack(ops, format="csr")[upper]
     omegas = np.array(omegas)
 
     def rhs(t, y):
-        return gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
+        z = gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
+        z[diag] = z[diag].real
+        out = np.empty_like(y)
+        out[upper] = z
+        out[lower] = z[src].conj()
+        return out
 
     return rhs, support.reshape(dim, dim), gen.nnz
 
@@ -262,6 +320,8 @@ def _lindblad_rhs(h, channels, start=None):
 def _dop853(rhs, y0, t_grid, cfg):
     """Adaptive DOP853 sampled on t_grid through its dense output, step for
     step what solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev)."""
+    from scipy.integrate import DOP853
+
     ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=cfg.rel_tol, atol=cfg.abs_tol,
                  max_step=cfg.max_step if cfg.max_step else np.inf)
     ys, done = [], 0
@@ -293,8 +353,11 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
                 merged into the observables series
 
-    Only the entries rho0 can reach are integrated (metadata "support"
-    counts them); the others are exact zeros at every sample.
+    rho0 must be Hermitian to HERMITIAN_TOL of its largest entry
+    (DimensionError otherwise); its exact Hermitian part is integrated, and
+    every sample is exactly Hermitian (_lindblad_rhs).  Only the entries
+    rho0 can reach are integrated (metadata "support" counts them); the
+    others are exact zeros at every sample.
     Trace drift beyond 1e-8 warns; eigenvalues below -1e-6 abort.
     """
     solver = solver or SolverConfig()
@@ -310,7 +373,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     setup_s = _time.perf_counter() - setup0
 
     dim = len(support)
-    y0 = rho0.matrix.astype(complex).ravel()
+    y0 = np.asarray(rho0.matrix, dtype=complex)
+    y0 = (0.5 * (y0 + y0.conj().T)).ravel()  # the exact Hermitian part
     keep = np.flatnonzero(support)
     wall0 = _time.perf_counter()
     if float(t_grid[0]) != 0.0:
@@ -333,11 +397,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     states = [] if store_states else None
     max_trace_drift = 0.0
     min_eig = np.inf
-    full = np.zeros_like(y0)  # entries outside the support stay zero
     for t, y in zip(t_grid, ys):
-        full[keep] = y
-        rho = full.reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = np.zeros_like(y0)  # entries outside the support stay zero
+        rho[keep] = y
+        rho = rho.reshape(dim, dim)
         drift = abs(np.trace(rho).real - 1.0)
         max_trace_drift = max(max_trace_drift, drift)
         evals_min = float(np.linalg.eigvalsh(rho).min())
@@ -351,7 +414,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             for key, val in sample_hook(t, rho).items():
                 series.setdefault(key, []).append(val)
         if store_states:
-            states.append(StateDensity(rho.copy(), frame=rho0.frame, time=float(t)))
+            states.append(StateDensity(rho, frame=rho0.frame, time=float(t)))
     if max_trace_drift > 1e-8:
         warnings.warn(
             f"trace drift {max_trace_drift:.2e} exceeds 1e-8; tighten tolerances",

@@ -177,9 +177,12 @@ def derive(params, delta_eff_override=None):
 class SplitHamiltonian:
     """H(t) = static + sum_k [e^{i w_k t} H_k + e^{-i w_k t} H_k^dag].
 
-    static is a matrix or None; terms holds (H_k, w_k) pairs, w_k in rad/ns.
-    evolve_master turns each term into two fixed superoperators scaled by
-    e^{+i w_k t} and e^{-i w_k t}; at(t) is the dense matrix at one time.
+    static is a Hermitian matrix or None; terms holds (H_k, w_k) pairs, w_k
+    in rad/ns, so H(t) is Hermitian at every t.  evolve_master turns each
+    term into two fixed superoperators scaled by e^{+i w_k t} and
+    e^{-i w_k t}, keeping only their rows of the upper triangle of rho, and
+    refuses a static part that is not Hermitian; at(t) is the dense matrix
+    at one time.
     """
 
     static: np.ndarray = None

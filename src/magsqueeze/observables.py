@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
 from .qops import herm_eig
@@ -133,6 +132,8 @@ def _quadrature_eig(n):
     B^T B w = s^2 w and B B^T u = s^2 u with u signed so that B w = s u,
     (w, +-u) / sqrt(2) are the eigenvectors of q at +-s.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = n // 2
     j = np.arange(h, dtype=float)
     mu, w = eigh_tridiagonal(4.0 * j + 1.0, np.sqrt((2.0 * j[:-1] + 1.0) * (2.0 * j[:-1] + 2.0)))

@@ -13,7 +13,6 @@ Conventions fixed here and relied on everywhere else:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DimensionError, NumericalError
 
@@ -105,6 +104,8 @@ def herm_eig(op, atol=1e-10):
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
+    from scipy.linalg import eigh
+
     op = np.asarray(op)
     dev = np.max(np.abs(op - op.conj().T))
     scale = max(np.max(np.abs(op)), 1.0)

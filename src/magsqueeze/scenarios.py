@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import Config
+from .config import Config, require_fock_floor
 from .constants import TWO_PI
 from .coupling import YIG, coupling_map
 from .dynamics import (
@@ -87,8 +87,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r} (choose from {SCENARIOS})"
             )
-        if self.config.run.fock_dim < 40:
-            raise ConfigError("fock_dim must be at least 40")
+        if self.scenario in ("custom", "squeeze_compare"):
+            require_fock_floor(self.config.run, self.scenario)
 
     @classmethod
     def from_config(cls, cfg, scenario=None):

@@ -266,6 +266,28 @@ def test_evolve_master_input_validation(params):
                       diss, rho0, solver=solver_for([1.0]))
 
 
+def test_evolve_master_refuses_non_hermitian_inputs(params):
+    # the Liouvillian keeps only the upper-triangle rows, so a start or a
+    # static Hamiltonian that is not Hermitian is refused, not integrated
+    nf = 6
+    diss = magnon_thermal_dissipators(params, nf)
+    h = _sector_split(params, nf, DELTA_OP)
+    skew = sector_rho0(nf)
+    skew.matrix[0, 1] = 1e-6
+    with pytest.raises(DimensionError, match="rho0 is not Hermitian"):
+        evolve_master(h, diss, skew, solver=solver_for([1.0]))
+    static = np.diag(np.arange(nf, dtype=complex))
+    static[0, 1] = 1e-6
+    with pytest.raises(DimensionError, match="static Hamiltonian is not Hermitian"):
+        evolve_master(SplitHamiltonian(static, h.terms), diss, sector_rho0(nf),
+                      solver=solver_for([1.0]))
+    # within the tolerance, the exact Hermitian part of rho0 is integrated
+    near = sector_rho0(nf)
+    near.matrix[0, 1] = 1e-14
+    res = evolve_master(h, diss, near, solver=solver_for([0.0]), store_states=True)
+    assert res.states[0].matrix[0, 1] == res.states[0].matrix[1, 0] == 0.5e-14
+
+
 @given(
     dim=st.integers(2, 12),
     n_terms=st.integers(0, 3),
@@ -275,13 +297,15 @@ def test_evolve_master_input_validation(params):
 )
 def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
     # the CSR Liouvillian against dense products on random operators: a
-    # non-Hermitian static part, random oscillating terms and channels
+    # Hermitian static part, random oscillating terms and channels, applied
+    # to a Hermitian y, the only kind the upper-triangle rows serve
     rng = np.random.default_rng(seed)
 
     def rand():
         return rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
 
     static = rand()
+    static = static + static.conj().T
     terms = tuple((rand(), float(rng.uniform(-5.0, 5.0))) for _ in range(n_terms))
     channels = [(rand(), float(rng.uniform(0.0, 1.0))) for _ in range(n_channels)]
 
@@ -293,7 +317,8 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
 
     rhs, support, nnz = _lindblad_rhs(SplitHamiltonian(static, terms), channels)
     assert support.shape == (dim, dim) and support.all() and nnz > 0
-    y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
+    y = rand()
+    y = (y + y.conj().T).ravel()
     ref = dense_lindblad_rhs(h_of_t, channels)(t, y)
     assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -314,9 +339,38 @@ def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
     dim = len(support)
     assert dim == 2 * fock_dim
     rng = np.random.default_rng(seed)
-    y = rng.normal(size=dim * dim) + 1.0j * rng.normal(size=dim * dim)
+    y = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
+    y = (y + y.conj().T).ravel()
     ref = dense_lindblad_rhs(split.at, channels)(t, y)
-    assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
+    out = rhs(t, y)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the lower triangle is the conjugate of the upper one, bit for bit
+    out = out.reshape(dim, dim)
+    np.testing.assert_array_equal(out, out.conj().T)
+
+
+@pytest.mark.parametrize("params", [
+    PhysicalParams(),
+    PhysicalParams(kappa=2.0, temperature=300.0, gamma=300.0, gamma_phi=100.0),
+], ids=["default", "hot"])
+def test_full_rotating_states_match_the_dense_oracle(params):
+    # an oracle independent of _lindblad_rhs: the full_rotating run of
+    # evolve_master against a DOP853 integration of the dense per-call RHS
+    # on every entry of the joint state
+    nf = 12
+    times = np.arange(0.0, 2.0 + 0.25, 0.25)
+    h = build_H_rot(params, nf)
+    dissipators = build_dissipators_full(params, nf)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
+    res = evolve_master(h, dissipators, rho0,
+                        solver=solver_for(times, rel_tol=1e-10, abs_tol=1e-12),
+                        store_states=True)
+    ref = solve_ivp(dense_lindblad_rhs(h.at, dissipators.active()), (0.0, times[-1]),
+                    rho0.matrix.ravel().astype(complex), method="DOP853", t_eval=times,
+                    rtol=1e-10, atol=1e-12)
+    assert ref.success
+    for y, state in zip(ref.y.T, res.states):
+        assert_allclose(state.matrix, y.reshape(2 * nf, 2 * nf), rtol=0.0, atol=1e-10)
 
 
 effective_runs = st.builds(
@@ -368,6 +422,7 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
     channels = dissipators.active()
     _, support, _ = _lindblad_rhs(h, channels, rho0.matrix)
     np.testing.assert_array_equal(support, expected_support(run))
+    np.testing.assert_array_equal(support, support.T)
     rhs, _, _ = _lindblad_rhs(h, channels)
     rng = np.random.default_rng(seed)
     y = np.where(support, rng.normal(size=support.shape)
@@ -400,8 +455,10 @@ def test_reachable_matches_a_search_of_the_liouvillian(dim, n_channels, h_densit
                                                  float(rng.uniform(0.5, 5.0))),))
     channels = [(sparse_rand(o_density), float(rng.uniform(0.1, 1.0)))
                 for _ in range(n_channels)]
+    # a Hermitian start: one random entry and its mirror
     start = np.zeros((dim, dim), dtype=complex)
-    start[rng.integers(0, dim), rng.integers(0, dim)] = 1.0
+    i, j = rng.integers(0, dim, size=2)
+    start[i, j] = start[j, i] = 1.0
     rhs = dense_lindblad_rhs(split.at, channels)
     linked = np.abs(np.array([rhs(t, e) for t in (0.3, 1.1)
                               for e in np.eye(dim * dim)]).T) > 0
@@ -468,16 +525,25 @@ def test_positivity_monitor_aborts(params):
                       solver=solver_for([0.0, 1.0]))
 
 
+class UnfilteredSpec(LindbladSpec):
+    """Channels passed on as given, negative weights included."""
+
+    def active(self):
+        return list(self.channels)
+
+
 def test_stiffness_error_on_unintegrable_generator():
-    # a non-Hermitian "Hamiltonian" with anti-Hermitian part +5i K makes
-    # rho blow up like e^{10 K t}; the adaptive solver must surface the
-    # failure as StiffnessError instead of returning partial output
-    h_grow = 5.0j * np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    # a dephasing channel of negative weight -5 on K = diag(0, 1, 2, 3)
+    # makes rho_ij blow up like e^{5 (k_i - k_j)^2 t}; the adaptive solver
+    # must surface the failure as StiffnessError instead of returning
+    # partial output
+    k_grow = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     rho0 = StateDensity(np.full((4, 4), 0.25, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(StiffnessError, match="integrator failed"):
-            evolve_master(h_grow, None, rho0, solver=solver_for([60.0]))
+            evolve_master(None, UnfilteredSpec([(k_grow, -5.0)]), rho0,
+                          solver=solver_for([60.0]))
 
 
 def test_trajectory_metadata(params):
@@ -492,11 +558,15 @@ def test_trajectory_metadata(params):
     assert res.metadata["n_rhs_evals"] > 0
     assert res.metadata["setup_s"] > 0.0
     assert res.metadata["support"] == nf * nf
-    # L0 alone: the anti-commutator diagonal plus one kron(o, conj o) per channel
-    assert res.metadata["generator_nnz"] == nf * nf + 2 * (nf - 1) ** 2
+    # L0 alone, on the nf (nf + 1) / 2 rows (i, j) with i <= j: the
+    # anti-commutator diagonal on each, and one jump per channel, from
+    # (i + 1, j + 1) for m (i, j < nf - 1) and from (i - 1, j - 1) for m^dag
+    # (i, j > 0), each on nf (nf - 1) / 2 rows
+    assert res.metadata["generator_nnz"] == nf * (nf + 1) // 2 + nf * (nf - 1)
     assert res.metadata["max_trace_drift"] < 1e-10
     # from vacuum, thermal decay alone only ever fills the diagonal: nf
-    # entries, each with its sink and the two jumps to its neighbours
+    # entries, all on the kept rows, each with its sink and the two jumps
+    # to its neighbours
     res = evolve_master(None, magnon_thermal_dissipators(params, nf), sector_rho0(nf),
                         solver=solver_for([1.0, 2.0]))
     assert res.metadata["support"] == nf

@@ -175,8 +175,11 @@ def test_env_overrides():
 
 
 def test_config_validation_floors(tmp_path):
-    with pytest.raises(ConfigError, match="fock_dim"):
-        load_config(write_ini(tmp_path, "[run]\nfock_dim = 30\n"), env={})
+    # the fock_dim floor belongs to the runs that truncate, not to the file
+    cfg = load_config(write_ini(tmp_path, "[run]\nfock_dim = 30\n"), env={})
+    assert cfg.run.fock_dim == 30
+    with pytest.raises(ConfigError, match="fock_dim: 30 below the minimum of 40 for custom"):
+        ScenarioConfig.from_config(cfg)
     with pytest.raises(ConfigError, match="time_"):
         load_config(write_ini(tmp_path, "[run]\ntime_step = -1 ns\n", "d.ini"), env={})
     with pytest.raises(ConfigError, match="not found"):
@@ -186,8 +189,14 @@ def test_config_validation_floors(tmp_path):
 def test_scenario_config_validation():
     with pytest.raises(ConfigError, match="unknown scenario"):
         ScenarioConfig(scenario="frobnicate")
-    with pytest.raises(ConfigError, match="fock_dim"):
-        ScenarioConfig(scenario="custom", config=Config(run=RunOptions(fock_dim=20)))
+    low = Config(run=RunOptions(fock_dim=20))
+    for truncating in ("custom", "squeeze_compare"):
+        with pytest.raises(ConfigError, match="fock_dim"):
+            ScenarioConfig(scenario=truncating, config=low)
+    # the other scenarios ignore fock_dim
+    for scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep", "temperature_sweep",
+                     "max_squeeze_heatmap", "superposition_wigner", "superposition_fidelity"):
+        assert ScenarioConfig(scenario=scenario, config=low).scenario == scenario
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +560,50 @@ def test_cli_converge_strict_exit_code(tmp_path, capsys):
     code = cli.main(["converge", "--scenario", "custom", "--config", ini,
                      "--out", str(tmp_path / "o")])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["fidelity", "superpose"])
+def test_cli_untruncated_commands_accept_a_small_fock_dim(tmp_path, command):
+    ini = write_ini(tmp_path, "[run]\nwigner_points = 21\n")
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o"),
+                     "--fock-dim", "20"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["squeeze"], ["squeeze", "--scenario", "custom"],
+                                  ["calibrate"], ["converge", "--scenario", "kappa_sweep"],
+                                  ["wigner", "--state", "vacuum"]])
+def test_cli_truncating_commands_refuse_a_small_fock_dim(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "o"), "--fock-dim", "20"]) == 2
+    assert "fock_dim: 20 below the minimum of 40" in capsys.readouterr().err
+
+
+# scipy is imported where it is called: loading the CLI and a config, or
+# running a sweep, imports none of the scipy modules below.  The check runs in
+# a fresh interpreter, since pytest's own filterwarnings setting imports
+# scipy.sparse into this one.
+_IMPORT_PROBE = """
+import sys
+import magsqueeze.cli
+from magsqueeze.config import load_config
+from magsqueeze.scenarios import ScenarioConfig
+ScenarioConfig.from_config(load_config(None, env={}), scenario="kappa_sweep")
+print(sorted(m for m in ("scipy.sparse", "scipy.integrate", "scipy.linalg")
+             if m in sys.modules))
+magsqueeze.cli.main(["sweep", "--out", sys.argv[1]])
+print(sorted(m for m in ("scipy.integrate",) if m in sys.modules))
+"""
+
+
+def test_loading_the_cli_imports_no_scipy_submodules(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = {k: v for k, v in env.items() if not k.startswith("MAGSQUEEZE_")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
 
 
 def test_cli_usage_error():
