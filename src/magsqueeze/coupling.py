@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,21 @@ class CouplingMapResult:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
+        """One (axis0, axis1, g) row per point, axis 0 outer, %.12e, LF endings."""
         a0, a1 = self.axis_names
+        v0s, v1s = self.axis_values
+        shape = (len(v0s), len(v1s))
+        if np.shape(self.g_ghz) != shape:
+            raise DimensionError(f"coupling map of shape {np.shape(self.g_ghz)} "
+                                 f"does not match the ({a0}, {a1}) axes {shape}")
+        # each axis value is formatted once: one template per axis-0 row, with
+        # "@" standing for the row's axis-0 value and %.12e for each g
+        row = "".join("@,%.12e,%%.12e\n" % x for x in v1s.tolist())
+        text = "".join(row.replace("@", "%.12e" % v0) % tuple(gs)
+                       for v0, gs in zip(v0s.tolist(), self.g_ghz.tolist()))
         with open(path, "w", newline="\n") as fh:
             fh.write(f"{a0},{a1},g_ghz\n")
-            for i, v0 in enumerate(self.axis_values[0]):
-                for j, v1 in enumerate(self.axis_values[1]):
-                    fh.write(f"{v0:.12e},{v1:.12e},{self.g_ghz[i, j]:.12e}\n")
+            fh.write(text)
 
 
 def coupling_map(geometry, material, axes, mode):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 from .qops import herm_eig
 from .states import squeezed_vacuum_dyad
 
@@ -88,12 +88,18 @@ class WignerGrid:
 
     def to_csv(self, path):
         """One (re, im, W) row per point, im outer, %.12e, LF endings."""
-        nx, ny = len(self.re_axis), len(self.im_axis)
-        rows = zip(np.tile(self.re_axis, ny).tolist(), np.repeat(self.im_axis, nx).tolist(),
-                   self.values.ravel().tolist())
+        shape = (len(self.im_axis), len(self.re_axis))
+        if np.shape(self.values) != shape:
+            raise DimensionError(f"Wigner values of shape {np.shape(self.values)} "
+                                 f"do not match the (im, re) axes {shape}")
+        # each axis value is formatted once: one template per grid row, with
+        # "@" standing for the row's im value and %.12e for each W
+        row = "".join("%.12e,@,%%.12e\n" % x for x in self.re_axis.tolist())
+        text = "".join(row.replace("@", "%.12e" % im) % tuple(ws)
+                       for im, ws in zip(self.im_axis.tolist(), self.values.tolist()))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re_alpha,im_alpha,wigner\n")
-            fh.write("".join(map("%.12e,%.12e,%.12e\n".__mod__, rows)))
+            fh.write(text)
 
     def descriptor(self):
         return {

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .config import Config, require_fock_floor
 from .constants import TWO_PI
 from .coupling import YIG, coupling_map
@@ -122,13 +123,7 @@ def _sha256(path):
 def _versions():
     import scipy
 
-    try:
-        from importlib.metadata import version
-
-        pkg = version("magsqueeze")
-    except Exception:
-        pkg = "unknown"
-    return {"magsqueeze": pkg, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"magsqueeze": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _config_echo(cfg):

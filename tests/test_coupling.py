@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsqueeze.constants import H_PLANCK, MU0, MU_B
 from magsqueeze.coupling import (
     YIG,
+    CouplingMapResult,
     CouplingResult,
     LoopGeometry,
     MaterialSpec,
@@ -31,7 +32,8 @@ from magsqueeze.coupling import (
     spin_count,
     volume_avg_field,
 )
-from magsqueeze.errors import ConfigError, NumericalError
+from magsqueeze.errors import ConfigError, DimensionError, NumericalError
+from test_observables import csv_grids  # test-local strategy
 
 GEOM = LoopGeometry(side_length=10.0, current=0.4)
 
@@ -224,6 +226,32 @@ def test_coupling_map_point_mode(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "R_um,I_p_uA,g_ghz"
     assert len(lines) == 1 + 6
+
+
+def per_row_coupling_csv(res):
+    """Test-local oracle: the map CSV written one f-string row at a time."""
+    a0, a1 = res.axis_names
+    lines = [f"{a0},{a1},g_ghz\n"]
+    for i, v0 in enumerate(res.axis_values[0]):
+        for j, v1 in enumerate(res.axis_values[1]):
+            lines.append(f"{v0:.12e},{v1:.12e},{res.g_ghz[i, j]:.12e}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@given(csv_grids())
+@settings(max_examples=200)
+def test_coupling_map_csv_matches_the_per_row_writer(tmp_path, grid_data):
+    v0s, v1s, g = grid_data
+    res = CouplingMapResult(("R_um", "x0_um"), (v0s, v1s), g)
+    res.to_csv(tmp_path / "map.csv")
+    assert (tmp_path / "map.csv").read_bytes() == per_row_coupling_csv(res)
+
+
+def test_coupling_map_csv_refuses_values_off_its_axes(tmp_path):
+    axes = (np.array([0.3, 0.5]), np.array([0.2, 0.4, 0.6]))
+    for g in (np.zeros((2, 4)), np.zeros((3, 2)), np.zeros((2, 3, 1)), np.zeros(6)):
+        with pytest.raises(DimensionError, match="does not match"):
+            CouplingMapResult(("R_um", "I_p_uA"), axes, g).to_csv(tmp_path / "map.csv")
 
 
 def test_coupling_map_volume_mode():

@@ -328,15 +328,37 @@ def per_row_csv(grid):
     return "".join(lines).encode("utf-8")
 
 
-def test_wigner_grid_csv_matches_the_per_row_writer(tmp_path, rng):
-    re_axis = np.linspace(-3.0, 5.0, 7)
-    im_axis = np.linspace(-2.0, 2.0, 5)      # holds 0.0
-    values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-30, 5, size=(5, 7))
-    values[1, 2], values[3, 4] = -0.0, 0.0
+# signed zeros, NaN, infinities, the smallest subnormal and the exponent extremes
+_CSV_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                    1e300, -1e300, 1e-300, -1e-300]
+csv_floats = st.one_of(st.floats(), st.sampled_from(_CSV_EDGE_FLOATS))
+
+
+@st.composite
+def csv_grids(draw):
+    """An outer axis, an inner axis and values of shape (outer, inner), 1 to 9 each."""
+    n_out, n_in = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    outer = np.array(draw(st.lists(st.floats(), min_size=n_out, max_size=n_out)))
+    inner = np.array(draw(st.lists(st.floats(), min_size=n_in, max_size=n_in)))
+    values = draw(st.lists(csv_floats, min_size=n_out * n_in, max_size=n_out * n_in))
+    return outer, inner, np.array(values).reshape(n_out, n_in)
+
+
+@given(csv_grids())
+@settings(max_examples=200)
+def test_wigner_grid_csv_matches_the_per_row_writer(tmp_path, grid_data):
+    im_axis, re_axis, values = grid_data
     grid = WignerGrid(re_axis, im_axis, values)
     grid.to_csv(tmp_path / "grid.csv")
     assert (tmp_path / "grid.csv").read_bytes() == per_row_csv(grid)
-    assert b"-0.000000000000e+00" in per_row_csv(grid)
+
+
+def test_wigner_grid_csv_refuses_values_off_its_axes(tmp_path):
+    axis = np.linspace(-1.0, 1.0, 3)
+    for values in (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((3, 3, 1)), np.zeros(9)):
+        with pytest.raises(DimensionError, match="do not match"):
+            WignerGrid(axis, axis, values).to_csv(tmp_path / "grid.csv")
+    WignerGrid(axis, axis[:2], np.zeros((2, 3))).to_csv(tmp_path / "grid.csv")
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.8, 1.1 * np.exp(0.7j)])

@@ -590,7 +590,7 @@ ScenarioConfig.from_config(load_config(None, env={}), scenario="kappa_sweep")
 print(sorted(m for m in ("scipy.sparse", "scipy.integrate", "scipy.linalg")
              if m in sys.modules))
 magsqueeze.cli.main(["sweep", "--out", sys.argv[1]])
-print(sorted(m for m in ("scipy.integrate",) if m in sys.modules))
+print(sorted(m for m in ("scipy.integrate", "importlib.metadata") if m in sys.modules))
 """
 
 
