@@ -20,7 +20,6 @@ from .dynamics import (
     TrajectoryResult,
     build_dissipators_full,
     conditional_squeezing_run,
-    conditional_superposition_run,
     evolve_master,
     postselect_qubit,
     sector_covariance_squeezing,
@@ -40,7 +39,6 @@ from .model import (
     SplitHamiltonian,
     build_H_cs,
     build_H_rot,
-    build_H_tot,
     derive,
     frame_transform,
     squeezing_parameter,

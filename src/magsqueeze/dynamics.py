@@ -10,25 +10,28 @@ i.e. the stored weight w multiplies the "2 o rho o^dag - {o^dag o, rho}"
 form directly.  A bare loss channel (m, kappa/2) then gives <n> ~ e^{-kappa t}.
 
 The effective model is H_cs = h(t) (x) sb_x with the thermal magnon pair
-and w L[sb_x].  The conditional runs dispatch on the qubit start:
+and w L[sb_x].  conditional_squeezing_run has two paths, and refuses any
+other request:
 
-* sb_x eigenstate qubit (plus_x, minus_x) -> the magnon state of that
-  sector alone: its <s|rho|s> block is closed under the generator, and the
-  qubit channel only damps the s != r coherences, which such a start never
-  fills.  The sector Hamiltonian is quadratic and the channels thermal, so
-  at any kappa the state stays Gaussian, every metric comes from the exact,
-  untruncated covariance (sector_covariance_squeezing), and fock_dim is
-  held to the state's exact Fock tail;
-* any other effective start, and the full models -> one master equation on
-  the 2N joint space.
+* effective, from an sb_x eigenstate qubit (plus_x, minus_x) -> the
+  magnon state of that sector alone: its <s|rho|s> block is closed under
+  the generator, and the qubit channel only damps the s != r coherences,
+  which such a start never fills.  The sector Hamiltonian is quadratic and
+  the channels thermal, so at any kappa the state stays Gaussian, every
+  metric comes from the exact, untruncated covariance
+  (sector_covariance_squeezing), and fock_dim is held to the state's exact
+  Fock tail;
+* the full model (full_rotating) -> one master equation on the 2N joint
+  space, in the rotating_half_pump frame.
 
 The superposition run from |0> (x) |g> also has a closed form: each of its
 sb_x blocks is a Gaussian operator, the diagonal ones from the sector
 covariance and the (+,-) coherence from a matrix Riccati equation solved
 exactly by Radon's lemma (superposition_blocks).  The superposition_wigner
 grids and the fidelity series come from there; no scenario integrates the
-effective model.  The master equations below serve the full models, and the
-effective ones serve as test oracles.
+effective model.  The master equations below serve the full model, and the
+joint effective one (_effective_model, conditional_superposition_run)
+serves as a test oracle.
 
 Every master equation runs on one sparse Liouvillian, assembled once per
 run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
@@ -47,7 +50,7 @@ pair fill only the entries of a sector run with i - j even.  In the joint
 effective run, h (x) sb_x moves level (n, q) only to (n +- 2, 1 - q), so
 n + 2q mod 4 splits the 2N levels into four classes, and every channel
 acts alike on both sides of rho: the state stays block-diagonal in the
-classes, N^2 entries.  The full models reach the whole joint space.
+classes, N^2 entries.  The full model reaches the whole joint space.
 """
 
 import math
@@ -63,7 +66,6 @@ from .model import (
     SplitHamiltonian,
     build_H_cs,
     build_H_rot,
-    build_H_tot,
     derive,
     frame_transform,
 )
@@ -102,7 +104,6 @@ class LindbladSpec:
 class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = None
     sample_times: np.ndarray = None
 
 
@@ -117,7 +118,7 @@ class TrajectoryResult:
 
 def build_dissipators_full(params, fock_dim):
     """Thermal magnon pair + qubit relaxation pair + pure dephasing (5 channels)
-    on the joint space, for the lab/rotating full model.  The qubit channels
+    on the joint space, for the full model.  The qubit channels
     act in the dressed (energy) eigenbasis, where relaxation physically acts.
     """
     d = derive(params)
@@ -322,8 +323,7 @@ def _dop853(rhs, y0, t_grid, cfg):
     step what solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev)."""
     from scipy.integrate import DOP853
 
-    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                 max_step=cfg.max_step if cfg.max_step else np.inf)
+    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=cfg.rel_tol, atol=cfg.abs_tol)
     ys, done = [], 0
     try:
         while done < len(t_grid):
@@ -483,32 +483,14 @@ def postselect_qubit(rho_joint, outcome):
 # conditional squeezing protocol
 
 
-def _sector_split(params, fock_dim, delta_eff, sector=+1):
-    """The sb_x = sector block of build_H_cs: sector times the magnon
-    coefficient of its sb_x term, read off the <g|sb_x|e> = 1 entry."""
-    (term, w), = build_H_cs(params, fock_dim, delta_eff).terms
-    block = term.reshape(fock_dim, 2, fock_dim, 2)[:, 0, :, 1]
-    return SplitHamiltonian(terms=((sector * block, w),))
-
-
 # sb_x sign of the qubit starts that pin the run to one sector
 _PINNED = {"plus_x": +1, "minus_x": -1}
 
 
 def _effective_model(params, qubit_init, fock_dim, delta_eff):
-    """Effective model from |0> (x) |qubit_init>, as (h, dissipators, rho0).
-
-    A pinned start runs on the magnon state of its sector, from |0><0|;
-    any other start on the joint space in the dressed {g, e} basis, under
-    H_cs with the thermal pair (x) 1 and w L[1 (x) sb_x].
-    """
-    sign = _PINNED.get(qubit_init)
-    if sign is not None:
-        vacuum = np.zeros((fock_dim, fock_dim), dtype=complex)
-        vacuum[0, 0] = 1.0
-        return (_sector_split(params, fock_dim, delta_eff, sign),
-                magnon_thermal_dissipators(params, fock_dim),
-                StateDensity(vacuum, frame="drive_interaction"))
+    """Effective model on the joint space from |0> (x) |qubit_init>, as (h,
+    dissipators, rho0): H_cs with the thermal pair (x) 1 and w L[1 (x) sb_x],
+    in the dressed {g, e} basis and the drive_interaction frame."""
     rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
     rho0.frame = "drive_interaction"
     sx = (kron(np.eye(fock_dim), SIGMA_X), _sx_weight(derive(params)))
@@ -516,12 +498,13 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
             LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
 
 
-def _plus_x_metrics(params, frame_tag):
-    """Sample hook: joint state -> drive_interaction frame -> sb_x = +1
-    postselection -> p_plus and the magnon metrics."""
+def _plus_x_metrics(params):
+    """Sample hook: rotating_half_pump joint state -> drive_interaction frame
+    -> sb_x = +1 postselection -> p_plus and the magnon metrics."""
 
     def hook(t, rho_joint):
-        state = frame_transform(StateDensity(rho_joint, frame=frame_tag, time=float(t)),
+        state = frame_transform(StateDensity(rho_joint, frame="rotating_half_pump",
+                                             time=float(t)),
                                 "drive_interaction", params)
         p, rho_m = postselect_qubit(state, "plus_x")
         qv = min_quadrature_variance(rho_m.matrix)
@@ -557,20 +540,30 @@ def conditional_squeezing_run(
     """Run the conditional-squeezing protocol and record per-sample
     post-selected metrics (p_plus, zeta_sq, squeezing_db, n_magnon, theta_star).
 
-    model: "effective" (two-photon Hamiltonian + effective dissipators, in
-    the drive_interaction frame), "full_lab" (lab-frame drive, dressed
-    representation), or "full_rotating" (exact half-pump-frame transform).
-    Full-model samples are transformed to the drive_interaction frame
-    before the sb_x = +1 postselection.
+    Two paths:
 
-    A pinned effective run (plus_x, minus_x) reads the exact sector
-    covariance (path "sector_exact") and raises TruncationError where its
-    Fock tail beyond fock_dim passes MIXED_TAIL_TOL; metadata records the
-    worst tail (max_fock_tail, max_fock_tail_time).  delta_eff=None takes
-    the analytic 2.007 MHz, below the two-photon threshold, so the default
-    run is refused.  Stored states with magnon loss come from the sector
-    master equation under solver; without it, they are S(zeta)|0>.
+    * model="effective" from a pinned start (plus_x, minus_x) reads the
+      exact sector covariance (path "sector_exact", drive_interaction
+      frame) and raises TruncationError where its Fock tail beyond fock_dim
+      passes MIXED_TAIL_TOL; metadata records the worst tail
+      (max_fock_tail, max_fock_tail_time).  delta_eff=None takes the
+      analytic 2.007 MHz, below the two-photon threshold, so the default
+      run is refused.  Stored states are S(zeta)|0>, which needs kappa = 0.
+    * model="full_rotating" integrates the full model in the exact
+      half-pump frame (build_H_rot) under solver (path
+      "joint_master_equation"); each sample is transformed to the
+      drive_interaction frame before the sb_x = +1 postselection.
+
+    Any other model, an effective run from another start, and stored states
+    of an effective run with kappa > 0 raise DimensionError; nothing is
+    integrated first.
     """
+    if model not in ("effective", "full_rotating"):
+        raise DimensionError(f"unknown model {model!r}: use 'effective' or 'full_rotating'")
+    sign = _PINNED.get(qubit_init)
+    if model == "effective" and sign is None:
+        raise DimensionError(f"an effective run starts from plus_x or minus_x, "
+                             f"not {qubit_init!r}")
     if sample_times is None:
         sample_times = default_sample_times()
     sample_times = np.asarray(sample_times, dtype=float)
@@ -583,56 +576,38 @@ def conditional_squeezing_run(
         "delta_eff": d.Delta_eff,
     }
 
-    sign = _PINNED.get(qubit_init) if model == "effective" else None
-    if sign is not None:
-        cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
-        tail, t_tail = sector_fock_tail(cov, fock_dim)
-        if tail > MIXED_TAIL_TOL:
-            raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
-                                  f"fock_dim={fock_dim} at t = {t_tail:.3f} ns "
-                                  f"(tolerance {MIXED_TAIL_TOL:.0e})")
-        obs = {k: cov[k] for k in ("zeta_sq", "squeezing_db", "n_magnon")}
-        obs["p_plus"] = np.full(len(sample_times), float(sign > 0))
-        # min_quadrature_variance's angle, and its 0 for the vacuum
-        s = cov["s"]
-        obs["theta_star"] = np.where(s == 0.0, 0.0, np.angle(s) / 2.0 + math.pi / 2.0)
-        states = None
-        if store_states and d.kappa == 0.0:
-            states = [StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
-                                   frame="drive_interaction", time=float(t))
-                      for t, z in zip(sample_times, _squeeze_parameters(cov))]
-        elif store_states:
-            states = evolve_master(
-                *_effective_model(params, qubit_init, fock_dim, delta_eff),
-                solver=replace(solver or SolverConfig(), sample_times=sample_times),
-                store_states=True).states
-        return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
-                                dict(meta, path="sector_exact", max_fock_tail=tail,
-                                     max_fock_tail_time=t_tail))
-
-    if model == "effective":
-        h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta_eff)
-    elif model in ("full_lab", "full_rotating"):
-        if model == "full_lab":
-            h, frame_tag = build_H_tot(params, fock_dim), "lab"
-        else:
-            h, frame_tag = build_H_rot(params, fock_dim), "rotating_half_pump"
+    if model == "full_rotating":
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
-        rho0.frame = frame_tag
-        dissipators = build_dissipators_full(params, fock_dim)
-    else:
-        raise DimensionError(f"unknown model {model!r}")
+        rho0.frame = "rotating_half_pump"
+        result = evolve_master(build_H_rot(params, fock_dim),
+                               build_dissipators_full(params, fock_dim), rho0,
+                               solver=replace(solver or SolverConfig(), sample_times=sample_times),
+                               sample_hook=_plus_x_metrics(params), store_states=store_states)
+        result.metadata.update(meta, path="joint_master_equation")
+        return result
 
-    cfg = replace(solver or SolverConfig(), sample_times=sample_times)
-    if model == "full_lab":
-        # the 3 GHz drive needs explicit step limiting
-        cfg.max_step = min(cfg.max_step, 0.01) if cfg.max_step else 0.01
-
-    result = evolve_master(h, dissipators, rho0, solver=cfg,
-                           sample_hook=_plus_x_metrics(params, rho0.frame),
-                           store_states=store_states)
-    result.metadata.update(meta, path="joint_master_equation")
-    return result
+    cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
+    tail, t_tail = sector_fock_tail(cov, fock_dim)
+    if tail > MIXED_TAIL_TOL:
+        raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
+                              f"fock_dim={fock_dim} at t = {t_tail:.3f} ns "
+                              f"(tolerance {MIXED_TAIL_TOL:.0e})")
+    if store_states and d.kappa > 0.0:
+        raise DimensionError("an effective run stores the pure states S(zeta)|0> only: "
+                             f"kappa = {params.kappa} MHz leaves them mixed")
+    obs = {k: cov[k] for k in ("zeta_sq", "squeezing_db", "n_magnon")}
+    obs["p_plus"] = np.full(len(sample_times), float(sign > 0))
+    # min_quadrature_variance's angle, and its 0 for the vacuum
+    s = cov["s"]
+    obs["theta_star"] = np.where(s == 0.0, 0.0, np.angle(s) / 2.0 + math.pi / 2.0)
+    states = None
+    if store_states:
+        states = [StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
+                               frame="drive_interaction", time=float(t))
+                  for t, z in zip(sample_times, _squeeze_parameters(cov))]
+    return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
+                            dict(meta, path="sector_exact", max_fock_tail=tail,
+                                 max_fock_tail_time=t_tail))
 
 
 _TAYLOR_DEGREE = 18  # remainder below 1/19! ~ 8e-18 at a scaled norm of 1

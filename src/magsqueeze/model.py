@@ -27,7 +27,8 @@ Physics conventions (also see qops):
   (both subsystems rotated at omega_p/2: rho~ = V rho V^dag with
   V = exp[+i(m^dag m + sb_z) omega_p t / 2]), and "drive_interaction"
   (additionally rotated by exp[+i(Omega/2) sb_x t]).  All frames coincide
-  at t = 0.
+  at t = 0.  The full model runs in rotating_half_pump, and frame_transform
+  converts between the last two; the lab frame serves the tests' oracles.
 
 * Internal units: angular frequencies in rad/ns, times in ns.  The
   user-facing parameter container holds linear frequencies (GHz/MHz/kHz)
@@ -53,8 +54,6 @@ from .qops import (
     number_op,
 )
 
-FRAMES = ("lab", "rotating_half_pump", "drive_interaction")
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -66,7 +65,7 @@ class PhysicalParams:
     Omega       drive amplitude, GHz
     phi         drive phase, rad.  phi = 0 makes the dressed-frame drive
                 equal to -Omega cos(omega_p t) sb_x, the sign convention
-                used by build_H_tot and everything downstream.
+                that build_H_rot and everything downstream assume.
     g           bare longitudinal coupling, GHz
     theta       flux angle; pi/4 balances g_x = g_z
     kappa       magnon energy relaxation rate, MHz
@@ -196,41 +195,15 @@ class SplitHamiltonian:
         return h
 
 
-def build_H_tot(params, fock_dim):
-    """Lab-frame Hamiltonian in the dressed qubit basis:
-
-        omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
-        + g_z (m+m^dag) sb_z - Omega cos(omega_p t) sb_x
-
-    This is the dressed-basis image (the rotation in the module docstring)
-    of the lab-frame Hamiltonian in the persistent-current basis,
-
-        omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
-        + g (m + m^dag) sigma_z
-        + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2),
-
-    when phi = 0 and theta = pi/4.  At other theta the dressed image of the
-    lab drive quadrature is [(sin theta - cos theta) sb_z - (cos theta +
-    sin theta) sb_x] / sqrt(2), not -sb_x; this form keeps -sb_x.
-    """
-    d = derive(params)
-    n = int(fock_dim)
-    m = annihilation(n)
-    x_m = m + m.conj().T
-    eye_m = np.eye(n, dtype=complex)
-    static = (
-        kron(d.omega_m * number_op(n), IDENTITY_2)
-        + kron(eye_m, 0.5 * d.nu * SIGMA_Z)
-        + d.g_x * kron(x_m, SIGMA_X)
-        + d.g_z * kron(x_m, SIGMA_Z)
-    )
-    drive = -0.5 * d.Omega * kron(eye_m, SIGMA_X)
-    return SplitHamiltonian(static, ((drive, d.omega_p),))
-
-
 def build_H_rot(params, fock_dim):
     """Hamiltonian in the rotating_half_pump frame (dressed basis), the exact
-    frame transform of build_H_tot:
+    frame transform of the dressed lab-frame Hamiltonian
+
+        omega_m m^dag m + (nu/2) sb_z + (m+m^dag)(g_x sb_x + g_z sb_z)
+        - Omega cos(omega_p t) sb_x,
+
+    the image of the persistent-current-basis one at phi = 0, theta = pi/4
+    (at other theta the lab drive's image is not -sb_x; this form keeps it):
 
         Delta_m m^dag m + (Delta_nu/2) sb_z - (Omega/2) sb_x
         + sum_k [h_k^dag e^{i d_k t} + h.c.]   (sideband_interaction_terms)
@@ -310,14 +283,6 @@ def squeezing_parameter(params, t, delta_eff=None):
 # frames
 
 
-def _rotating_half_pump_unitary(params, t, n):
-    """V = exp[+i (m^dag m + sb_z) omega_p t / 2]; diagonal in the joint basis."""
-    d = derive(params)
-    n_vals = np.repeat(np.arange(n, dtype=float), 2)
-    z_vals = np.tile(np.array([-1.0, 1.0]), n)
-    return np.exp(0.5j * d.omega_p * t * (n_vals + z_vals))
-
-
 def _drive_interaction_unitary(params, t, n):
     """V = exp[+i (Omega/2) sb_x t] on the joint space."""
     d = derive(params)
@@ -326,40 +291,24 @@ def _drive_interaction_unitary(params, t, n):
     return kron(np.eye(n, dtype=complex), v2)
 
 
-_FRAME_ORDER = {"lab": 0, "rotating_half_pump": 1, "drive_interaction": 2}
-
-
 def frame_transform(state, to_frame, params):
     """Re-express a joint StateDensity in another frame at its current time.
 
-    Supported: lab <-> rotating_half_pump <-> drive_interaction (adjacent
-    legs compose for lab <-> drive_interaction).  Trace and spectrum are
-    preserved exactly; only the representation changes.
+    Converts between rotating_half_pump and drive_interaction only: rho ->
+    V rho V^dag with V = exp[+i (Omega/2) sb_x t], or back.  Any other frame
+    raises FrameError.  Trace and spectrum are preserved exactly; only the
+    representation changes.
     """
-    if to_frame not in _FRAME_ORDER:
-        raise FrameError(f"unknown frame {to_frame!r}")
-    if state.frame not in _FRAME_ORDER:
-        raise FrameError(f"state carries unknown frame {state.frame!r}")
-    if to_frame == state.frame:
-        return StateDensity(state.matrix.copy(), frame=to_frame, time=state.time)
-    n = state.dim // 2
+    for frame in (state.frame, to_frame):
+        if frame not in ("rotating_half_pump", "drive_interaction"):
+            raise FrameError(f"frame_transform converts between rotating_half_pump and "
+                             f"drive_interaction only, not {frame!r}")
     t = state.time
-    rho = state.matrix
-    src, dst = _FRAME_ORDER[state.frame], _FRAME_ORDER[to_frame]
-    step = 1 if dst > src else -1
-    level = src
-    while level != dst:
-        if step == 1 and level == 0:        # lab -> rotating_half_pump
-            phases = _rotating_half_pump_unitary(params, t, n)
-            rho = (phases[:, None] * rho) * phases.conj()[None, :]
-        elif step == -1 and level == 1:     # rotating_half_pump -> lab
-            phases = _rotating_half_pump_unitary(params, t, n)
-            rho = (phases.conj()[:, None] * rho) * phases[None, :]
-        elif step == 1 and level == 1:      # rotating -> drive_interaction
-            v = _drive_interaction_unitary(params, t, n)
-            rho = v @ rho @ v.conj().T
-        else:                               # drive_interaction -> rotating
-            v = _drive_interaction_unitary(params, t, n)
-            rho = v.conj().T @ rho @ v
-        level += step
+    if to_frame == state.frame:
+        return StateDensity(state.matrix.copy(), frame=to_frame, time=t)
+    v = _drive_interaction_unitary(params, t, state.dim // 2)
+    if to_frame == "drive_interaction":
+        rho = v @ state.matrix @ v.conj().T
+    else:
+        rho = v.conj().T @ state.matrix @ v
     return StateDensity(rho, frame=to_frame, time=t)

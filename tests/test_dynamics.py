@@ -26,7 +26,6 @@ from magsqueeze.model import (
     SplitHamiltonian,
     build_H_cs,
     build_H_rot,
-    build_H_tot,
     derive,
 )
 from magsqueeze.dynamics import (
@@ -36,7 +35,7 @@ from magsqueeze.dynamics import (
     _expm_stack,
     _lindblad_rhs,
     _moment_generator,
-    _sector_split,
+    _plus_x_metrics,
     _squeeze_parameters,
     build_dissipators_full,
     conditional_squeezing_run,
@@ -78,7 +77,7 @@ from magsqueeze.states import (
     superposition_pm,
 )
 from magsqueeze.scenarios import superposition_fidelity_series
-from test_model import analytic_propagator  # test-local oracle
+from test_model import analytic_propagator, build_H_tot, lab_leg  # test-local oracles
 from test_observables import uhlmann_fidelity  # test-local oracle
 
 DB_PER_NEPER = 10.0 / math.log(10.0) * 2.0  # 8.6859 dB per unit squeezing parameter
@@ -98,6 +97,26 @@ def solver_for(times, **kw):
     return SolverConfig(sample_times=np.asarray(times, dtype=float), **kw)
 
 
+def sector_split(params, fock_dim, delta_eff, sector=+1):
+    """The sb_x = sector block of build_H_cs: sector times the magnon
+    coefficient of its sb_x term, read off the <g|sb_x|e> = 1 entry."""
+    (term, w), = build_H_cs(params, fock_dim, delta_eff).terms
+    block = term.reshape(fock_dim, 2, fock_dim, 2)[:, 0, :, 1]
+    return SplitHamiltonian(terms=((sector * block, w),))
+
+
+def effective_model(params, qubit_init, fock_dim, delta_eff):
+    """The effective model from |0> (x) |qubit_init>, as (h, dissipators,
+    rho0).  A pinned start (plus_x, minus_x) runs on the N x N magnon state
+    of its sector from |0><0|: its <s|rho|s> block is closed under the
+    generator.  Any other start runs on the joint space (_effective_model)."""
+    sector = {"plus_x": +1, "minus_x": -1}.get(qubit_init)
+    if sector is None:
+        return _effective_model(params, qubit_init, fock_dim, delta_eff)
+    return (sector_split(params, fock_dim, delta_eff, sector),
+            magnon_thermal_dissipators(params, fock_dim), sector_rho0(fock_dim))
+
+
 def sector_master_equation(params, sector, fock_dim, times, delta_eff, store_states=False,
                            **tol):
     """Test-local oracle: the pinned sector run as one master equation on
@@ -110,7 +129,7 @@ def sector_master_equation(params, sector, fock_dim, times, delta_eff, store_sta
         return {"zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
                 "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
-    return evolve_master(*_effective_model(params, init, fock_dim, delta_eff),
+    return evolve_master(*effective_model(params, init, fock_dim, delta_eff),
                          solver=solver_for(times, **tol), sample_hook=metrics,
                          store_states=store_states)
 
@@ -271,7 +290,7 @@ def test_evolve_master_refuses_non_hermitian_inputs(params):
     # static Hamiltonian that is not Hermitian is refused, not integrated
     nf = 6
     diss = magnon_thermal_dissipators(params, nf)
-    h = _sector_split(params, nf, DELTA_OP)
+    h = sector_split(params, nf, DELTA_OP)
     skew = sector_rho0(nf)
     skew.matrix[0, 1] = 1e-6
     with pytest.raises(DimensionError, match="rho0 is not Hermitian"):
@@ -418,7 +437,7 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
     # the full-support generator maps a vector on the support into the
     # support, with exact zeros everywhere else
     params, qubit_init, fock_dim, delta = run
-    h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta)
+    h, dissipators, rho0 = effective_model(params, qubit_init, fock_dim, delta)
     channels = dissipators.active()
     _, support, _ = _lindblad_rhs(h, channels, rho0.matrix)
     np.testing.assert_array_equal(support, expected_support(run))
@@ -477,7 +496,7 @@ def test_reduced_support_matches_full_integration(run):
     # evolve_master integrates only the reachable entries; the oracle runs
     # the same generator on every entry
     params, qubit_init, fock_dim, delta = run
-    h, dissipators, rho0 = _effective_model(params, qubit_init, fock_dim, delta)
+    h, dissipators, rho0 = effective_model(params, qubit_init, fock_dim, delta)
     times = np.arange(0.0, 6.0 + 1.5, 1.5)
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     res = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tight),
@@ -504,7 +523,7 @@ def test_joint_run_sectors_match_pinned_runs(run):
     joint = evolve_master(*_effective_model(params, "plus_plus_minus", fock_dim, delta),
                           solver=tight, store_states=True)
     for init, ket in (("plus_x", KET_PLUS_X), ("minus_x", KET_MINUS_X)):
-        pinned = evolve_master(*_effective_model(params, init, fock_dim, delta),
+        pinned = evolve_master(*effective_model(params, init, fock_dim, delta),
                                solver=tight, store_states=True)
         for state, ref in zip(joint.states, pinned.states):
             block = np.einsum("a,iajb,b->ij", ket.conj(),
@@ -519,7 +538,7 @@ def test_positivity_monitor_aborts(params):
     rho = np.zeros((nf, nf), dtype=complex)
     rho[0, 0], rho[1, 1] = 1.1, -0.1
     with pytest.raises(NumericalError, match="positivity violated at t = 0.000"):
-        evolve_master(_sector_split(params, nf, None),
+        evolve_master(sector_split(params, nf, None),
                       magnon_thermal_dissipators(params, nf),
                       StateDensity(rho, frame="drive_interaction"),
                       solver=solver_for([0.0, 1.0]))
@@ -787,11 +806,13 @@ def test_joint_run_reduces_to_sector():
     # sb_x sectors)
     qdiss_off = PhysicalParams(gamma=0.0, gamma_phi=0.0)
     times = np.arange(0.0, 20.0 + 2.0, 2.0)
-    joint = conditional_squeezing_run(qdiss_off, qubit_init="plus_plus_minus",
-                                      model="effective", fock_dim=40,
-                                      sample_times=times, delta_eff=DELTA_OP)
+    # the hook's drive-frame rotation e^{i (Omega/2) sb_x t} only phases the
+    # sb_x = +1 block of this drive-frame state by e^{+-i Omega t/2}: it
+    # leaves that block as it is
+    joint = evolve_master(*_effective_model(qdiss_off, "plus_plus_minus", 40, DELTA_OP),
+                          solver=solver_for(times), sample_hook=_plus_x_metrics(qdiss_off))
     sector = sector_master_equation(qdiss_off, +1, 40, times, DELTA_OP)
-    assert joint.metadata["path"] == "joint_master_equation"
+    assert joint.metadata["support"] == 40 ** 2  # the four n + 2q mod 4 class blocks
     assert_allclose(joint.observables["p_plus"], 0.5, atol=1e-9)
     for key in ("zeta_sq", "squeezing_db", "n_magnon"):
         assert_allclose(joint.observables[key], sector.observables[key], atol=1e-8)
@@ -817,10 +838,9 @@ def test_block_runs_match_dense_joint_oracle():
     assert ref.success
     dense = [StateDensity(0.5 * (x + x.conj().T), frame="drive_interaction")
              for x in ref.y.T.reshape(len(times), 2 * nf, 2 * nf)]
-    squeeze = conditional_squeezing_run(hot_qubit, qubit_init="plus_plus_minus",
-                                        fock_dim=nf, sample_times=times,
-                                        delta_eff=delta, solver=SolverConfig(**tight),
-                                        store_states=True)
+    squeeze = evolve_master(*_effective_model(hot_qubit, "plus_plus_minus", nf, delta),
+                            solver=solver_for(times, **tight),
+                            sample_hook=_plus_x_metrics(hot_qubit), store_states=True)
     sup = conditional_superposition_run(hot_qubit, times, fock_dim=nf, delta_eff=delta,
                                         solver=SolverConfig(**tight))
     for i, state in enumerate(dense):
@@ -1003,13 +1023,22 @@ def test_covariance_outside_physical_region_raises():
 
 def test_full_lab_matches_full_rotating(params):
     # same physics in two different time-dependent representations with
-    # different frame chains; agreement is a strong end-to-end check
+    # different frame chains; agreement is a strong end-to-end check.  The
+    # lab-frame run is the test-local oracle: build_H_tot, whose 3 GHz drive
+    # the adaptive steps resolve unaided, and the lab leg before the
+    # package's rotating-frame hook
     times = np.arange(0.0, 10.0 + 2.0, 2.0)
-    lab = conditional_squeezing_run(params, model="full_lab", fock_dim=20,
-                                    sample_times=times)
+    rotating_hook = _plus_x_metrics(params)
+
+    def lab_hook(t, rho):
+        return rotating_hook(t, lab_leg(StateDensity(rho, frame="lab", time=float(t)),
+                                        params).matrix)
+
+    lab = evolve_master(build_H_tot(params, 20), build_dissipators_full(params, 20),
+                        joint_initial_state(qubit="plus_x", fock_dim=20),
+                        solver=solver_for(times), sample_hook=lab_hook)
     rot = conditional_squeezing_run(params, model="full_rotating", fock_dim=20,
                                     sample_times=times)
-    assert lab.metadata["model"] == "full_lab"
     # the full models fill the whole joint space: nothing is cut away
     assert lab.metadata["support"] == rot.metadata["support"] == (2 * 20) ** 2
     assert np.max(np.abs(lab.observables["squeezing_db"]
@@ -1033,7 +1062,7 @@ def test_full_model_squeezes_at_twice_the_reduced_rate(params):
 
 def test_run_store_states(params):
     times = np.arange(0.0, 4.0 + 1.0, 1.0)
-    res = conditional_squeezing_run(params, model="effective", fock_dim=30,
+    res = conditional_squeezing_run(replace(params, kappa=0.0), model="effective", fock_dim=30,
                                     sample_times=times, store_states=True)
     assert len(res.states) == len(times)
     for t, st in zip(times, res.states):
@@ -1042,9 +1071,25 @@ def test_run_store_states(params):
         assert st.matrix.shape == (30, 30)
 
 
-def test_unknown_model_raises(params):
+@pytest.mark.parametrize("refused", [
+    dict(model="adiabatic"),
+    dict(model="full_lab"),
+    dict(model="effective", qubit_init="g"),
+    dict(model="effective", qubit_init="plus_plus_minus"),
+    dict(model="effective", store_states=True),  # at the default kappa = 0.5 MHz
+], ids=["adiabatic", "full_lab", "effective_from_g", "effective_from_plus_plus_minus",
+        "stored_states_with_kappa"])
+def test_run_refuses_requests_off_its_two_paths(params, monkeypatch, refused):
+    # conditional_squeezing_run reads the pinned covariance or integrates
+    # full_rotating; anything else is refused before any master equation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditional_squeezing_run ran a master equation")
+
+    monkeypatch.setattr("magsqueeze.dynamics.evolve_master", forbidden)
+    assert params.kappa == 0.5
     with pytest.raises(DimensionError):
-        conditional_squeezing_run(params, model="adiabatic", sample_times=[1.0])
+        conditional_squeezing_run(params, fock_dim=40, sample_times=[0.0, 1.0],
+                                  delta_eff=DELTA_OP, **refused)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1105,7 @@ def sector_exact_states(params, fock_dim, sector, delta_eff, times):
     keeps Fock parity, so only the even levels are diagonalised; the odd
     amplitudes are exact zeros.  Returns one row psi(t) per time.
     """
-    h = _sector_split(params, fock_dim, delta_eff, sector)
+    h = sector_split(params, fock_dim, delta_eff, sector)
     (_, w), = h.terms
     delta = -0.5 * w  # the term oscillates at w = -2 Delta
     n_even = np.arange(0, fock_dim, 2, dtype=float)
@@ -1097,7 +1142,7 @@ def test_sector_exact_states_match_full_exponential(sector, delta):
     times = np.array([0.0, 3.0, 11.5])
     psis = sector_exact_states(NODISS, nf, sector, delta, times)
     kets = sector_kets(NODISS, nf, sector, delta, times)
-    h = _sector_split(NODISS, nf, delta, sector)
+    h = sector_split(NODISS, nf, delta, sector)
     n = np.arange(nf, dtype=float)
     for t, psi, ket in zip(times, psis, kets):
         u = expm(-1.0j * (h.at(0.0) + delta * np.diag(n)) * t)
@@ -1229,13 +1274,15 @@ def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, d
     # post-selected grids and p_g against the closed-form Gaussian blocks.
     # The moments weigh level k by up to k^2, so the solver's absolute
     # tolerance on the near-empty top levels is 1e-13: at 1e-11 it alone
-    # moves <m^dag m> by 5e-7 at 240 levels.  Measured worst cases (29 ns):
-    # 3.4e-8 in W, 1.3e-8 in the moments, 7e-12 in p.
+    # moves <m^dag m> by 5e-7 at 240 levels.  At rtol 1e-9 the solver alone
+    # moved <m^dag m> by 1.3e-7 (t = 27.625 ns, kappa = 0.03125 MHz, 5 mK,
+    # Delta = 0; 9e-10 at rtol 1e-11, atol 1e-15).  Measured worst cases at
+    # rtol 1e-11 over 19 draws: 2.3e-8 in W, 2.9e-8 in the moments.
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     nf = converged_fock(params, t, delta)
     h, dissipators, rho0 = _effective_model(params, "plus_plus_minus", nf, delta)
     rho = evolve_master(h, dissipators, rho0, store_states=True,
-                        solver=solver_for([t], rel_tol=1e-9, abs_tol=1e-13)).states[0]
+                        solver=solver_for([t], rel_tol=1e-11, abs_tol=1e-13)).states[0]
     r4 = rho.matrix.reshape(nf, 2, nf, 2)
     coherence = np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), r4, KET_MINUS_X)
 

@@ -25,12 +25,10 @@ from scipy.linalg import eigh
 from magsqueeze.constants import TWO_PI
 from magsqueeze.errors import FrameError, NumericalError
 from magsqueeze.model import (
-    FRAMES,
     PhysicalParams,
     SplitHamiltonian,
     build_H_cs,
     build_H_rot,
-    build_H_tot,
     derive,
     frame_transform,
     sideband_interaction_terms,
@@ -141,6 +139,33 @@ def build_H_lab(params, fock_dim):
     return SplitHamiltonian(static, ((drive, d.omega_p),))
 
 
+def build_H_tot(params, fock_dim):
+    """Lab-frame Hamiltonian in the dressed qubit basis, the form that
+    build_H_rot is the exact rotating-frame transform of:
+
+        omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
+        + g_z (m+m^dag) sb_z - Omega cos(omega_p t) sb_x
+
+    This is the dressed-basis image of build_H_lab when phi = 0 and
+    theta = pi/4.  At other theta the dressed image of the lab drive
+    quadrature is [(sin theta - cos theta) sb_z - (cos theta + sin theta)
+    sb_x] / sqrt(2), not -sb_x; this form keeps -sb_x.
+    """
+    d = derive(params)
+    n = int(fock_dim)
+    m = annihilation(n)
+    x_m = m + m.conj().T
+    eye_m = np.eye(n, dtype=complex)
+    static = (
+        kron(d.omega_m * number_op(n), IDENTITY_2)
+        + kron(eye_m, 0.5 * d.nu * SIGMA_Z)
+        + d.g_x * kron(x_m, SIGMA_X)
+        + d.g_z * kron(x_m, SIGMA_Z)
+    )
+    drive = -0.5 * d.Omega * kron(eye_m, SIGMA_X)
+    return SplitHamiltonian(static, ((drive, d.omega_p),))
+
+
 @given(theta=st.floats(0.05, math.pi / 2 - 0.05))
 @settings(max_examples=30)
 def test_dressed_rotation_images(theta):
@@ -193,15 +218,20 @@ def test_lab_and_dressed_hamiltonians_agree_any_time_and_angle(t, theta):
 # rotating frame
 
 
+def half_pump_exponents(n):
+    """Diagonal of m^dag m + sb_z on the joint basis: V = diag e^{i k omega_p t/2}."""
+    return np.repeat(np.arange(n, dtype=float), 2) + np.tile(np.array([-1.0, 1.0]), n)
+
+
 def check_rotating_frame_transform(params, t):
     # V H V^dag - (omega_p/2)(n + sb_z) must reproduce the rotating-frame
     # Hamiltonian, counter-rotating drive included
     n = 10
     d = derive(params)
     h_tot = build_H_tot(params, n).at(t)
-    # V = diag e^{i k omega_p t/2} with k = n + sb_z; (V H V^dag)_ij takes the
-    # phase of k_i - k_j, which keeps the phase arguments small at t = 50 ns
-    k = np.repeat(np.arange(n, dtype=float), 2) + np.tile(np.array([-1.0, 1.0]), n)
+    # (V H V^dag)_ij takes the phase of k_i - k_j, which keeps the phase
+    # arguments small at t = 50 ns
+    k = half_pump_exponents(n)
     generator = 0.5 * d.omega_p * (
         kron(number_op(n), IDENTITY_2) + kron(np.eye(n), SIGMA_Z)
     )
@@ -513,17 +543,35 @@ def test_analytic_propagator_warns_at_tight_truncation(params):
 # frames for states
 
 
+def lab_leg(state, params):
+    """The lab <-> rotating_half_pump leg of the frame chain: rho -> V rho
+    V^dag with V = exp[+i (m^dag m + sb_z) omega_p t / 2], diagonal in the
+    joint basis, from lab, or back from rotating_half_pump.  The package's
+    frame_transform takes the state on to drive_interaction."""
+    d = derive(params)
+    phases = np.exp(0.5j * d.omega_p * state.time * half_pump_exponents(state.dim // 2))
+    if state.frame == "lab":
+        frame = "rotating_half_pump"
+    elif state.frame == "rotating_half_pump":
+        phases, frame = phases.conj(), "lab"
+    else:
+        raise FrameError(f"the lab leg starts from lab or rotating_half_pump, not {state.frame!r}")
+    rho = (phases[:, None] * state.matrix) * phases.conj()[None, :]
+    return StateDensity(rho, frame=frame, time=state.time)
+
+
 def test_frame_transform_round_trip(params, rng):
     n = 6
     psi = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
     psi /= np.linalg.norm(psi)
     rho = StateDensity(density_from_vector(psi), frame="lab", time=0.83)
     spectrum = np.linalg.eigvalsh(rho.matrix)
-    out = frame_transform(rho, "drive_interaction", params)
+    out = frame_transform(lab_leg(rho, params), "drive_interaction", params)
     assert out.frame == "drive_interaction"
     assert out.time == rho.time
     np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix), spectrum, atol=1e-12)
-    back = frame_transform(out, "lab", params)
+    back = lab_leg(frame_transform(out, "rotating_half_pump", params), params)
+    assert back.frame == "lab"
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
 
 
@@ -538,11 +586,27 @@ def test_frame_transform_phases(params):
     rho[2, 2] = 0.5
     rho[2, 0] = 0.25  # index 2 = |1, g>, index 0 = |0, g>
     rho[0, 2] = 0.25
-    out = frame_transform(
-        StateDensity(rho, frame="lab", time=t), "rotating_half_pump", params
-    )
+    out = lab_leg(StateDensity(rho, frame="lab", time=t), params)
+    assert out.frame == "rotating_half_pump"
     assert out.matrix[2, 0] == pytest.approx(0.25 * np.exp(0.5j * d.omega_p * t))
     assert out.matrix[0, 0] == pytest.approx(0.5)
+
+
+def test_frame_transform_drive_leg_direction(params):
+    # into drive_interaction, rho -> V rho V^dag with V = e^{+i a sb_x},
+    # a = Omega t / 2: V|g> = cos a |g> + i sin a |e>, so |0,g><0,g| gains
+    # the coherence |0,e><0,g| = i sin a cos a
+    d = derive(params)
+    t = 0.37
+    a = 0.5 * d.Omega * t
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0  # index 0 = |0, g>, index 1 = |0, e>
+    out = frame_transform(StateDensity(rho, frame="rotating_half_pump", time=t),
+                          "drive_interaction", params)
+    assert out.matrix[1, 0] == pytest.approx(1.0j * math.sin(a) * math.cos(a), abs=1e-15)
+    assert out.matrix[1, 1] == pytest.approx(math.sin(a) ** 2, abs=1e-15)
+    back = frame_transform(out, "rotating_half_pump", params)
+    np.testing.assert_allclose(back.matrix, rho, atol=1e-15)
 
 
 def test_frame_transform_identity_at_t0(params, rng):
@@ -550,15 +614,22 @@ def test_frame_transform_identity_at_t0(params, rng):
     psi = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
     psi /= np.linalg.norm(psi)
     rho = StateDensity(density_from_vector(psi), frame="lab", time=0.0)
-    for frame in FRAMES:
-        out = frame_transform(rho, frame, params)
+    rot = lab_leg(rho, params)
+    for out in (rot, frame_transform(rot, "rotating_half_pump", params),
+                frame_transform(rot, "drive_interaction", params)):
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-13)
 
 
 def test_frame_transform_rejects_unknown(params):
-    rho = StateDensity(np.eye(4, dtype=complex) / 4.0)
+    rho = StateDensity(np.eye(4, dtype=complex) / 4.0, frame="rotating_half_pump")
     with pytest.raises(FrameError):
         frame_transform(rho, "galilean", params)
     rho_bad = StateDensity(np.eye(4, dtype=complex) / 4.0, frame="weird")
     with pytest.raises(FrameError):
-        frame_transform(rho_bad, "lab", params)
+        frame_transform(rho_bad, "drive_interaction", params)
+    # the lab frame is the tests' oracle (lab_leg above), not a package frame
+    lab = StateDensity(np.eye(4, dtype=complex) / 4.0, frame="lab", time=0.5)
+    with pytest.raises(FrameError, match="'lab'"):
+        frame_transform(lab, "drive_interaction", params)
+    with pytest.raises(FrameError, match="'lab'"):
+        frame_transform(rho, "lab", params)
