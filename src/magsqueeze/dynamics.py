@@ -39,18 +39,8 @@ The static part and the start must be Hermitian.  Then rho stays Hermitian,
 and the Liouvillian keeps only the rows of the entries on and above the
 diagonal: each entry below it is the conjugate of its mirror, so one call
 costs about half a full product.  DOP853 combines RHS values with real
-coefficients, so the integrated rho stays exactly Hermitian.  It is
-integrated only on the entries that the start can reach (_lindblad_rhs):
-a breadth-first search from the start's nonzero entries, and their
-mirrors, along the nonzero entries of the assembled blocks.  That set is
-closed under the generator, so every other entry stays exactly zero and is
-written back as zero at the samples; leaving it out changes nothing but
-the solver's error norm.  From |0>, the two-photon term and the thermal
-pair fill only the entries of a sector run with i - j even.  In the joint
-effective run, h (x) sb_x moves level (n, q) only to (n +- 2, 1 - q), so
-n + 2q mod 4 splits the 2N levels into four classes, and every channel
-acts alike on both sides of rho: the state stays block-diagonal in the
-classes, N^2 entries.  The full model reaches the whole joint space.
+coefficients, so the integrated rho stays exactly Hermitian.  The solver
+integrates every entry of rho, in its row-major vec.
 """
 
 import math
@@ -67,7 +57,7 @@ from .model import (
     build_H_cs,
     build_H_rot,
     derive,
-    frame_transform,
+    frame_transform,  # unused here; benchmark/spans.py traces dynamics.frame_transform
 )
 from .qops import (
     IDENTITY_2,
@@ -219,61 +209,26 @@ def _operators(h, channels):
     return dim, h0, oscillating, [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels]
 
 
-def _search(blocks, start):
-    """Flat bool mask of the entries that a breadth-first search from the
-    nonzero entries of start reaches along the nonzero entries of any block."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order
-
-    dim = start.size
-    # column j of the stacked patterns lists the entries that entry j feeds,
-    # at its row modulo dim
-    links = sp.vstack([sp.csr_matrix((op.data != 0, op.indices, op.indptr), shape=op.shape)
-                       for op in blocks], format="csr").tocsc()
-    links.eliminate_zeros()
-    graph = sp.csr_matrix((np.ones(links.nnz), links.indices % dim, links.indptr),
-                          shape=(dim, dim))
-    reached = np.zeros(dim, dtype=bool)
-    for entry in np.flatnonzero(start):
-        if not reached[entry]:
-            reached[breadth_first_order(graph, entry, return_predecessors=False)] = True
-    return reached
-
-
-def _lindblad_rhs(h, channels, start=None):
-    """Return (f(t, y), support, nnz) for the master equation on the
-    row-major vec of rho (module docstring).
+def _lindblad_rhs(h, channels):
+    """Return (f(t, y), dim, nnz) for the master equation on the row-major
+    vec y of the dim x dim rho (module docstring).
 
     h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
     Liouvillian, assembled once.  The static part and the channels make L0;
     each oscillating term H_k adds the operators of rho -> -i[H_k, rho] and
-    of the same with H_k^dag.  With a start matrix, the support is the set
-    of entries a search from its nonzero entries, and their mirrors, reaches
-    along the nonzero entries of any block; it is closed under the
-    generator, so every other entry stays exactly zero.  Each block is cut
-    to the support before they sit side by side, [L0, L_1, L_1', ...], so
-    a call is one product with the stacked copies [y, e^{i w_1 t} y,
-    e^{-i w_1 t} y, ...] of the support's entries in row-major order.
-    Without a start, y holds every entry.
+    of the same with H_k^dag.  The blocks sit side by side, [L0, L_1, L_1',
+    ...], so a call is one product with the stacked copies [y, e^{i w_1 t} y,
+    e^{-i w_1 t} y, ...].
 
     The generator maps a Hermitian rho to a Hermitian drho/dt, so only the
-    rows of the support's upper triangle (i <= j) are kept: the product
-    gives those entries, the diagonal is made real, and each entry below the
-    diagonal is the conjugate of its mirror.  f is therefore exact only on
-    the vec of a Hermitian matrix.  A start that is not Hermitian to
-    HERMITIAN_TOL raises DimensionError, and so does a support that is not
-    transpose-symmetric, which a Hermitian h cannot produce.
-    support is the dim x dim bool mask of the entries y holds.
+    rows of the upper triangle (i <= j) are kept: the product gives those
+    entries, the diagonal is made real, and each entry below the diagonal is
+    the conjugate of its mirror.  f is therefore exact only on the vec of a
+    Hermitian matrix.  nnz counts the entries of the kept rows.
     """
     import scipy.sparse as sp
 
     dim, h0, oscillating, channels = _operators(h, channels)
-    if start is not None:
-        if np.shape(start) != (dim, dim):
-            raise DimensionError(f"rho0 shape {np.shape(start)} != generator dimension {dim}")
-        defect = _hermitian_defect(np.asarray(start))
-        if defect > HERMITIAN_TOL:
-            raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
     sink = sp.csr_matrix((dim, dim), dtype=complex)
     jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for o, w in channels:
@@ -287,23 +242,10 @@ def _lindblad_rhs(h, channels, start=None):
             ops.append(_superop(-1.0j * x, 1.0j * x, dim))
             omegas.append(sign * w)
 
-    if start is None:
-        support = np.ones(dim * dim, dtype=bool)
-    else:
-        nonzero = np.asarray(start) != 0
-        support = _search(ops, np.ravel(nonzero | nonzero.T))
-    if not np.array_equal(support.reshape(dim, dim), support.reshape(dim, dim).T):
-        raise DimensionError("the support is not transpose-symmetric: "
-                             "the generator does not keep rho Hermitian")
-    keep = np.flatnonzero(support)
-    if keep.size < dim * dim:
-        ops = [op[keep][:, keep] for op in ops]
-    row, col = np.divmod(keep, dim)
-    upper = np.flatnonzero(row <= col)
-    lower = np.flatnonzero(row > col)
-    rank = np.cumsum(row <= col) - 1  # an upper entry's position in upper
-    src = rank[np.searchsorted(keep, col[lower] * dim + row[lower])]  # mirror (j, i)
-    diag = np.flatnonzero(row[upper] == col[upper])
+    row, col = np.triu_indices(dim)
+    upper = row * dim + col  # (i, j) with i <= j, in row-major order
+    mirror = col * dim + row  # (j, i)
+    diag = np.flatnonzero(row == col)
     gen = sp.hstack(ops, format="csr")[upper]
     omegas = np.array(omegas)
 
@@ -311,11 +253,11 @@ def _lindblad_rhs(h, channels, start=None):
         z = gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
         z[diag] = z[diag].real
         out = np.empty_like(y)
-        out[upper] = z
-        out[lower] = z[src].conj()
+        out[mirror] = z.conj()
+        out[upper] = z  # after the mirrors: the diagonal keeps z itself
         return out
 
-    return rhs, support.reshape(dim, dim), gen.nnz
+    return rhs, dim, gen.nnz
 
 
 def _dop853(rhs, y0, t_grid, cfg):
@@ -354,10 +296,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
                 merged into the observables series
 
     rho0 must be Hermitian to HERMITIAN_TOL of its largest entry
-    (DimensionError otherwise); its exact Hermitian part is integrated, and
-    every sample is exactly Hermitian (_lindblad_rhs).  Only the entries
-    rho0 can reach are integrated (metadata "support" counts them); the
-    others are exact zeros at every sample.
+    (DimensionError otherwise); its exact Hermitian part is integrated, every
+    entry of it, and every sample is exactly Hermitian (_lindblad_rhs).
     Trace drift beyond 1e-8 warns; eigenvalues below -1e-6 abort.
     """
     solver = solver or SolverConfig()
@@ -369,13 +309,16 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
 
     channels = dissipators.active() if dissipators is not None else []
     setup0 = _time.perf_counter()
-    rhs, support, nnz = _lindblad_rhs(h, channels, rho0.matrix)
+    rhs, dim, nnz = _lindblad_rhs(h, channels)
     setup_s = _time.perf_counter() - setup0
 
-    dim = len(support)
     y0 = np.asarray(rho0.matrix, dtype=complex)
+    if y0.shape != (dim, dim):
+        raise DimensionError(f"rho0 shape {y0.shape} != generator dimension {dim}")
+    defect = _hermitian_defect(y0)
+    if defect > HERMITIAN_TOL:
+        raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
     y0 = (0.5 * (y0 + y0.conj().T)).ravel()  # the exact Hermitian part
-    keep = np.flatnonzero(support)
     wall0 = _time.perf_counter()
     if float(t_grid[0]) != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
@@ -384,10 +327,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         prepend = False
 
     if len(t_grid) == 1:
-        ys = [y0[keep]]
+        ys = [y0]
         n_evals = 0
     else:
-        ys, n_evals = _dop853(rhs, y0[keep], t_grid, solver)
+        ys, n_evals = _dop853(rhs, y0, t_grid, solver)
 
     if prepend:
         ys = ys[1:]
@@ -398,9 +341,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     max_trace_drift = 0.0
     min_eig = np.inf
     for t, y in zip(t_grid, ys):
-        rho = np.zeros_like(y0)  # entries outside the support stay zero
-        rho[keep] = y
-        rho = rho.reshape(dim, dim)
+        rho = y.reshape(dim, dim)
         drift = abs(np.trace(rho).real - 1.0)
         max_trace_drift = max(max_trace_drift, drift)
         evals_min = float(np.linalg.eigvalsh(rho).min())
@@ -433,7 +374,6 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "wall_time_s": _time.perf_counter() - wall0,
             "setup_s": setup_s,
             "generator_nnz": nnz,
-            "support": int(keep.size),
             "method": "adaptive_rk",
         },
     )
@@ -498,20 +438,15 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
             LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
 
 
-def _plus_x_metrics(params):
-    """Sample hook: rotating_half_pump joint state -> drive_interaction frame
-    -> sb_x = +1 postselection -> p_plus and the magnon metrics."""
-
-    def hook(t, rho_joint):
-        state = frame_transform(StateDensity(rho_joint, frame="rotating_half_pump",
-                                             time=float(t)),
-                                "drive_interaction", params)
-        p, rho_m = postselect_qubit(state, "plus_x")
-        qv = min_quadrature_variance(rho_m.matrix)
-        return {"p_plus": p, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
-                "theta_star": qv.angle, "n_magnon": qv.n_mean}
-
-    return hook
+def _plus_x_metrics(t, rho_joint):
+    """Sample hook: sb_x = +1 postselection of a joint state -> p_plus and
+    the magnon metrics.  A full-model sample is postselected in its
+    rotating_half_pump frame as it is: the drive_interaction frame differs
+    by V = e^{+i (Omega/2) sb_x t}, which only phases the sb_x = +1 block."""
+    p, rho_m = postselect_qubit(rho_joint, "plus_x")
+    qv = min_quadrature_variance(rho_m.matrix)
+    return {"p_plus": p, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
+            "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
 
 def default_sample_times(t_max=150.0, dt=0.5):
@@ -551,8 +486,8 @@ def conditional_squeezing_run(
       run is refused.  Stored states are S(zeta)|0>, which needs kappa = 0.
     * model="full_rotating" integrates the full model in the exact
       half-pump frame (build_H_rot) under solver (path
-      "joint_master_equation"); each sample is transformed to the
-      drive_interaction frame before the sb_x = +1 postselection.
+      "joint_master_equation"); each sample is postselected on sb_x = +1
+      in that frame (_plus_x_metrics).
 
     Any other model, an effective run from another start, and stored states
     of an effective run with kappa > 0 raise DimensionError; nothing is
@@ -582,7 +517,7 @@ def conditional_squeezing_run(
         result = evolve_master(build_H_rot(params, fock_dim),
                                build_dissipators_full(params, fock_dim), rho0,
                                solver=replace(solver or SolverConfig(), sample_times=sample_times),
-                               sample_hook=_plus_x_metrics(params), store_states=store_states)
+                               sample_hook=_plus_x_metrics, store_states=store_states)
         result.metadata.update(meta, path="joint_master_equation")
         return result
 
@@ -836,7 +771,10 @@ def conditional_superposition_run(
     solver=None,
 ):
     """Dissipative superposition protocol: |0>(x)|g> under the effective
-    model, qubit measured in {g, e} at each sample.
+    model, qubit measured in {g, e} at each sample.  The master equation
+    integrates all 4 N^2 entries of the joint state.  No scenario calls it
+    (superposition_blocks gives its blocks in closed form); it stays as the
+    tests' oracle, and benchmark/spans.py traces it.
 
     Returns a TrajectoryResult with series p_g/p_e and per-sample
     post-selected magnon states in states_g / states_e metadata lists.

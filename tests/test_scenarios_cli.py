@@ -578,11 +578,13 @@ def test_cli_truncating_commands_refuse_a_small_fock_dim(tmp_path, capsys, argv)
 
 
 # scipy is imported where it is called: loading the CLI and a config, or
-# running a sweep, imports none of the scipy modules below.  The check runs in
-# a fresh interpreter, since pytest's own filterwarnings setting imports
-# scipy.sparse into this one.
+# running a sweep, imports none of the scipy modules below, and a master
+# equation does not import scipy.sparse.csgraph.  The check runs in a fresh
+# interpreter, since pytest's own filterwarnings setting imports scipy.sparse
+# into this one.
 _IMPORT_PROBE = """
 import sys
+import numpy as np
 import magsqueeze.cli
 from magsqueeze.config import load_config
 from magsqueeze.scenarios import ScenarioConfig
@@ -591,6 +593,14 @@ print(sorted(m for m in ("scipy.sparse", "scipy.integrate", "scipy.linalg")
              if m in sys.modules))
 magsqueeze.cli.main(["sweep", "--out", sys.argv[1]])
 print(sorted(m for m in ("scipy.integrate", "importlib.metadata") if m in sys.modules))
+from magsqueeze.dynamics import SolverConfig, evolve_master, magnon_thermal_dissipators
+from magsqueeze.model import PhysicalParams
+from magsqueeze.qops import StateDensity
+rho0 = np.zeros((6, 6), dtype=complex)
+rho0[0, 0] = 1.0
+evolve_master(None, magnon_thermal_dissipators(PhysicalParams(), 6), StateDensity(rho0),
+              solver=SolverConfig(sample_times=[0.0, 1.0]))
+print(sorted(m for m in ("scipy.sparse.csgraph",) if m in sys.modules))
 """
 
 
@@ -603,7 +613,8 @@ def test_loading_the_cli_imports_no_scipy_submodules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
-    assert lines[-1] == "[]"
+    assert lines[-2] == "[]"  # after the sweep
+    assert lines[-1] == "[]"  # after the master equation
 
 
 def test_cli_usage_error():
