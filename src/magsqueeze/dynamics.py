@@ -33,14 +33,17 @@ effective model.  The master equations below serve the full model, and the
 joint effective one (_effective_model, conditional_superposition_run)
 serves as a test oracle.
 
-Every master equation runs on one sparse Liouvillian, assembled once per
-run from a SplitHamiltonian: a static part plus terms e^{i w t} H_k + h.c.
-The static part and the start must be Hermitian.  Then rho stays Hermitian,
-and the Liouvillian keeps only the rows of the entries on and above the
-diagonal: each entry below it is the conjugate of its mirror, so one call
-costs about half a full product.  DOP853 combines RHS values with real
-coefficients, so the integrated rho stays exactly Hermitian.  The solver
-integrates every entry of rho, in its row-major vec.
+Every master equation integrates the upper vector of rho: its entries
+with i <= j, in row-major order.  The Hamiltonian is a SplitHamiltonian, a
+static part plus terms e^{i w t} H_k + h.c.; the static part and the start
+must be Hermitian.  Then rho stays Hermitian, each entry below the diagonal
+is the conjugate of its mirror, and one RHS call is A rho + (A rho)^dag
+plus the jumps, with one sparse A(t) = -i H(t) - sum_k w_k o_k^dag o_k
+(_lindblad_rhs).  DOP853 combines RHS values with real coefficients, so
+the diagonal stays real and every sample, rebuilt by its mirrors, is
+exactly Hermitian.  Its tolerances are weighted per entry so that its RMS
+error norm over the upper vector equals the one over all of rho
+(_upper_tolerances): it takes the steps it would take on the full vec.
 """
 
 import math
@@ -158,14 +161,6 @@ def _hermitian_defect(x):
     return float(abs(x - x.conj().T).max() / scale) if scale else 0.0
 
 
-def _superop(left, right, n):
-    """X -> left X + X right on the row-major vec of an n x n block."""
-    import scipy.sparse as sp
-
-    eye = sp.identity(n, dtype=complex, format="csr")
-    return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
-
-
 def _operators(h, channels):
     """Sparse parts of a master equation: (dim, h0, oscillating, channels).
 
@@ -209,63 +204,108 @@ def _operators(h, channels):
     return dim, h0, oscillating, [(sp.csr_matrix(o, dtype=complex), w) for o, w in channels]
 
 
+def _triangle(dim):
+    """(upper, mirror, diag) of the upper vector of a dim x dim matrix: the
+    row-major flat indices of its entries (i, j) with i <= j and of their
+    mirrors (j, i), and the positions of the diagonal in the vector."""
+    row, col = np.triu_indices(dim)
+    return row * dim + col, col * dim + row, np.flatnonzero(row == col)
+
+
+def _from_upper(y, upper, mirror, out):
+    """Fill out with the Hermitian matrix whose upper vector is y: each
+    entry below the diagonal is the conjugate of its mirror."""
+    flat = out.reshape(-1)
+    flat[mirror] = y.conj()
+    flat[upper] = y  # after the mirrors: the diagonal keeps y itself
+    return out
+
+
 def _lindblad_rhs(h, channels):
-    """Return (f(t, y), dim, nnz) for the master equation on the row-major
-    vec y of the dim x dim rho (module docstring).
+    """Return (f(t, y), dim, nnz) for the master equation on the upper
+    vector y of the dim x dim rho (module docstring, _triangle).
 
-    h is a matrix, None or a SplitHamiltonian.  The generator is one CSR
-    Liouvillian, assembled once.  The static part and the channels make L0;
-    each oscillating term H_k adds the operators of rho -> -i[H_k, rho] and
-    of the same with H_k^dag.  The blocks sit side by side, [L0, L_1, L_1',
-    ...], so a call is one product with the stacked copies [y, e^{i w_1 t} y,
-    e^{-i w_1 t} y, ...].
+    h is a matrix, None or a SplitHamiltonian.  f computes
 
-    The generator maps a Hermitian rho to a Hermitian drho/dt, so only the
-    rows of the upper triangle (i <= j) are kept: the product gives those
-    entries, the diagonal is made real, and each entry below the diagonal is
-    the conjugate of its mirror.  f is therefore exact only on the vec of a
-    Hermitian matrix.  nnz counts the entries of the kept rows.
+        drho/dt = A rho + (A rho)^dag + sum_k 2 w_k o_k rho o_k^dag,
+        A(t) = -i H(t) - sum_k w_k o_k^dag o_k,
+
+    on the upper entries.  A is one CSR matrix on the union pattern of its
+    parts: -i H_0 - sink, then -i H_k and -i H_k^dag for each oscillating
+    term.  Each call sets its data to coef @ e^{i omega t}, one column of
+    coef per part.  The jumps form one superoperator on the row-major vec
+    of rho, kept on the upper rows.  A call rebuilds rho from y, so f is
+    exact only for a Hermitian rho; the diagonal of f is made real.  nnz
+    counts A's stored entries and those of the jump rows.
     """
     import scipy.sparse as sp
 
     dim, h0, oscillating, channels = _operators(h, channels)
+    upper, mirror, diag = _triangle(dim)
     sink = sp.csr_matrix((dim, dim), dtype=complex)
-    jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    jumps = sp.csr_matrix((len(upper), dim * dim), dtype=complex)
     for o, w in channels:
         sink = sink + w * (o.conj().T @ o)
-        jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
+        jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")[upper]
 
-    ops = [_superop(-1.0j * h0 - sink, 1.0j * h0.conj().T - sink, dim) + jumps]
-    omegas = [0.0]
+    parts, omegas = [-1.0j * h0 - sink], [0.0]
     for hk, w in oscillating:
-        for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
-            ops.append(_superop(-1.0j * x, 1.0j * x, dim))
-            omegas.append(sign * w)
-
-    row, col = np.triu_indices(dim)
-    upper = row * dim + col  # (i, j) with i <= j, in row-major order
-    mirror = col * dim + row  # (j, i)
-    diag = np.flatnonzero(row == col)
-    gen = sp.hstack(ops, format="csr")[upper]
+        parts += [-1.0j * hk, -1.0j * hk.conj().T]
+        omegas += [w, -w]
+    pattern = sum((abs(p) for p in parts[1:]), abs(parts[0])).tocsr()
+    rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
+    coef = np.column_stack([np.asarray(p.tocsr()[rows, pattern.indices]).ravel()
+                            for p in parts])
+    a = sp.csr_matrix((coef[:, 0].copy(), pattern.indices, pattern.indptr), shape=(dim, dim))
     omegas = np.array(omegas)
+    rho = np.empty((dim, dim), dtype=complex)
 
     def rhs(t, y):
-        z = gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
+        np.matmul(coef, np.exp(1.0j * omegas * t), out=a.data)
+        _from_upper(y, upper, mirror, rho)
+        ar = (a @ rho).reshape(-1)
+        z = ar[upper]
+        z += ar[mirror].conj()
+        z += jumps @ rho.reshape(-1)
         z[diag] = z[diag].real
-        out = np.empty_like(y)
-        out[mirror] = z.conj()
-        out[upper] = z  # after the mirrors: the diagonal keeps z itself
-        return out
+        return z
 
-    return rhs, dim, gen.nnz
+    return rhs, dim, a.nnz + jumps.nnz
 
 
-def _dop853(rhs, y0, t_grid, cfg):
+RTOL_FLOOR = 100.0 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
+
+
+def _upper_tolerances(dim, diag, rel_tol, abs_tol):
+    """DOP853's per-entry (rtol, atol) on the upper vector of a dim x dim rho.
+
+    The solver's error norm is an RMS over the components (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4).  An entry above the diagonal stands
+    for itself and its mirror, so it carries the weight w = 2 n_up / dim^2,
+    a diagonal entry w = n_up / dim^2, with n_up = dim (dim + 1) / 2.
+    Dividing both tolerances by sqrt(w) makes the RMS over the n_up entries,
+    and the initial-step norm, equal to those over all dim^2 entries.  The
+    off-diagonal rtol is then rel_tol sqrt(dim / (dim + 1)); below
+    RTOL_FLOOR scipy would clamp it and break that equality, so that raises
+    DimensionError.
+    """
+    n_up = dim * (dim + 1) // 2
+    root = np.full(n_up, math.sqrt(2.0 * n_up / dim**2))
+    root[diag] = math.sqrt(n_up / dim**2)
+    rtol = rel_tol / root
+    if rtol.min() < RTOL_FLOOR:
+        raise DimensionError(
+            f"rel_tol {rel_tol:.3e} weights to {rtol.min():.3e} on the entries off the "
+            f"diagonal, below the solver's floor of 100 eps = {RTOL_FLOOR:.3e}")
+    return rtol, abs_tol / root
+
+
+def _dop853(rhs, y0, t_grid, rtol, atol):
     """Adaptive DOP853 sampled on t_grid through its dense output, step for
     step what solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev)."""
     from scipy.integrate import DOP853
 
-    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=rtol, atol=atol)
     ys, done = [], 0
     try:
         while done < len(t_grid):
@@ -296,9 +336,11 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
                 merged into the observables series
 
     rho0 must be Hermitian to HERMITIAN_TOL of its largest entry
-    (DimensionError otherwise); its exact Hermitian part is integrated, every
-    entry of it, and every sample is exactly Hermitian (_lindblad_rhs).
-    Trace drift beyond 1e-8 warns; eigenvalues below -1e-6 abort.
+    (DimensionError otherwise).  The upper vector of its exact Hermitian
+    part is integrated under the weighted tolerances of _upper_tolerances
+    (DimensionError where solver.rel_tol weighs in below RTOL_FLOOR), and
+    each sample is rebuilt by its mirrors, exactly Hermitian.  Trace drift
+    beyond 1e-8 warns; eigenvalues below -1e-6 abort.
     """
     solver = solver or SolverConfig()
     if solver.sample_times is None:
@@ -311,6 +353,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     setup0 = _time.perf_counter()
     rhs, dim, nnz = _lindblad_rhs(h, channels)
     setup_s = _time.perf_counter() - setup0
+    upper, mirror, diag = _triangle(dim)
+    rtol, atol = _upper_tolerances(dim, diag, solver.rel_tol, solver.abs_tol)
 
     y0 = np.asarray(rho0.matrix, dtype=complex)
     if y0.shape != (dim, dim):
@@ -318,7 +362,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     defect = _hermitian_defect(y0)
     if defect > HERMITIAN_TOL:
         raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
-    y0 = (0.5 * (y0 + y0.conj().T)).ravel()  # the exact Hermitian part
+    y0 = (0.5 * (y0 + y0.conj().T)).reshape(-1)[upper]  # the exact Hermitian part
     wall0 = _time.perf_counter()
     if float(t_grid[0]) != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
@@ -330,7 +374,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         ys = [y0]
         n_evals = 0
     else:
-        ys, n_evals = _dop853(rhs, y0, t_grid, solver)
+        ys, n_evals = _dop853(rhs, y0, t_grid, rtol, atol)
 
     if prepend:
         ys = ys[1:]
@@ -341,7 +385,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     max_trace_drift = 0.0
     min_eig = np.inf
     for t, y in zip(t_grid, ys):
-        rho = y.reshape(dim, dim)
+        rho = _from_upper(y, upper, mirror, np.empty((dim, dim), dtype=complex))
         drift = abs(np.trace(rho).real - 1.0)
         max_trace_drift = max(max_trace_drift, drift)
         evals_min = float(np.linalg.eigvalsh(rho).min())
@@ -487,7 +531,10 @@ def conditional_squeezing_run(
     * model="full_rotating" integrates the full model in the exact
       half-pump frame (build_H_rot) under solver (path
       "joint_master_equation"); each sample is postselected on sb_x = +1
-      in that frame (_plus_x_metrics).
+      in that frame (_plus_x_metrics).  metadata records the largest
+      population of the last kept Fock level, p_{N-1} summed over the
+      qubit, and its first sample time (max_edge_population,
+      max_edge_population_time); nothing is refused on it.
 
     Any other model, an effective run from another start, and stored states
     of an effective run with kappa > 0 raise DimensionError; nothing is
@@ -514,11 +561,21 @@ def conditional_squeezing_run(
     if model == "full_rotating":
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
         rho0.frame = "rotating_half_pump"
+        edge = []
+
+        def hook(t, rho):
+            # p_{N-1}: the last two diagonal entries of the (magnon, qubit) order
+            edge.append(rho[-2, -2].real + rho[-1, -1].real)
+            return _plus_x_metrics(t, rho)
+
         result = evolve_master(build_H_rot(params, fock_dim),
                                build_dissipators_full(params, fock_dim), rho0,
                                solver=replace(solver or SolverConfig(), sample_times=sample_times),
-                               sample_hook=_plus_x_metrics, store_states=store_states)
-        result.metadata.update(meta, path="joint_master_equation")
+                               sample_hook=hook, store_states=store_states)
+        worst = int(np.argmax(edge))
+        result.metadata.update(meta, path="joint_master_equation",
+                               max_edge_population=float(edge[worst]),
+                               max_edge_population_time=float(result.times[worst]))
         return result
 
     cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
@@ -772,7 +829,7 @@ def conditional_superposition_run(
 ):
     """Dissipative superposition protocol: |0>(x)|g> under the effective
     model, qubit measured in {g, e} at each sample.  The master equation
-    integrates all 4 N^2 entries of the joint state.  No scenario calls it
+    runs on the whole joint state (4 N^2 entries).  No scenario calls it
     (superposition_blocks gives its blocks in closed form); it stays as the
     tests' oracle, and benchmark/spans.py traces it.
 

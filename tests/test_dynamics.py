@@ -4,8 +4,9 @@ conditional-squeezing / superposition protocol runners.
 Cross-validation strategy: every dynamical path is checked against an
 independent route -- closed-form sector propagation, the analytic
 propagator, the Gaussian covariance integrator, a differently-framed full
-model, or the dense master-equation RHS kept here as an oracle for the
-sparse Liouvillian -- rather than against stored trajectories.
+model, or the dense master-equation RHS and the stacked full-vector
+Liouvillian kept here as oracles for the sparse upper-vector RHS -- rather
+than against stored trajectories.
 """
 
 import math
@@ -15,9 +16,10 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
 from magsqueeze.errors import DimensionError, NumericalError, StiffnessError, TruncationError
@@ -31,13 +33,17 @@ from magsqueeze.model import (
 )
 from magsqueeze.dynamics import (
     LindbladSpec,
+    RTOL_FLOOR,
     SolverConfig,
     _effective_model,
     _expm_stack,
     _lindblad_rhs,
     _moment_generator,
+    _operators,
     _plus_x_metrics,
     _squeeze_parameters,
+    _triangle,
+    _upper_tolerances,
     build_dissipators_full,
     conditional_squeezing_run,
     conditional_superposition_run,
@@ -152,6 +158,55 @@ def dense_lindblad_rhs(h_of_t, channels):
         return dx.ravel()
 
     return rhs
+
+
+def _superop(left, right, n):
+    """X -> left X + X right on the row-major vec of an n x n block."""
+    eye = sp.identity(n, dtype=complex, format="csr")
+    return sp.kron(left, eye, format="csr") + sp.kron(eye, right.T, format="csr")
+
+
+def stacked_lindblad_rhs(h, channels):
+    """The stacked full-vector Liouvillian, as an oracle for _lindblad_rhs:
+    (f(t, y), dim) on the row-major vec y of all dim x dim entries of a
+    Hermitian rho.  The static part and the channels make L0, each
+    oscillating term H_k adds the operators of rho -> -i[H_k, rho] and of
+    the same with H_k^dag; a call is one product of [L0, L_1, L_1', ...],
+    kept on the upper rows, with [y, e^{i w_1 t} y, e^{-i w_1 t} y, ...],
+    and each entry below the diagonal is the conjugate of its mirror."""
+    dim, h0, oscillating, channels = _operators(h, channels)
+    sink = sp.csr_matrix((dim, dim), dtype=complex)
+    jumps = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for o, w in channels:
+        sink = sink + w * (o.conj().T @ o)
+        jumps = jumps + 2.0 * w * sp.kron(o, o.conj(), format="csr")
+    ops = [_superop(-1.0j * h0 - sink, 1.0j * h0.conj().T - sink, dim) + jumps]
+    omegas = [0.0]
+    for hk, w in oscillating:
+        for x, sign in ((hk, 1.0), (hk.conj().T, -1.0)):
+            ops.append(_superop(-1.0j * x, 1.0j * x, dim))
+            omegas.append(sign * w)
+    row, col = np.triu_indices(dim)
+    upper = row * dim + col  # (i, j) with i <= j, in row-major order
+    mirror = col * dim + row  # (j, i)
+    diag = np.flatnonzero(row == col)
+    gen = sp.hstack(ops, format="csr")[upper]
+    omegas = np.array(omegas)
+
+    def rhs(t, y):
+        z = gen @ np.multiply.outer(np.exp(1.0j * omegas * t), y).ravel()
+        z[diag] = z[diag].real
+        out = np.empty_like(y)
+        out[mirror] = z.conj()
+        out[upper] = z
+        return out
+
+    return rhs, dim
+
+
+def random_hermitian(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
+    return x + x.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +342,7 @@ def test_evolve_master_input_validation(params):
 
 
 def test_evolve_master_refuses_non_hermitian_inputs(params):
-    # the Liouvillian keeps only the upper-triangle rows, so a start or a
+    # the solver integrates only the upper triangle of rho, so a start or a
     # static Hamiltonian that is not Hermitian is refused, not integrated
     nf = 6
     diss = magnon_thermal_dissipators(params, nf)
@@ -308,6 +363,23 @@ def test_evolve_master_refuses_non_hermitian_inputs(params):
     assert res.states[0].matrix[0, 1] == res.states[0].matrix[1, 0] == 0.5e-14
 
 
+def test_evolve_master_refuses_a_weighted_rtol_below_the_floor(params):
+    # the entries off the diagonal weigh rel_tol down by sqrt(nf / (nf + 1)):
+    # at the floor itself they fall below it, where scipy would clamp them
+    # with only a warning and the error norm would no longer be the full one
+    nf = 6
+    diss = magnon_thermal_dissipators(params, nf)
+    with pytest.raises(DimensionError, match="floor"):
+        evolve_master(None, diss, sector_rho0(nf),
+                      solver=solver_for([1.0], rel_tol=RTOL_FLOOR))
+    just_above = RTOL_FLOOR * math.sqrt((nf + 1) / nf) * (1.0 + 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = evolve_master(None, diss, sector_rho0(nf),
+                            solver=solver_for([1.0], rel_tol=just_above))
+    assert res.metadata["n_rhs_evals"] > 0
+
+
 @given(
     dim=st.integers(2, 12),
     n_terms=st.integers(0, 3),
@@ -316,9 +388,9 @@ def test_evolve_master_refuses_non_hermitian_inputs(params):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
-    # the CSR Liouvillian against dense products on random operators: a
+    # the sparse RHS against dense products on random operators: a
     # Hermitian static part, random oscillating terms and channels, applied
-    # to a Hermitian y, the only kind the upper-triangle rows serve
+    # to the upper vector of a Hermitian y, the only kind it serves
     rng = np.random.default_rng(seed)
 
     def rand():
@@ -339,8 +411,9 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
     assert n == dim and nnz > 0
     y = rand()
     y = (y + y.conj().T).ravel()
-    ref = dense_lindblad_rhs(h_of_t, channels)(t, y)
-    assert np.linalg.norm(rhs(t, y) - ref) <= 1e-12 * np.linalg.norm(ref)
+    upper, _, _ = _triangle(dim)
+    ref = dense_lindblad_rhs(h_of_t, channels)(t, y)[upper]
+    assert np.linalg.norm(rhs(t, y[upper]) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @given(
@@ -350,7 +423,7 @@ def test_sparse_rhs_matches_dense_oracle(dim, n_terms, n_channels, t, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
-    # each builder's terms, as the Liouvillian assembles them, against its
+    # each builder's terms, as the sparse RHS assembles them, against its
     # own dense H(t): guards the merged omega_p/2 sideband and the sign of w
     params = PhysicalParams()
     split = builder(params, fock_dim)
@@ -360,12 +433,13 @@ def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
     y = (y + y.conj().T).ravel()
-    ref = dense_lindblad_rhs(split.at, channels)(t, y)
-    out = rhs(t, y)
+    upper, _, diag = _triangle(dim)
+    ref = dense_lindblad_rhs(split.at, channels)(t, y)[upper]
+    out = rhs(t, y[upper])
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
-    # the lower triangle is the conjugate of the upper one, bit for bit
-    out = out.reshape(dim, dim)
-    np.testing.assert_array_equal(out, out.conj().T)
+    # the diagonal is exactly real; the samples that evolve_master rebuilds
+    # are Hermitian bit for bit (test_upper_vector_run_matches_the_stacked_oracle)
+    assert np.all(out[diag].imag == 0.0)
 
 
 @pytest.mark.parametrize("params", [
@@ -390,6 +464,59 @@ def test_full_rotating_states_match_the_dense_oracle(params):
     assert ref.success
     for y, state in zip(ref.y.T, res.states):
         assert_allclose(state.matrix, y.reshape(2 * nf, 2 * nf), rtol=0.0, atol=1e-10)
+
+
+HOT = PhysicalParams(kappa=2.0, temperature=300.0, gamma=300.0, gamma_phi=100.0)
+
+
+@pytest.mark.parametrize("params, fock_dim, t_max", [
+    (PhysicalParams(), 12, 2.0),
+    (HOT, 12, 2.0),
+    (PhysicalParams(), 20, 10.0),
+], ids=["default-fock12", "hot-fock12", "default-fock20"])
+def test_upper_vector_run_matches_the_stacked_oracle(params, fock_dim, t_max):
+    # evolve_master on the upper vector against DOP853 on all N^2 entries
+    # under the stacked full-vector kernel: the weighted tolerances give the
+    # same error norm, hence the same steps and nfev
+    times = np.arange(0.0, t_max + 0.25, 0.5)
+    h = build_H_rot(params, fock_dim)
+    dissipators = build_dissipators_full(params, fock_dim)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
+    res = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True)
+    rhs, dim = stacked_lindblad_rhs(h, dissipators.active())
+    cfg = SolverConfig()
+    ref = solve_ivp(rhs, (0.0, times[-1]), rho0.matrix.ravel().astype(complex),
+                    method="DOP853", t_eval=times, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    assert ref.success
+    assert res.metadata["n_rhs_evals"] == ref.nfev
+    for y, state in zip(ref.y.T, res.states):
+        assert_allclose(state.matrix, y.reshape(dim, dim), rtol=0.0, atol=1e-12)
+        # each sample is rebuilt by its mirrors: Hermitian bit for bit
+        np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
+
+
+@settings(max_examples=200)
+@given(dim=st.integers(1, 10), log_rtol=st.floats(-12.0, -3.0), h=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_error_norm_equals_the_full_vector_norm(dim, log_rtol, h, seed):
+    # DOP853's error norm (_estimate_error_norm on the scale its step forms)
+    # and its initial step, on the upper entries of Hermitian vectors under
+    # the weighted per-entry tolerances, equal those on all dim^2 entries
+    # under the scalar ones: pins scipy's handling of an array rtol
+    rng = np.random.default_rng(seed)
+    rel_tol, abs_tol = 10.0 ** log_rtol, 10.0 ** (log_rtol - 2.0)
+    upper, _, diag = _triangle(dim)
+    rtol, atol = _upper_tolerances(dim, diag, rel_tol, abs_tol)
+    y, y_new, f = (random_hermitian(rng, dim).ravel() for _ in range(3))
+    full = DOP853(lambda t, x: f, 0.0, y, 1.0, rtol=rel_tol, atol=abs_tol)
+    part = DOP853(lambda t, x: f[upper], 0.0, y[upper], 1.0, rtol=rtol, atol=atol)
+    assert part.h_abs == pytest.approx(full.h_abs, rel=1e-13)
+    k = np.array([random_hermitian(rng, dim).ravel() for _ in range(full.K.shape[0])])
+    norms = []
+    for ode, sel in ((full, slice(None)), (part, upper)):
+        scale = ode.atol + np.maximum(np.abs(y[sel]), np.abs(y_new[sel])) * ode.rtol
+        norms.append(ode._estimate_error_norm(k[:, sel], h, scale))
+    assert norms[1] == pytest.approx(norms[0], rel=1e-13)
 
 
 effective_runs = st.builds(
@@ -440,13 +567,14 @@ def test_reachable_support_is_closed_under_the_generator(run, t, seed):
     h, dissipators, _ = effective_model(params, qubit_init, fock_dim, delta)
     support = expected_support(run)
     np.testing.assert_array_equal(support, support.T)
-    rhs, _, _ = _lindblad_rhs(h, dissipators.active())
+    rhs, dim, _ = _lindblad_rhs(h, dissipators.active())
+    upper, _, _ = _triangle(dim)
+    on = support.ravel()[upper]  # the support on the upper vector
     rng = np.random.default_rng(seed)
-    y = np.where(support, rng.normal(size=support.shape)
-                 + 1.0j * rng.normal(size=support.shape), 0.0).ravel()
+    y = np.where(support, random_hermitian(rng, dim), 0.0).ravel()[upper]
     out = rhs(t, y)
-    assert np.all(out[~support.ravel()] == 0.0)
-    assert np.any(out[support.ravel()] != 0.0)
+    assert np.all(out[~on] == 0.0)
+    assert np.any(out[on] != 0.0)
 
 
 @given(run=effective_runs)
@@ -504,7 +632,7 @@ def test_stiffness_error_on_unintegrable_generator():
 
 def test_trajectory_metadata(params):
     nf = 10
-    # a start with every entry nonzero: all nf * nf entries are integrated
+    # a start with every entry nonzero: its upper vector holds them all
     spread = StateDensity(np.full((nf, nf), 1.0 / nf, dtype=complex))
     res = evolve_master(None, magnon_thermal_dissipators(params, nf), spread,
                         solver=solver_for([1.0, 2.0]))
@@ -513,11 +641,11 @@ def test_trajectory_metadata(params):
         assert key in res.metadata
     assert res.metadata["n_rhs_evals"] > 0
     assert res.metadata["setup_s"] > 0.0
-    # L0 alone, on the nf (nf + 1) / 2 rows (i, j) with i <= j: the
-    # anti-commutator diagonal on each, and one jump per channel, from
-    # (i + 1, j + 1) for m (i, j < nf - 1) and from (i - 1, j - 1) for m^dag
-    # (i, j > 0), each on nf (nf - 1) / 2 rows
-    nnz = nf * (nf + 1) // 2 + nf * (nf - 1)
+    # A = -w_1 m^dag m - w_2 m m^dag alone, diagonal: nf entries.  The jump
+    # rows (i, j) with i <= j hold one entry per channel, from (i + 1, j + 1)
+    # for m (i, j < nf - 1) and from (i - 1, j - 1) for m^dag (i, j > 0),
+    # each on nf (nf - 1) / 2 rows
+    nnz = nf + nf * (nf - 1)
     assert res.metadata["generator_nnz"] == nnz
     assert res.metadata["max_trace_drift"] < 1e-10
     # from vacuum, thermal decay alone only ever fills the diagonal; the
@@ -778,7 +906,7 @@ def test_joint_run_reduces_to_sector():
 
 def test_block_runs_match_dense_joint_oracle():
     # both conditional runs from |0, g> evolve the effective model with the
-    # sparse Liouvillian; the reference integrates the same model with dense
+    # sparse RHS; the reference integrates the same model with dense
     # products on all 4 N^2 entries of the joint space (H_cs,
     # build_dissipators_effective) and postselects each sample.
     # Delta != 0 and a large gamma exercise the time-dependent generator
@@ -1029,6 +1157,21 @@ def test_run_store_states(params):
         assert st.matrix.shape == (30, 30)
 
 
+def test_full_run_records_its_fock_edge_population():
+    # max_edge_population is p_{N-1} summed over the qubit, read from the
+    # diagonal of each stored joint state
+    nf = 8
+    run = conditional_squeezing_run(HOT, model="full_rotating", fock_dim=nf,
+                                    sample_times=np.arange(0.0, 3.0 + 0.5, 0.5),
+                                    store_states=True)
+    edge = [np.real(np.diag(state.matrix)).reshape(nf, 2).sum(axis=1)[-1]
+            for state in run.states]
+    worst = int(np.argmax(edge))
+    assert edge[worst] > 1e-8
+    assert run.metadata["max_edge_population"] == edge[worst]
+    assert run.metadata["max_edge_population_time"] == run.times[worst]
+
+
 @pytest.mark.parametrize("refused", [
     dict(model="adiabatic"),
     dict(model="full_lab"),
@@ -1234,9 +1377,9 @@ def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, d
     # tolerance on the near-empty top levels is 1e-13: at 1e-11 it alone
     # moves <m^dag m> by 5e-7 at 240 levels.  At rtol 1e-9 the solver alone
     # moved <m^dag m> by 1.3e-7 (t = 27.625 ns, kappa = 0.03125 MHz, 5 mK,
-    # Delta = 0; 9e-10 at rtol 1e-11, atol 1e-15).  The run integrates all
-    # 4 N^2 entries, three quarters of them exact zeros, which halve
-    # DOP853's RMS error norm; so both tolerances are half those of a run
+    # Delta = 0; 9e-10 at rtol 1e-11, atol 1e-15).  The run's error norm is
+    # that of all 4 N^2 entries, three quarters of them exact zeros, which
+    # halve DOP853's RMS error norm; so both tolerances are half those of a run
     # on the N^2 class-block entries (rtol 1e-11, atol 1e-13), which takes
     # the same steps.  Worst over hypothesis seeds 1-8: 4.4e-8 in the
     # moments, 1.8e-8 in W (5.0e-8 in the moments at rtol 1e-11, atol 1e-13).
