@@ -6,6 +6,7 @@ Exit codes: 0 success; 2 configuration error; 3 numeric failure
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,9 +16,7 @@ import numpy as np
 from . import scenarios
 from .config import load_config, require_fock_floor
 from .errors import ConfigError, DimensionError, FrameError, NumericalError, TruncationError
-from .model import squeezing_parameter
-from .observables import wigner, wigner_negativity_volume
-from .states import superposition_pm
+from .observables import WignerGrid, flag_boundary, gaussian_wigner, wigner_negativity_volume
 
 _COMMAND_SCENARIO = {
     "coupling-map": "coupling_map_a",
@@ -29,6 +28,7 @@ _COMMAND_SCENARIO = {
 }
 
 
+@functools.cache
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", default=None,
@@ -95,17 +95,13 @@ def _run_scenario(args):
 
 def _run_wigner(args):
     cfg = _load(args)
-    require_fock_floor(cfg.run, "wigner")
     os.makedirs(cfg.run.output_dir, exist_ok=True)
-    ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
     if args.state == "vacuum":
-        ket = np.zeros(cfg.run.fock_dim, dtype=complex)
-        ket[0] = 1.0
+        ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
+        grid = flag_boundary(WignerGrid(ax, ax, gaussian_wigner(1.0, 0.0, 0.0, 0.0, ax, ax).real))
     else:
-        xi = squeezing_parameter(cfg.params, cfg.run.superposition_time, delta_eff=0.0)
-        ket = superposition_pm(xi, +1 if args.state == "sym" else -1,
-                               max(cfg.run.fock_dim, 420))
-    grid = wigner(ket, ax, ax)
+        grids = scenarios.superposition_wigner_grids(cfg, ideal=True)
+        grid = grids["g" if args.state == "sym" else "e"][1]
     base = os.path.join(cfg.run.output_dir, f"wigner_{args.state}")
     grid.to_csv(base + ".csv")
     grid.to_json(base + ".json")

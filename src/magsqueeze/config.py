@@ -69,7 +69,7 @@ _RUN_INT_KEYS = {"fock_dim", "threads", "heatmap_points", "wigner_points"}
 _RUN_STR_KEYS = {"scenario", "output_dir"}
 
 # fock_dim floor of the runs in which a Fock truncation enters (custom,
-# squeeze_compare, calibrate, converge, wigner); the others ignore fock_dim
+# squeeze_compare, calibrate, converge); the others ignore fock_dim
 MIN_FOCK_DIM = 40
 
 

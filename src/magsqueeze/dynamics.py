@@ -513,7 +513,6 @@ def conditional_squeezing_run(
     fock_dim=80,
     sample_times=None,
     delta_eff=None,
-    solver=None,
     store_states=False,
 ):
     """Run the conditional-squeezing protocol and record per-sample
@@ -523,21 +522,23 @@ def conditional_squeezing_run(
 
     * model="effective" from a pinned start (plus_x, minus_x) reads the
       exact sector covariance (path "sector_exact", drive_interaction
-      frame) and raises TruncationError where its Fock tail beyond fock_dim
-      passes MIXED_TAIL_TOL; metadata records the worst tail
-      (max_fock_tail, max_fock_tail_time).  delta_eff=None takes the
-      analytic 2.007 MHz, below the two-photon threshold, so the default
-      run is refused.  Stored states are S(zeta)|0>, which needs kappa = 0.
+      frame; minus_x takes the +1 one with s -> -s) and raises
+      TruncationError where its Fock tail beyond fock_dim passes
+      MIXED_TAIL_TOL; metadata records the worst tail (max_fock_tail,
+      max_fock_tail_time).  delta_eff=None takes the analytic 2.007 MHz,
+      below the two-photon threshold, so the default run is refused.
+      Stored states are S(zeta)|0>, which needs kappa = 0.
     * model="full_rotating" integrates the full model in the exact
-      half-pump frame (build_H_rot) under solver (path
+      half-pump frame (build_H_rot) under the default SolverConfig (path
       "joint_master_equation"); each sample is postselected on sb_x = +1
       in that frame (_plus_x_metrics).  metadata records the largest
       population of the last kept Fock level, p_{N-1} summed over the
       qubit, and its first sample time (max_edge_population,
       max_edge_population_time); nothing is refused on it.
 
-    Any other model, an effective run from another start, and stored states
-    of an effective run with kappa > 0 raise DimensionError; nothing is
+    Any other model, an effective run from another start, stored states of
+    an effective run with kappa > 0 and a delta_eff for the full model
+    (which build_H_rot does not read) raise DimensionError; nothing is
     integrated first.
     """
     if model not in ("effective", "full_rotating"):
@@ -546,17 +547,13 @@ def conditional_squeezing_run(
     if model == "effective" and sign is None:
         raise DimensionError(f"an effective run starts from plus_x or minus_x, "
                              f"not {qubit_init!r}")
+    if model == "full_rotating" and delta_eff is not None:
+        raise DimensionError("the full model has no effective detuning: it takes no delta_eff")
     if sample_times is None:
         sample_times = default_sample_times()
     sample_times = np.asarray(sample_times, dtype=float)
 
-    d = derive(params, delta_eff_override=delta_eff)
-    meta = {
-        "model": model,
-        "qubit_init": qubit_init,
-        "fock_dim": fock_dim,
-        "delta_eff": d.Delta_eff,
-    }
+    meta = {"model": model, "qubit_init": qubit_init, "fock_dim": fock_dim}
 
     if model == "full_rotating":
         rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
@@ -570,7 +567,7 @@ def conditional_squeezing_run(
 
         result = evolve_master(build_H_rot(params, fock_dim),
                                build_dissipators_full(params, fock_dim), rho0,
-                               solver=replace(solver or SolverConfig(), sample_times=sample_times),
+                               solver=SolverConfig(sample_times=sample_times),
                                sample_hook=hook, store_states=store_states)
         worst = int(np.argmax(edge))
         result.metadata.update(meta, path="joint_master_equation",
@@ -578,7 +575,10 @@ def conditional_squeezing_run(
                                max_edge_population_time=float(result.times[worst]))
         return result
 
-    cov = sector_covariance_squeezing(params, sample_times, delta_eff, sign)
+    d = derive(params, delta_eff_override=delta_eff)
+    cov = sector_covariance_squeezing(params, sample_times, delta_eff)
+    if sign < 0:
+        cov["s"] = -cov["s"]
     tail, t_tail = sector_fock_tail(cov, fock_dim)
     if tail > MIXED_TAIL_TOL:
         raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
@@ -599,7 +599,7 @@ def conditional_squeezing_run(
                   for t, z in zip(sample_times, _squeeze_parameters(cov))]
     return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
                             dict(meta, path="sector_exact", max_fock_tail=tail,
-                                 max_fock_tail_time=t_tail))
+                                 max_fock_tail_time=t_tail, delta_eff=d.Delta_eff))
 
 
 _TAYLOR_DEGREE = 18  # remainder below 1/19! ~ 8e-18 at a scaled norm of 1
@@ -628,10 +628,10 @@ def _expm_stack(a):
     return e
 
 
-def _moment_generator(d, sector):
+def _moment_generator(d):
     """5 x 5 generator of y = (n, Re s, Im s, det, 1) for
     sector_covariance_squeezing."""
-    c = -(d.g_cs / 2.0) * float(sector)
+    c = -d.g_cs / 2.0
     kappa, delta = d.kappa, d.Delta_eff
     source = 2.0 * kappa * (2.0 * d.n_bar_m + 1.0)
     return np.array([
@@ -643,8 +643,9 @@ def _moment_generator(d, sector):
     ])
 
 
-def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
-    """Exact second-moment evolution of the sector-reduced conditional run.
+def sector_covariance_squeezing(params, times, delta_eff=None):
+    """Exact second-moment evolution of the sb_x = +1 sector of the
+    conditional run.
 
     The sector Hamiltonian is quadratic and the thermal channels are
     Gaussian, so (n, s) = (<m^dag m>, <m^2>) close on themselves (Weedbrook
@@ -662,9 +663,10 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
     Starts from vacuum.  No truncation enters here -- this is the
     infinite-dimensional result.  The map s -> -s^* takes the Delta solution
     onto the -Delta one, so zeta_sq, squeezing_db, n_magnon and s_abs are
-    even in Delta.  The returned s is <m^2> in the drive frame of build_H_cs
-    and the master equation, e^{+2i Delta t} times the static-frame value,
-    and is not even in Delta.
+    even in Delta.  The -1 sector (c -> -c) is the same run with s -> -s:
+    R = i^{m^dag m} maps one onto the other with n unchanged.  The returned
+    s is <m^2> in the drive frame of build_H_cs and the master equation,
+    e^{+2i Delta t} times the static-frame value, and is not even in Delta.
 
     The equations are linear with constant coefficients: with y = (n,
     Re s, Im s, det, 1), y' = G y, so each step t_{k-1} -> t_k (t_{-1} = 0) is
@@ -687,7 +689,7 @@ def sector_covariance_squeezing(params, times, delta_eff=None, sector=+1):
     cells = [derive(p, delta_eff_override=dl)
              for p, dl in zip(cells_p * (n_cells // len(cells_p)),
                               cells_d * (n_cells // len(cells_d)))]
-    gen = np.array([_moment_generator(d, sector) for d in cells])
+    gen = np.array([_moment_generator(d) for d in cells])
     steps, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     props = _expm_stack(steps[:, None, None, None] * gen)  # (step, cell, 5, 5)
 
@@ -745,7 +747,8 @@ def superposition_blocks(params, times, delta_eff=None):
     Each block is a Gaussian operator, fixed by Tr X and the normalised
     moments a = <m^2>, b = <m^dag^2>, n = <m^dag m> (<A> = Tr(X A)/Tr X,
     drive frame).  The diagonal blocks are half the sector states:
-    Tr = 1/2, a = s, b = s^*, n from sector_covariance_squeezing.  The
+    Tr = 1/2, a = s, b = s^*, n from sector_covariance_squeezing of the +1
+    sector, with s -> -s for X_-- (R below maps the -1 sector onto it).  The
     coherence X = X_+- obeys
 
         X' = -i{h, X} + D_kappa[X] - 4 w X
@@ -773,10 +776,9 @@ def superposition_blocks(params, times, delta_eff=None):
     if np.any(times < 0.0):
         raise DimensionError("superposition block times must be >= 0")
     d = derive(params, delta_eff_override=delta_eff)
-    blocks = {}
-    for key, sector in (("++", +1), ("--", -1)):
-        cov = sector_covariance_squeezing(params, times, delta_eff, sector)
-        blocks[key] = (np.full(len(times), 0.5), cov["s"], cov["s"].conj(), cov["n_magnon"])
+    cov = sector_covariance_squeezing(params, times, delta_eff)
+    half, s, n = np.full(len(times), 0.5), cov["s"], cov["n_magnon"]
+    blocks = {"++": (half, s, s.conj(), n), "--": (half, -s, -s.conj(), n)}
     prop = _expm_stack(times[:, None, None] * _coherence_generator(d))
     # e^{Gt} [sigma_x/2; 1]: its complex 4 x 2 from the real 8 x 8 embedding
     uv = (prop[:, :4, :4] + 1.0j * prop[:, 4:, :4]) @ np.vstack([SIGMA_X / 2.0, np.eye(2)])

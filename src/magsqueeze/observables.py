@@ -8,7 +8,9 @@ normalized so the vacuum gives exactly 1, with squeezing degree
 S = -10 log10(zeta^2).  The raw symmetric-ordering variance (vacuum 1/2)
 is zeta^2 / 2 and is carried alongside.
 
-The Wigner function is evaluated by displaced parity in Royer's form,
+The commands' Wigner grids are closed-form Gaussians or sums of them
+(gaussian_wigner, superposition_grids).  The tests' oracle ``wigner``
+evaluates any state by displaced parity in Royer's form,
 W(alpha) = (2/pi) Tr[rho D(2 alpha) P] with P = (-1)^{m^dag m}
 (D(a) P D(a)^dag = D(2a) P; Phys. Rev. A 15, 449 (1977)).  On a cartesian
 grid the displacement splits as D(2x + 2iy) = e^{4ixy} D(2x) D(2iy), so
@@ -272,10 +274,10 @@ def wigner(rho_magnon, re_axis=None, im_axis=None, weight_floor=1e-13):
     grid.meta["fock_dim"] = pad
     grid.meta["pad_tail"] = tail
     grid.meta["rank"] = basis.shape[1]
-    return _flag_boundary(grid)
+    return flag_boundary(grid)
 
 
-def _flag_boundary(grid):
+def flag_boundary(grid):
     """Record the largest |W| on the grid's edge as meta["boundary_max_abs"]
     and warn, at the caller of the grid's maker, when it exceeds 1e-4."""
     values = grid.values
@@ -372,7 +374,7 @@ def superposition_grids(blocks, re_axis, im_axis):
     for outcome, (sign, p) in _outcome_weights(blocks).items():
         p = float(p)
         values = (w["++"].real + w["--"].real + 2.0 * sign * w["+-"].real) / (2.0 * p)
-        out[outcome] = (p, _flag_boundary(WignerGrid(re_axis, im_axis, values)))
+        out[outcome] = (p, flag_boundary(WignerGrid(re_axis, im_axis, values)))
     return out
 
 

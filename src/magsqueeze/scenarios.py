@@ -216,14 +216,8 @@ def _run_squeeze_compare(sc, outdir):
     # to the lab-frame drive, far cheaper to step)
     t_full_max = min(cfg.run.time_max, 40.0)
     times_full = times[times <= t_full_max + 1e-9]
-    full = conditional_squeezing_run(
-        cfg.params,
-        qubit_init="plus_x",
-        model="full_rotating",
-        fock_dim=cfg.run.fock_dim,
-        sample_times=times_full,
-        delta_eff=delta,
-    )
+    full = conditional_squeezing_run(cfg.params, qubit_init="plus_x", model="full_rotating",
+                                     fock_dim=cfg.run.fock_dim, sample_times=times_full)
 
     rows = []
     s_full = dict(zip(np.round(full.times, 9), full.observables["squeezing_db"]))
@@ -320,20 +314,25 @@ def _run_heatmap(sc, outdir):
     return [path], notes
 
 
+def superposition_wigner_grids(cfg, ideal=False):
+    """{"g": (p, grid), "e": (p, grid)} of the run from |0>|g> at delta_eff =
+    0, at run.superposition_time, from the closed-form sb_x blocks; ideal
+    drops kappa and gamma, leaving psi+- = S(xi)|0> +- S(-xi)|0>."""
+    params = replace(cfg.params, kappa=0.0, gamma=0.0) if ideal else cfg.params
+    ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
+    blocks = superposition_blocks(params, [cfg.run.superposition_time], delta_eff=0.0)
+    return superposition_grids({key: [x[0] for x in blk] for key, blk in blocks.items()},
+                               ax, ax)
+
+
 def _run_superposition_wigner(sc, outdir):
     cfg = sc.config
     t_sup = cfg.run.superposition_time
     xi = squeezing_parameter(cfg.params, t_sup, delta_eff=0.0)
-    ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
 
     outputs, notes = [], [f"t={t_sup} ns, xi={xi:.6f} (delta_eff=0)"]
-    # both legs post-select the run from |0>|g> at delta_eff = 0; without
-    # dissipation its outcomes are psi+- = S(xi)|0> +- S(-xi)|0>
-    ideal = replace(cfg.params, kappa=0.0, gamma=0.0)
-    for kind, params in (("ideal", ideal), ("dissipative", cfg.params)):
-        blocks = superposition_blocks(params, [t_sup], delta_eff=0.0)
-        grids = superposition_grids({key: [x[0] for x in blk] for key, blk in blocks.items()},
-                                    ax, ax)
+    for kind in ("ideal", "dissipative"):
+        grids = superposition_wigner_grids(cfg, ideal=kind == "ideal")
         for outcome, tag in (("g", "sym"), ("e", "antisym")):
             base = os.path.join(outdir, f"wigner_{kind}_{tag}")
             grids[outcome][1].to_csv(base + ".csv")

@@ -237,17 +237,16 @@ def test_check_06_full_vs_effective_calibrated():
 def test_check_07_dissipation_monotonicity():
     t0 = time.perf_counter()
     times = np.arange(0.0, 151.0, 1.0)
-    tight = lambda: SolverConfig(rel_tol=1e-9, abs_tol=1e-11)
     peaks = []
     for kappa in (0.5, 1.0, 2.0, 4.0):
         out = conditional_squeezing_run(
             PhysicalParams(kappa=kappa), model="effective", fock_dim=100,
-            sample_times=times, delta_eff=DELTA_OP, solver=tight(),
+            sample_times=times, delta_eff=DELTA_OP,
         )
         peaks.append(float(out.observables["squeezing_db"].max()))
     hot = conditional_squeezing_run(
         PhysicalParams(temperature=300.0), model="effective", fock_dim=150,
-        sample_times=times, delta_eff=DELTA_OP, solver=tight(),
+        sample_times=times, delta_eff=DELTA_OP,
     )
     peak_hot = float(hot.observables["squeezing_db"].max())
     dt = time.perf_counter() - t0

@@ -807,12 +807,12 @@ def test_pinned_run_without_magnon_loss_reads_the_covariance():
     times = np.arange(0.0, 40.0 + 0.5, 0.5)
     with pytest.raises(TruncationError, match="beyond fock_dim=20 at t = 40.000 ns"):
         conditional_squeezing_run(params, fock_dim=20, sample_times=times, delta_eff=DELTA_OP)
-    for init, sector in (("plus_x", +1), ("minus_x", -1)):
+    cov = sector_covariance_squeezing(params, times, DELTA_OP)
+    for init in ("plus_x", "minus_x"):
         run = conditional_squeezing_run(params, qubit_init=init, fock_dim=80,
                                         sample_times=times, delta_eff=DELTA_OP)
         assert run.metadata["path"] == "sector_exact"
         assert run.states is None
-        cov = sector_covariance_squeezing(params, times, DELTA_OP, sector)
         for key in ("zeta_sq", "squeezing_db", "n_magnon"):
             np.testing.assert_array_equal(run.observables[key], cov[key])
         assert run.observables["theta_star"][0] == 0.0  # the vacuum's convention
@@ -860,11 +860,14 @@ def test_gaussian_populations_match_the_master_equation_diagonal(params):
 def test_master_equation_stays_within_the_tail_error_of_the_covariance(
         kappa, temperature, delta_mhz, fock_dim, t, sector):
     # wherever the tail passes, the master equation at that fock_dim is off
-    # the exact covariance by no more than its tail allows.  Over 200
-    # passing draws (fock_dim 20-60, t <= 60 ns, rtol 1e-10) max |dS| was
-    # 5.2e3 dB and max |dn|/(1 + n) 1.2e2 per unit of the run's worst tail,
-    # as in the README's table (6.4e2 dB and 68 at the custom default); the
-    # bound doubles them, plus the solver's own floor.
+    # the exact covariance by no more than its tail allows.  Over 2200
+    # passing draws from these ranges and 1100 with fock_dim up to 60 and
+    # t up to 60 ns (rtol 1e-10), max |dS| was 8.6e3 dB and max
+    # |dn|/(1 + n) 1.2e2 per unit of the run's worst tail (6.4e2 dB and 68
+    # at the custom default, as in the README's table); the worst |dS| came
+    # at kappa = 0, fock_dim 55-56, t near 25 ns and tails of 5e-6 to 8e-6.
+    # The bound is 1e4 dB and 2.5e2 per unit of tail, plus the solver's own
+    # floor.
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     delta = TWO_PI * delta_mhz * 1e-3
     times = np.linspace(0.0, t, 7)
@@ -964,9 +967,9 @@ def test_covariance_matches_master_equation(params):
 
 
 def covariance_ode(params, times, delta_eff, sector=+1):
-    """The moment equations of sector_covariance_squeezing, integrated by
-    DOP853 from the vacuum at t = 0: the oracle for its closed form.
-    Returns (<n>, |<m^2>|) on times."""
+    """The moment equations of the sb_x = sector block, integrated by DOP853
+    from the vacuum at t = 0: the oracle for sector_covariance_squeezing.
+    Returns (<n>, <m^2>) on times, <m^2> in the drive frame."""
     d = derive(params, delta_eff_override=delta_eff)
     c = -(d.g_cs / 2.0) * float(sector)
 
@@ -978,11 +981,20 @@ def covariance_ode(params, times, delta_eff, sector=+1):
         return [dn, ds.real, ds.imag]
 
     if times[-1] == 0.0:  # only the start: the vacuum
-        return np.zeros(len(times)), np.zeros(len(times))
+        return np.zeros(len(times)), np.zeros(len(times), dtype=complex)
+    # solve_ivp takes strictly increasing times: a grid inside a subnormal
+    # span repeats them
+    distinct, which = np.unique(times, return_inverse=True)
     sol = solve_ivp(rhs, (0.0, float(times[-1])), [0.0, 0.0, 0.0], method="DOP853",
-                    t_eval=times, rtol=1e-12, atol=1e-14)
+                    t_eval=distinct, rtol=1e-12, atol=1e-14)
     assert sol.success
-    return sol.y[0], np.hypot(sol.y[1], sol.y[2])
+    n, s = sol.y[0][which], (sol.y[1] + 1.0j * sol.y[2])[which]
+    return n, np.exp(2.0j * d.Delta_eff * times) * s
+
+
+def sector_generator(d, sector):
+    """_moment_generator of the sb_x = sector block: c -> sector c."""
+    return _moment_generator(replace(d, g_cs=sector * d.g_cs))
 
 
 G_CS_MHZ = abs(derive(PhysicalParams()).g_cs) / TWO_PI * 1e3  # threshold |g_cs|
@@ -1010,12 +1022,13 @@ covariance_grids = st.builds(
 @given(cell=covariance_cells, times=covariance_grids)
 def test_covariance_matches_moment_ode(cell, times):
     # the closed-form propagator against step-by-step integration of the
-    # same moment equations
+    # same moment equations; the -1 sector is the +1 run with s -> -s
     params, delta, sector = cell
-    cov = sector_covariance_squeezing(params, times, delta_eff=delta, sector=sector)
+    cov = sector_covariance_squeezing(params, times, delta_eff=delta)
     n_ref, s_ref = covariance_ode(params, times, delta, sector)
     assert_allclose(cov["n_magnon"], n_ref, rtol=1e-8, atol=1e-12)
-    assert_allclose(cov["s_abs"], s_ref, rtol=1e-8, atol=1e-12)
+    assert_allclose(cov["s_abs"], np.abs(s_ref), rtol=1e-8, atol=1e-12)
+    assert_allclose(sector * cov["s"], s_ref, rtol=1e-8, atol=1e-12)
 
 
 @given(cell=covariance_cells, times=covariance_grids)
@@ -1023,9 +1036,8 @@ def test_covariance_is_even_in_delta(cell, times):
     # s -> -s^* maps the Delta solution onto the -Delta one; the generators
     # at +-Delta differ by the sign flip of Re s, which floating point
     # carries through every product exactly, so the series agree bit for bit
-    params, delta, sector = cell
-    cov = sector_covariance_squeezing(params, times, delta_eff=[delta, -delta],
-                                      sector=sector)
+    params, delta, _ = cell
+    cov = sector_covariance_squeezing(params, times, delta_eff=[delta, -delta])
     for key in ("n_magnon", "s_abs", "squeezing_db"):
         np.testing.assert_array_equal(cov[key][0], cov[key][1])
 
@@ -1040,7 +1052,7 @@ def test_covariance_squeezing_matches_50_digit_exponential(params, delta):
     # of the same generator; at large squeezing the double-precision
     # difference of the two large terms would lose every digit
     times = [30.0, 150.0, 300.0]
-    gen = _moment_generator(derive(params, delta_eff_override=delta), +1)
+    gen = _moment_generator(derive(params, delta_eff_override=delta))
     with mpmath.workdps(50):
         moments = mpmath.matrix(gen[np.ix_([0, 1, 2, 4], [0, 1, 2, 4])].tolist())
         ref = []
@@ -1060,8 +1072,8 @@ def test_expm_stack_matches_scipy():
     rng = np.random.default_rng(7)
     norms = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0])
     gens = np.array([
-        _moment_generator(derive(PhysicalParams(kappa=rng.uniform(0.0, 10.0)),
-                                 rng.uniform(-0.2, 0.2)), rng.choice([-1, 1]))
+        sector_generator(derive(PhysicalParams(kappa=rng.uniform(0.0, 10.0)),
+                                rng.uniform(-0.2, 0.2)), rng.choice([-1, 1]))
         for _ in range(20)])
     stack = np.concatenate([rng.normal(size=(20, 5, 5)), gens])
     stack = (stack / np.abs(stack).sum(axis=-2).max(axis=-1)[:, None, None]
@@ -1082,10 +1094,10 @@ def test_batched_covariance_equals_per_cell_calls():
     times = np.array([0.0, 0.5, 1.0, 3.0, 3.5, 10.0, 25.0, 25.5])
     cells = [PhysicalParams(kappa=k, gamma=g) for k in (0.0, 2.0) for g in (1.0, 300.0)]
     deltas = [0.0, DELTA_OP, -DELTA_OP, 0.02]
-    out = sector_covariance_squeezing(cells, times, delta_eff=deltas, sector=-1)
+    out = sector_covariance_squeezing(cells, times, delta_eff=deltas)
     assert out["squeezing_db"].shape == (4, len(times))
     for i, (p, delta) in enumerate(zip(cells, deltas)):
-        one = sector_covariance_squeezing(p, times, delta_eff=delta, sector=-1)
+        one = sector_covariance_squeezing(p, times, delta_eff=delta)
         assert one["squeezing_db"].shape == times.shape
         for key in ("zeta_sq", "squeezing_db", "n_magnon", "s_abs"):
             np.testing.assert_array_equal(out[key][i], one[key])
@@ -1178,11 +1190,13 @@ def test_full_run_records_its_fock_edge_population():
     dict(model="effective", qubit_init="g"),
     dict(model="effective", qubit_init="plus_plus_minus"),
     dict(model="effective", store_states=True),  # at the default kappa = 0.5 MHz
+    dict(model="full_rotating"),  # with the delta_eff below, which it would not read
 ], ids=["adiabatic", "full_lab", "effective_from_g", "effective_from_plus_plus_minus",
-        "stored_states_with_kappa"])
+        "stored_states_with_kappa", "full_with_delta_eff"])
 def test_run_refuses_requests_off_its_two_paths(params, monkeypatch, refused):
     # conditional_squeezing_run reads the pinned covariance or integrates
-    # full_rotating; anything else is refused before any master equation
+    # full_rotating; anything else, and an argument its path would not
+    # read, is refused before any master equation
     def forbidden(*args, **kwargs):
         raise AssertionError("conditional_squeezing_run ran a master equation")
 
@@ -1221,9 +1235,10 @@ def sector_exact_states(params, fock_dim, sector, delta_eff, times):
 
 
 def sector_kets(params, fock_dim, sector, delta_eff, times):
-    """The package's pure sector states S(zeta)|0>, zeta from the covariance."""
-    cov = sector_covariance_squeezing(params, times, delta_eff, sector)
-    return [squeezed_vacuum_fock(z, fock_dim) for z in _squeeze_parameters(cov)]
+    """The package's pure sector states S(sector zeta)|0>, zeta from the
+    covariance of the +1 sector."""
+    cov = sector_covariance_squeezing(params, times, delta_eff)
+    return [squeezed_vacuum_fock(sector * z, fock_dim) for z in _squeeze_parameters(cov)]
 
 
 def phased_defect(ket, reference, phase):
@@ -1261,7 +1276,7 @@ def test_sector_exact_states_match_full_exponential(sector, delta):
 def test_gaussian_sector_states_match_the_eigendecomposition(delta_mhz, sector, t, nf, kappa):
     # |Delta| up to 12 MHz lies on both sides of the threshold |g_cs| = 7.5 MHz
     delta = TWO_PI * delta_mhz * 1e-3
-    (zeta,) = _squeeze_parameters(sector_covariance_squeezing(NODISS, [t], delta, sector))
+    (zeta,) = sector * _squeeze_parameters(sector_covariance_squeezing(NODISS, [t], delta))
     untruncated = squeezed_vacuum_fock(zeta, 1000)
     assume(np.vdot(untruncated[nf:], untruncated[nf:]).real < 1e-12)
     ket, = sector_kets(NODISS, nf, sector, delta, [t])
@@ -1365,6 +1380,25 @@ def blocks_at(blocks, i=0):
 
 
 SUPERPOSITION_AXIS = np.linspace(-8.0, 8.0, 11)
+
+
+@given(kappa=st.floats(0.0, 5.0), temperature=st.floats(5.0, 300.0),
+       delta=st.floats(-0.1, 0.1), t=st.floats(0.0, 60.0))
+@settings(max_examples=50)
+def test_minus_block_is_the_minus_sector(kappa, temperature, delta, t):
+    # R = i^{m^dag m} maps the -1 sector onto the +1 one with n unchanged
+    # and s -> -s; superposition_blocks builds X_-- that way, and the moment
+    # equations of the -1 sector agree
+    params = PhysicalParams(kappa=kappa, temperature=temperature)
+    times = np.linspace(0.0, t, 7)
+    plus = sector_covariance_squeezing(params, times, delta)
+    half, a, b, n = superposition_blocks(params, times, delta)["--"]
+    assert np.array_equal(half, np.full(7, 0.5))
+    assert np.array_equal(a, -plus["s"]) and np.array_equal(b, -plus["s"].conj())
+    assert np.array_equal(n, plus["n_magnon"])
+    n_ref, s_ref = covariance_ode(params, times, delta, -1)
+    assert_allclose(n, n_ref, rtol=1e-8, atol=1e-12)
+    assert_allclose(a, s_ref, rtol=1e-8, atol=1e-12)
 
 
 @given(t=st.floats(1.0, 29.0), kappa=st.floats(0.0, 0.6),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsqueeze import cli, observables
+from magsqueeze import observables
 from magsqueeze.errors import DimensionError, NumericalError
 from magsqueeze.observables import (
     WignerGrid,
@@ -293,12 +293,11 @@ def test_wigner_pad_cap(monkeypatch):
         wigner(fock_state(0, 4), np.linspace(-1.0, 1.0, 3), np.zeros(2))
 
 
-def test_cli_wigner_pad_cap_exit_code(tmp_path, capsys, monkeypatch):
-    # the CLI grid spans |alpha| <= 8: the vacuum needs about 380 levels
+def test_wigner_pad_cap_on_the_cli_grid(monkeypatch):
+    # the CLI's grids span |alpha| <= 8: the vacuum needs about 380 levels
     monkeypatch.setattr(observables, "WIGNER_PAD_CAP", 200)
-    code = cli.main(["wigner", "--state", "vacuum", "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "Fock levels" in capsys.readouterr().err
+    with pytest.raises(NumericalError, match="more than 200 Fock levels"):
+        wigner(fock_state(0, 80), np.linspace(-8.0, 8.0, 201), np.linspace(-8.0, 8.0, 201))
 
 
 def test_wigner_weight_floor_drops_noise():

@@ -24,7 +24,8 @@ from magsqueeze.config import Config, RunOptions, load_config
 from magsqueeze.constants import TWO_PI
 from magsqueeze.dynamics import sector_covariance_squeezing
 from magsqueeze.errors import ConfigError, DimensionError, FrameError
-from magsqueeze.model import derive
+from magsqueeze.model import derive, squeezing_parameter
+from magsqueeze.observables import wigner
 from magsqueeze.scenarios import (
     OPERATING_DETUNING_RAD_NS,
     ScenarioConfig,
@@ -33,7 +34,7 @@ from magsqueeze.scenarios import (
     run,
     write_csv,
 )
-from magsqueeze.states import MIXED_TAIL_TOL
+from magsqueeze.states import MIXED_TAIL_TOL, superposition_pm
 from test_dynamics import sector_master_equation  # test-local oracle
 
 
@@ -498,14 +499,51 @@ def test_cli_unknown_scenario_exit_code(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_cli_numeric_failure_exit_code(tmp_path, capsys):
-    # r = |g_cs| * 80 ns ~ 3.8: the superposition state cannot be represented
-    # at any configured truncation, so the run must fail loudly, not quietly
-    ini = write_ini(tmp_path, "[run]\nsuperposition_time = 80 ns\n")
-    code = cli.main(["wigner", "--state", "sym", "--config", ini,
+def test_cli_wigner_of_an_outcome_without_weight_is_a_numeric_failure(tmp_path, capsys):
+    # at t = 0 the run is still |0>|g>: the outcome e has no weight, so the
+    # antisymmetric grid exits 3, as superpose does there, not with a traceback
+    ini = write_ini(tmp_path, "[run]\nsuperposition_time = 0 ns\n")
+    code = cli.main(["wigner", "--state", "antisym", "--config", ini,
                      "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "outcome e has probability" in err
+    assert not (tmp_path / "o" / "wigner_antisym.csv").exists()
+
+
+def test_cli_wigner_draws_a_state_no_ket_truncation_holds(tmp_path):
+    # r = |g_cs| * 80 ns ~ 3.8 needs more than 420 Fock levels; the closed
+    # form draws it, and the antisqueezed width e^r/2 ~ 22 passes the +-8
+    # grid, so the boundary check warns, as it does for superpose
+    ini = write_ini(tmp_path, "[run]\nsuperposition_time = 80 ns\n")
+    with pytest.warns(UserWarning, match="Wigner support reaches the grid boundary"):
+        code = cli.main(["wigner", "--state", "sym", "--config", ini,
+                         "--out", str(tmp_path / "o")])
+    assert code == 0
+    desc = json.loads((tmp_path / "o" / "wigner_sym.json").read_text())
+    assert desc["boundary_max_abs"] > 1e-4
+
+
+def test_cli_wigner_grids_are_superposes_ideal_grids(tmp_path):
+    # the vacuum and psi+- drawn in closed form match displaced parity of
+    # their Fock kets (the oracle), and psi+- are byte for byte the ideal
+    # grids that superpose writes
+    ini = write_ini(tmp_path, "[run]\nwigner_points = 41\n")
+    assert cli.main(["superpose", "--config", ini, "--out", str(tmp_path / "s")]) == 0
+    ax = np.linspace(-8.0, 8.0, 41)
+    cfg = Config()
+    xi = squeezing_parameter(cfg.params, cfg.run.superposition_time, delta_eff=0.0)
+    oracles = {"vacuum": wigner(np.eye(8, 1).ravel(), ax, ax),
+               "sym": wigner(superposition_pm(xi, +1, 420), ax, ax),
+               "antisym": wigner(superposition_pm(xi, -1, 420), ax, ax)}
+    for state, oracle in oracles.items():
+        assert cli.main(["wigner", "--state", state, "--config", ini,
+                         "--out", str(tmp_path / "w")]) == 0
+        path = tmp_path / "w" / f"wigner_{state}.csv"
+        values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2].reshape(41, 41)
+        assert np.max(np.abs(values - oracle.values)) < 1e-12
+        if state != "vacuum":
+            assert path.read_bytes() == (tmp_path / "s" / f"wigner_ideal_{state}.csv").read_bytes()
 
 
 def test_cli_fidelity_scores_targets_past_the_ket_truncation(tmp_path):
@@ -546,6 +584,8 @@ def test_cli_wigner_vacuum(tmp_path, capsys):
     assert (tmp_path / "o" / "wigner_vacuum.csv").exists()
     desc = json.loads((tmp_path / "o" / "wigner_vacuum.json").read_text())
     assert desc["re_axis"] == [-8.0, 8.0, 41]
+    # a closed-form grid: no Fock pad keys
+    assert set(desc) == {"re_axis", "im_axis", "normalization", "boundary_max_abs"}
 
 
 def test_cli_converge_strict_exit_code(tmp_path, capsys):
@@ -562,16 +602,16 @@ def test_cli_converge_strict_exit_code(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["fidelity", "superpose"])
-def test_cli_untruncated_commands_accept_a_small_fock_dim(tmp_path, command):
+@pytest.mark.parametrize("argv", [["fidelity"], ["superpose"], ["wigner", "--state", "vacuum"]],
+                         ids=["fidelity", "superpose", "wigner-vacuum"])
+def test_cli_untruncated_commands_accept_a_small_fock_dim(tmp_path, argv):
     ini = write_ini(tmp_path, "[run]\nwigner_points = 21\n")
-    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o"),
-                     "--fock-dim", "20"]) == 0
+    assert cli.main(argv + ["--config", ini, "--out", str(tmp_path / "o"),
+                            "--fock-dim", "20"]) == 0
 
 
 @pytest.mark.parametrize("argv", [["squeeze"], ["squeeze", "--scenario", "custom"],
-                                  ["calibrate"], ["converge", "--scenario", "kappa_sweep"],
-                                  ["wigner", "--state", "vacuum"]])
+                                  ["calibrate"], ["converge", "--scenario", "kappa_sweep"]])
 def test_cli_truncating_commands_refuse_a_small_fock_dim(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "o"), "--fock-dim", "20"]) == 2
     assert "fock_dim: 20 below the minimum of 40" in capsys.readouterr().err
