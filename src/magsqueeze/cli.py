@@ -16,7 +16,8 @@ import numpy as np
 from . import scenarios
 from .config import load_config, require_fock_floor
 from .errors import ConfigError, DimensionError, FrameError, NumericalError, TruncationError
-from .observables import WignerGrid, flag_boundary, gaussian_wigner, wigner_negativity_volume
+from .observables import (WignerGrid, flag_boundary, gaussian_wigner, require_outcome,
+                          wigner_negativity_volume)
 
 _COMMAND_SCENARIO = {
     "coupling-map": "coupling_map_a",
@@ -101,7 +102,7 @@ def _run_wigner(args):
         grid = flag_boundary(WignerGrid(ax, ax, gaussian_wigner(1.0, 0.0, 0.0, 0.0, ax, ax).real))
     else:
         grids = scenarios.superposition_wigner_grids(cfg, ideal=True)
-        grid = grids["g" if args.state == "sym" else "e"][1]
+        grid = require_outcome(grids, "g" if args.state == "sym" else "e")[1]
     base = os.path.join(cfg.run.output_dir, f"wigner_{args.state}")
     grid.to_csv(base + ".csv")
     grid.to_json(base + ".json")

@@ -19,9 +19,10 @@ Physics conventions (also see qops):
   g_z = g cos(theta) (longitudinal) and g_x = g sin(theta) (transverse)
   parts in the dressed frame.  Note the relative sign between the two
   images: with this (real) convention the drive operator
-  (sigma_x - sigma_z)/sqrt(2) maps to -sb_x at theta = pi/4, and the
-  drive phase phi = 0 reproduces the -Omega cos(omega_p t) sb_x form that
-  all dressed-frame Hamiltonians below are built on.
+  (sigma_x - sigma_z)/sqrt(2) maps to -sb_x at theta = pi/4, so the drive
+  Omega cos(omega_p t) (sigma_x - sigma_z)/sqrt(2) becomes the
+  -Omega cos(omega_p t) sb_x form that all dressed-frame Hamiltonians
+  below are built on.
 
 * Frames: "lab" (time-dependent drive present), "rotating_half_pump"
   (both subsystems rotated at omega_p/2: rho~ = V rho V^dag with
@@ -62,10 +63,9 @@ class PhysicalParams:
     omega_m     Kittel-mode frequency, GHz
     nu          qubit splitting, GHz
     omega_p     drive frequency, GHz (close to nu; omega_p/2 close to omega_m)
-    Omega       drive amplitude, GHz
-    phi         drive phase, rad.  phi = 0 makes the dressed-frame drive
-                equal to -Omega cos(omega_p t) sb_x, the sign convention
-                that build_H_rot and everything downstream assume.
+    Omega       drive amplitude, GHz; the dressed-frame drive is
+                -Omega cos(omega_p t) sb_x, the sign convention that
+                build_H_rot and everything downstream assume
     g           bare longitudinal coupling, GHz
     theta       flux angle; pi/4 balances g_x = g_z
     kappa       magnon energy relaxation rate, MHz
@@ -78,7 +78,6 @@ class PhysicalParams:
     nu: float = 3.0
     omega_p: float = 3.002
     Omega: float = 0.5
-    phi: float = 0.0
     g: float = 0.15
     theta: float = math.pi / 4
     kappa: float = 0.5
@@ -202,7 +201,7 @@ def build_H_rot(params, fock_dim):
         omega_m m^dag m + (nu/2) sb_z + (m+m^dag)(g_x sb_x + g_z sb_z)
         - Omega cos(omega_p t) sb_x,
 
-    the image of the persistent-current-basis one at phi = 0, theta = pi/4
+    the image of the persistent-current-basis one at theta = pi/4
     (at other theta the lab drive's image is not -sb_x; this form keeps it):
 
         Delta_m m^dag m + (Delta_nu/2) sb_z - (Omega/2) sb_x

@@ -344,16 +344,23 @@ def gaussian_overlap(x, y):
 
 def _outcome_weights(blocks):
     """{"g": (+1, p_g), "e": (-1, p_e)} of the superposition blocks, with
-    p = (Tr X_++ + Tr X_--)/2 +- Re Tr X_+-; an outcome of weight at or
-    below 1e-12 raises."""
+    p = (Tr X_++ + Tr X_--)/2 +- Re Tr X_+-, holding only the outcomes of
+    weight above 1e-12 at every time."""
     half = 0.5 * np.real(np.add(blocks["++"][0], blocks["--"][0]))
     out = {}
     for outcome, sign in (("g", 1.0), ("e", -1.0)):
         p = half + sign * np.real(blocks["+-"][0])
-        if np.any(p <= 1e-12):
-            raise NumericalError(f"outcome {outcome} has probability {np.min(p):.3e}")
-        out[outcome] = (sign, p)
+        if np.all(p > 1e-12):
+            out[outcome] = (sign, p)
     return out
+
+
+def require_outcome(by_outcome, outcome):
+    """by_outcome[outcome]; NumericalError if the outcome has no weight and
+    so no entry."""
+    if outcome not in by_outcome:
+        raise NumericalError(f"outcome {outcome} has probability at or below 1e-12")
+    return by_outcome[outcome]
 
 
 def superposition_grids(blocks, re_axis, im_axis):
@@ -365,7 +372,8 @@ def superposition_grids(blocks, re_axis, im_axis):
     (X_++ + X_-- +- (X_+- + X_-+))/(2p), X_-+ = X_+-^dag, whose Wigner
     function is (W_++ + W_-- +- 2 Re W_+-)/(2p) with
     p = (Tr X_++ + Tr X_--)/2 +- Re Tr X_+-.  Returns {"g": (p, grid),
-    "e": (p, grid)}; an outcome of weight at or below 1e-12 raises.
+    "e": (p, grid)} without the outcomes of weight at or below 1e-12, which
+    have no state (require_outcome refuses them).
     """
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
@@ -397,15 +405,17 @@ def superposition_fidelities(blocks, zeta):
     (gaussian_overlap, squeezed_vacuum_dyad).  For a pure target the
     Uhlmann fidelity is sqrt(<psi|rho|psi>).  Returns {"g": (p, F),
     "e": (p, F)}, arrays over times; an outcome of weight at or below 1e-12
-    raises.
+    at any time raises.
     """
     tr, a, b, n = blocks["+-"]
     x = {(+1, +1): blocks["++"], (-1, -1): blocks["--"], (+1, -1): blocks["+-"],
          (-1, +1): (np.conj(tr), np.conj(b), np.conj(a), np.conj(n))}
     signs = list(x)
     dyads = {(j, k): squeezed_vacuum_dyad(zeta, k, j) for j, k in signs}
+    weights = _outcome_weights(blocks)
     out = {}
-    for outcome, (sign, p) in _outcome_weights(blocks).items():
+    for outcome in ("g", "e"):
+        sign, p = require_outcome(weights, outcome)
         weight = {+1: 1.0, -1: sign}
         norm_sq = sum(weight[j] * weight[k] * dyads[j, k][0] for j, k in signs).real
         f_sq = sum(weight[j] * weight[k] * weight[s] * weight[r]

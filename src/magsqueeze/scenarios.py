@@ -43,6 +43,7 @@ from .coupling import YIG, coupling_map
 from .dynamics import (
     _squeeze_parameters,
     conditional_squeezing_run,
+    default_sample_times,
     sector_covariance_squeezing,
     sector_fock_tail,
     superposition_blocks,
@@ -51,7 +52,7 @@ from .dynamics import (
 from .dynamics import conditional_superposition_run, ideal_superposition_targets
 from .errors import ConfigError
 from .model import derive, squeezing_parameter
-from .observables import superposition_fidelities, superposition_grids
+from .observables import require_outcome, superposition_fidelities, superposition_grids
 from .observables import wigner  # unused here; benchmark/spans.py traces scenarios.wigner
 from .states import MIXED_TAIL_TOL
 from .states import superposition_pm  # unused here; benchmark/spans.py traces it too
@@ -69,6 +70,11 @@ SCENARIOS = (
     "superposition_fidelity",
     "custom",
 )
+
+# the scenarios whose effective leg is read at fock_dim: they hold the
+# fock_dim floor, and converge checks their Fock tail; the rest truncate
+# nothing
+TRUNCATING_SCENARIOS = ("custom", "squeeze_compare")
 
 # Operating detuning for dissipative runs: just above the two-photon
 # instability threshold |g_cs| = 2pi x 7.495 MHz, so the conditional
@@ -88,7 +94,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r} (choose from {SCENARIOS})"
             )
-        if self.scenario in ("custom", "squeeze_compare"):
+        if self.scenario in TRUNCATING_SCENARIOS:
             require_fock_floor(self.config.run, self.scenario)
 
     @classmethod
@@ -132,8 +138,6 @@ def _config_echo(cfg):
         "geometry": {
             "side_length_um": cfg.geometry.side_length,
             "current_uA": cfg.geometry.current,
-            "sphere_center_um": list(cfg.sphere.center),
-            "sphere_radius_um": cfg.sphere.radius,
         },
         "run": asdict(cfg.run),
     }
@@ -165,10 +169,7 @@ def _operating_delta(cfg):
 
 
 def _time_grid(cfg):
-    return np.round(
-        np.arange(0.0, cfg.run.time_max + cfg.run.time_step / 2.0, cfg.run.time_step),
-        9,
-    )
+    return default_sample_times(cfg.run.time_max, cfg.run.time_step)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def _run_heatmap(sc, outdir):
     kappas = np.logspace(-1.0, 1.0, pts)       # 0.1 .. 10 MHz
     gammas = np.logspace(0.0, 3.0, pts)        # 1 .. 1000 kHz
     cells = [(float(k), float(g)) for k in kappas for g in gammas]
-    times = np.arange(0.0, cfg.run.time_max + 0.25, 0.5)
+    times = _time_grid(cfg)
     s_db = sector_covariance_squeezing(
         [replace(cfg.params, kappa=k, gamma=g, gamma_phi=g) for k, g in cells],
         times, delta_eff=delta,
@@ -317,7 +318,8 @@ def _run_heatmap(sc, outdir):
 def superposition_wigner_grids(cfg, ideal=False):
     """{"g": (p, grid), "e": (p, grid)} of the run from |0>|g> at delta_eff =
     0, at run.superposition_time, from the closed-form sb_x blocks; ideal
-    drops kappa and gamma, leaving psi+- = S(xi)|0> +- S(-xi)|0>."""
+    drops kappa and gamma, leaving psi+- = S(xi)|0> +- S(-xi)|0>.  An
+    outcome without weight (e at t = 0) has no entry."""
     params = replace(cfg.params, kappa=0.0, gamma=0.0) if ideal else cfg.params
     ax = np.linspace(-8.0, 8.0, cfg.run.wigner_points)
     blocks = superposition_blocks(params, [cfg.run.superposition_time], delta_eff=0.0)
@@ -330,18 +332,23 @@ def _run_superposition_wigner(sc, outdir):
     t_sup = cfg.run.superposition_time
     xi = squeezing_parameter(cfg.params, t_sup, delta_eff=0.0)
 
-    outputs, notes = [], [f"t={t_sup} ns, xi={xi:.6f} (delta_eff=0)"]
+    # every grid exists before the first is written: no outcome, no files
+    grids = {}
     for kind in ("ideal", "dissipative"):
-        grids = superposition_wigner_grids(cfg, ideal=kind == "ideal")
+        by_outcome = superposition_wigner_grids(cfg, ideal=kind == "ideal")
         for outcome, tag in (("g", "sym"), ("e", "antisym")):
-            base = os.path.join(outdir, f"wigner_{kind}_{tag}")
-            grids[outcome][1].to_csv(base + ".csv")
-            grids[outcome][1].to_json(base + ".json")
-            outputs += [base + ".csv", base + ".json"]
-    notes.append("grids: closed-form Gaussian sb_x blocks (superposition_blocks), "
-                 "no Fock truncation")
-    notes.append(f"p_g={grids['g'][0]:.6f} p_e={grids['e'][0]:.6f}")
-    return outputs, notes
+            grids[kind, tag] = require_outcome(by_outcome, outcome)
+    outputs = []
+    for (kind, tag), (_, grid) in grids.items():
+        base = os.path.join(outdir, f"wigner_{kind}_{tag}")
+        grid.to_csv(base + ".csv")
+        grid.to_json(base + ".json")
+        outputs += [base + ".csv", base + ".json"]
+    p_g, p_e = grids["dissipative", "sym"][0], grids["dissipative", "antisym"][0]
+    return outputs, [f"t={t_sup} ns, xi={xi:.6f} (delta_eff=0)",
+                     "grids: closed-form Gaussian sb_x blocks (superposition_blocks), "
+                     "no Fock truncation",
+                     f"p_g={p_g:.6f} p_e={p_e:.6f}"]
 
 
 def superposition_fidelity_series(params, times, delta_eff):
@@ -464,7 +471,7 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
             qubit_init="plus_x",
             model="full_rotating",
             fock_dim=cfg.run.fock_dim,
-            sample_times=np.arange(0.0, t_max + 0.25, 0.5),
+            sample_times=default_sample_times(t_max),
         )
         t_ref, s_ref = full.times, full.observables["squeezing_db"]
 
@@ -492,19 +499,17 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
 def convergence_check(sc):
     """Check the scenario's truncated leg against its fock_dim.
 
-    custom and squeeze_compare: the worst Fock tail of the pinned effective
-    run (the exact sector covariance) over the scenario's time grid, as
-    max_fock_tail and its time; flagged above MIXED_TAIL_TOL.  The other
-    scenarios, superposition_fidelity and superposition_wigner among them,
-    truncate nothing: trivially converged.
+    TRUNCATING_SCENARIOS (custom, squeeze_compare): the worst Fock tail of
+    the pinned effective run (the exact sector covariance) over the
+    scenario's time grid, as max_fock_tail and its time; flagged above
+    MIXED_TAIL_TOL.  The other scenarios, superposition_fidelity and
+    superposition_wigner among them, truncate nothing: trivially converged.
     """
     cfg = sc.config
     nf = cfg.run.fock_dim
     report = {"fock_dim": nf}
 
-    if sc.scenario in ("coupling_map_a", "coupling_map_b", "kappa_sweep",
-                       "temperature_sweep", "max_squeeze_heatmap", "superposition_wigner",
-                       "superposition_fidelity"):
+    if sc.scenario not in TRUNCATING_SCENARIOS:
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
     else:

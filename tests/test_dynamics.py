@@ -70,6 +70,7 @@ from magsqueeze.qops import (
 from magsqueeze.observables import (
     _wigner_covariance,
     min_quadrature_variance,
+    require_outcome,
     squeezing_db,
     superposition_grids,
     wigner,
@@ -1407,21 +1408,19 @@ def test_minus_block_is_the_minus_sector(kappa, temperature, delta, t):
 def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, delta):
     # the joint run at a fock where it has converged: its (+,-) block, the
     # post-selected grids and p_g against the closed-form Gaussian blocks.
-    # The moments weigh level k by up to k^2, so the solver's absolute
-    # tolerance on the near-empty top levels is 1e-13: at 1e-11 it alone
-    # moves <m^dag m> by 5e-7 at 240 levels.  At rtol 1e-9 the solver alone
-    # moved <m^dag m> by 1.3e-7 (t = 27.625 ns, kappa = 0.03125 MHz, 5 mK,
-    # Delta = 0; 9e-10 at rtol 1e-11, atol 1e-15).  The run's error norm is
-    # that of all 4 N^2 entries, three quarters of them exact zeros, which
-    # halve DOP853's RMS error norm; so both tolerances are half those of a run
-    # on the N^2 class-block entries (rtol 1e-11, atol 1e-13), which takes
-    # the same steps.  Worst over hypothesis seeds 1-8: 4.4e-8 in the
-    # moments, 1.8e-8 in W (5.0e-8 in the moments at rtol 1e-11, atol 1e-13).
+    # The moments weigh level k by up to k^2, so the near-empty top levels
+    # need an absolute tolerance far below the bound: DOP853 weighs each
+    # upper-triangle entry of rho by atol + rtol |rho_ij|.  At rtol 5e-12,
+    # atol 5e-14 the moments landed 3.0e-7 off at t = 21 ns, kappa = 0,
+    # Delta = 0 (fock 120); at rtol 1e-12, atol 1e-15 they land 7.7e-13 off
+    # there, with 356 RHS calls against 236.  Worst over t = 21..29 ns,
+    # kappa = 0 and 0.3 MHz at Delta = 0 (fock 118-232): 6.3e-9 in the
+    # moments and 4.1e-8 in W, the latter the Fock-ket oracle's own.
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     nf = converged_fock(params, t, delta)
     h, dissipators, rho0 = _effective_model(params, "plus_plus_minus", nf, delta)
     rho = evolve_master(h, dissipators, rho0, store_states=True,
-                        solver=solver_for([t], rel_tol=5e-12, abs_tol=5e-14)).states[0]
+                        solver=solver_for([t], rel_tol=1e-12, abs_tol=1e-15)).states[0]
     r4 = rho.matrix.reshape(nf, 2, nf, 2)
     coherence = np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), r4, KET_MINUS_X)
 
@@ -1455,10 +1454,12 @@ def test_superposition_blocks_without_dissipation_give_the_ideal_states(t, delta
 def test_superposition_blocks_refuse_negative_times():
     with pytest.raises(DimensionError):
         superposition_blocks(NODISS, [1.0, -1.0])
-    # t = 0: the outcome e has no weight and no grid
+    # t = 0: the outcome e has no weight and no grid; g is the vacuum
+    grids = superposition_grids(blocks_at(superposition_blocks(NODISS, [0.0])),
+                                SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+    assert list(grids) == ["g"] and grids["g"][0] == 1.0
     with pytest.raises(NumericalError, match="outcome e"):
-        superposition_grids(blocks_at(superposition_blocks(NODISS, [0.0])),
-                            SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+        require_outcome(grids, "e")
 
 
 def overlap_determinants(params, times, delta):
@@ -1486,12 +1487,16 @@ def overlap_determinants(params, times, delta):
 def test_superposition_fidelity_matches_the_master_equation(frac, kappa, temperature, delta):
     # the closed-form p and F against the joint run and the ket targets at a
     # fock where both have converged (converged_fock: 234 levels at Delta = 0,
-    # 29 ns), at the solver tolerances where the run's own error is ~1e-11
+    # 29 ns).  The near-empty top levels need an absolute tolerance far below
+    # the bound: at rtol 1e-10, atol 1e-13 the run landed 1.4e-9 off at
+    # t = 20.4 ns, kappa = 0, Delta = 0 (fock 114); at rtol 1e-12, atol 1e-15
+    # it lands 4.2e-15 off there.  Worst over t = 19.8..29 ns at Delta = 0
+    # and 40 ns at +-DELTA_OP: 1.1e-11
     t = 1.0 + frac * ((29.0 if delta == 0.0 else 40.0) - 1.0)
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     nf = converged_fock(params, t, delta)
     run = conditional_superposition_run(params, [t], fock_dim=nf, delta_eff=delta,
-                                        solver=SolverConfig(rel_tol=1e-10, abs_tol=1e-13))
+                                        solver=SolverConfig(rel_tol=1e-12, abs_tol=1e-15))
     targets, = ideal_superposition_targets(params, [t], nf, delta)
     (row,) = superposition_fidelity_series(params, [t], delta)
     for i, outcome in enumerate(("g", "e")):

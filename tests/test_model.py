@@ -13,7 +13,7 @@ the interior block that excludes the top two magnon levels.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -87,6 +87,14 @@ def test_derive_override(params):
     assert d2.Delta_eff == 0.05
 
 
+def test_every_parameter_reaches_derive(params):
+    # a field that derive() ignores would be an input no computation reads
+    base = derive(params)
+    for f in fields(PhysicalParams):
+        moved = replace(params, **{f.name: 1.1 * getattr(params, f.name)})
+        assert derive(moved) != base, f.name
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PhysicalParams(theta=0.0).validate()
@@ -119,7 +127,7 @@ def build_H_lab(params, fock_dim):
 
         omega_m m^dag m + (nu/2)(cos(theta) sigma_z + sin(theta) sigma_x)
         + g (m + m^dag) sigma_z
-        + Omega cos(omega_p t + phi) (sigma_x - sigma_z)/sqrt(2)
+        + Omega cos(omega_p t) (sigma_x - sigma_z)/sqrt(2)
     """
     d = derive(params)
     n = int(fock_dim)
@@ -129,8 +137,7 @@ def build_H_lab(params, fock_dim):
     h_q = 0.5 * d.nu * (
         math.cos(params.theta) * SIGMA_Z + math.sin(params.theta) * SIGMA_X
     )
-    drive = (0.5 * d.Omega * np.exp(1.0j * params.phi) / math.sqrt(2.0)
-             * kron(eye_m, SIGMA_X - SIGMA_Z))
+    drive = 0.5 * d.Omega / math.sqrt(2.0) * kron(eye_m, SIGMA_X - SIGMA_Z)
     static = (
         kron(d.omega_m * number_op(n), IDENTITY_2)
         + kron(eye_m, h_q)
@@ -146,10 +153,10 @@ def build_H_tot(params, fock_dim):
         omega_m m^dag m + (nu/2) sb_z + g_x (m+m^dag) sb_x
         + g_z (m+m^dag) sb_z - Omega cos(omega_p t) sb_x
 
-    This is the dressed-basis image of build_H_lab when phi = 0 and
-    theta = pi/4.  At other theta the dressed image of the lab drive
-    quadrature is [(sin theta - cos theta) sb_z - (cos theta + sin theta)
-    sb_x] / sqrt(2), not -sb_x; this form keeps -sb_x.
+    This is the dressed-basis image of build_H_lab at theta = pi/4.  At
+    other theta the dressed image of the lab drive quadrature is
+    [(sin theta - cos theta) sb_z - (cos theta + sin theta) sb_x] / sqrt(2),
+    not -sb_x; this form keeps -sb_x.
     """
     d = derive(params)
     n = int(fock_dim)

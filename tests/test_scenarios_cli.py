@@ -13,19 +13,20 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from magsqueeze import cli
-from magsqueeze.config import Config, RunOptions, load_config
+from magsqueeze.config import _KEYS, Config, RunOptions, load_config
+from magsqueeze.coupling import LoopGeometry
 from magsqueeze.constants import TWO_PI
 from magsqueeze.dynamics import sector_covariance_squeezing
 from magsqueeze.errors import ConfigError, DimensionError, FrameError
-from magsqueeze.model import derive, squeezing_parameter
-from magsqueeze.observables import wigner
+from magsqueeze.model import PhysicalParams, derive, squeezing_parameter
+from magsqueeze.observables import gaussian_wigner, wigner
 from magsqueeze.scenarios import (
     OPERATING_DETUNING_RAD_NS,
     ScenarioConfig,
@@ -110,7 +111,6 @@ def test_load_defaults():
     assert cfg.run.scenario == "custom"
     assert cfg.geometry.side_length == 10.0
     assert cfg.geometry.current == 0.4
-    assert cfg.sphere.radius == 0.5
 
 
 def test_bare_number_rejected(tmp_path):
@@ -160,19 +160,42 @@ def test_unknown_sections_and_keys(tmp_path):
         load_config(write_ini(tmp_path, "[run]\ncolors = red\n", "c.ini"), env={})
 
 
-def test_env_overrides():
-    env = {
-        "MAGSQUEEZE_PHYSICAL_KAPPA": "1.5 MHz",
-        "MAGSQUEEZE_RUN_FOCK_DIM": "100",
-        "MAGSQUEEZE_RUN_OUTPUT_DIR": "elsewhere",
-    }
-    cfg = load_config(None, env=env)
-    assert cfg.params.kappa == pytest.approx(1.5)
-    assert cfg.run.fock_dim == 100
-    assert cfg.run.output_dir == "elsewhere"
+def test_env_overrides(tmp_path):
+    # each accepted key is a field of the dataclass it fills, and each one
+    # can be set from the environment, over the file's value
+    targets = {"physical": PhysicalParams, "geometry": LoopGeometry, "run": RunOptions}
+    for section, keys in _KEYS.items():
+        assert set(keys) == {f.name for f in fields(targets[section])}
+    env, want = {}, {}
+    for section, keys in _KEYS.items():
+        for key, kind in keys.items():
+            text, want[section, key] = {str: (" x7 ", "x7"), int: ("7", 7)}.get(
+                kind, (f"0.7 {kind}", 0.7))
+            env[f"MAGSQUEEZE_{section.upper()}_{key.upper()}"] = text
+    ini = write_ini(tmp_path, "[physical]\nkappa = 1 MHz\n[run]\nfock_dim = 50\n")
+    cfg = load_config(ini, env=env)
+    got = {"physical": cfg.params, "geometry": cfg.geometry, "run": cfg.run}
+    for (section, key), value in want.items():
+        assert getattr(got[section], key) == value, f"{section}.{key}"
     # the same strict unit rules apply to environment values
     with pytest.raises(ConfigError, match=r"physical\.kappa"):
         load_config(None, env={"MAGSQUEEZE_PHYSICAL_KAPPA": "1.5"})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("physical", "phi", "1 rad"),
+    ("geometry", "sphere_radius", "0.5 um"),
+    ("geometry", "sphere_x", "1 um"),
+    ("geometry", "sphere_y", "1 um"),
+    ("geometry", "sphere_z", "1 um"),
+])
+def test_cli_refuses_keys_that_no_computation_reads(tmp_path, capsys, section, key, value):
+    # the drive phase and the config sphere reached no result: the coupling
+    # maps sweep their own spheres, and derive() has no phase
+    ini = write_ini(tmp_path, f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["coupling-map", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_validation_floors(tmp_path):
@@ -276,6 +299,23 @@ def test_temperature_sweep_hot_series_matches_master_equation(tmp_path):
     n_me = me.observables["n_magnon"]
     assert np.max(np.abs(hot[:, 2] - me.observables["squeezing_db"])) < TEMP_ME_S_TOL_DB
     assert np.max(np.abs(hot[:, 3] - n_me) / (1.0 + n_me)) < TEMP_ME_N_TOL
+
+
+def test_heatmap_reads_the_run_time_grid(tmp_path):
+    # at a 0.25 ns step the (0.1 MHz, 1 kHz) cell peaks at 51.25 ns, a time
+    # that a 0.5 ns grid misses
+    cfg = small_run(output_dir=str(tmp_path), time_max=60.0, time_step=0.25,
+                    heatmap_points=2)
+    run(ScenarioConfig(scenario="max_squeeze_heatmap", config=cfg))
+    data = np.loadtxt(tmp_path / "max_squeeze_heatmap.csv", delimiter=",", skiprows=1)
+    kappa, gamma, peak, t_peak = data[0]
+    times = sweep_times(cfg)
+    s_db = sector_covariance_squeezing(
+        replace(cfg.params, kappa=kappa, gamma=gamma, gamma_phi=gamma), times,
+        delta_eff=OPERATING_DETUNING_RAD_NS)["squeezing_db"]
+    assert (kappa, gamma) == (0.1, 1.0)
+    assert t_peak == times[np.argmax(s_db)] == 51.25
+    assert peak == pytest.approx(np.max(s_db), rel=1e-12)
 
 
 def test_coupling_map_scenario(tmp_path):
@@ -509,6 +549,22 @@ def test_cli_wigner_of_an_outcome_without_weight_is_a_numeric_failure(tmp_path, 
     err = capsys.readouterr().err
     assert "numeric failure" in err and "outcome e has probability" in err
     assert not (tmp_path / "o" / "wigner_antisym.csv").exists()
+
+
+def test_cli_wigner_draws_the_outcome_that_has_weight(tmp_path):
+    # at t = 0 the outcome g holds the whole weight: its grid is the vacuum,
+    # while superpose, which needs both outcomes, still exits 3 and writes
+    # nothing
+    ini = write_ini(tmp_path, "[run]\nsuperposition_time = 0 ns\nwigner_points = 41\n")
+    assert cli.main(["wigner", "--state", "sym", "--config", ini,
+                     "--out", str(tmp_path / "w")]) == 0
+    ax = np.linspace(-8.0, 8.0, 41)
+    values = np.loadtxt(tmp_path / "w" / "wigner_sym.csv", delimiter=",",
+                        skiprows=1)[:, 2].reshape(41, 41)
+    assert_allclose(values, gaussian_wigner(1.0, 0.0, 0.0, 0.0, ax, ax).real,
+                    rtol=1e-11, atol=0)
+    assert cli.main(["superpose", "--config", ini, "--out", str(tmp_path / "s")]) == 3
+    assert os.listdir(tmp_path / "s") == []
 
 
 def test_cli_wigner_draws_a_state_no_ket_truncation_holds(tmp_path):
