@@ -10,19 +10,15 @@ i.e. the stored weight w multiplies the "2 o rho o^dag - {o^dag o, rho}"
 form directly.  A bare loss channel (m, kappa/2) then gives <n> ~ e^{-kappa t}.
 
 The effective model is H_cs = h(t) (x) sb_x with the thermal magnon pair
-and w L[sb_x].  conditional_squeezing_run has two paths, and refuses any
-other request:
-
-* effective, from an sb_x eigenstate qubit (plus_x, minus_x) -> the
-  magnon state of that sector alone: its <s|rho|s> block is closed under
-  the generator, and the qubit channel only damps the s != r coherences,
-  which such a start never fills.  The sector Hamiltonian is quadratic and
-  the channels thermal, so at any kappa the state stays Gaussian, every
-  metric comes from the exact, untruncated covariance
-  (sector_covariance_squeezing), and fock_dim is held to the state's exact
-  Fock tail;
-* the full model (full_rotating) -> one master equation on the 2N joint
-  space, in the rotating_half_pump frame.
+and w L[sb_x].  From an sb_x eigenstate qubit (plus_x, minus_x) only the
+magnon state of that sector evolves: its <s|rho|s> block is closed under
+the generator, and the qubit channel only damps the s != r coherences,
+which such a start never fills.  The sector Hamiltonian is quadratic and
+the channels thermal, so at any kappa the state stays Gaussian, and its
+exact, untruncated covariance (sector_covariance_squeezing) gives every
+metric; sector_fock_tail measures what a given fock_dim would leave out.
+conditional_squeezing_run is the full model alone: one master equation
+on the 2N joint space, in the rotating_half_pump frame.
 
 The superposition run from |0> (x) |g> also has a closed form: each of its
 sb_x blocks is a Gaussian operator, the diagonal ones from the sector
@@ -53,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, StiffnessError, TruncationError
+from .errors import DimensionError, NumericalError, StiffnessError
 from .model import (
     PhysicalParams,
     SplitHamiltonian,
@@ -74,13 +70,11 @@ from .qops import (
     SIGMA_Z,
     StateDensity,
     annihilation,
-    density_from_vector,
     herm_eig,  # unused here; benchmark/spans.py traces dynamics.herm_eig
     kron,
 )
 from .observables import min_quadrature_variance, squeezing_db
-from .states import (MIXED_TAIL_TOL, gaussian_fock_populations, joint_initial_state,
-                     squeezed_vacuum_fock)
+from .states import gaussian_fock_populations, joint_initial_state, squeezed_vacuum_fock
 
 
 @dataclass
@@ -467,10 +461,6 @@ def postselect_qubit(rho_joint, outcome):
 # conditional squeezing protocol
 
 
-# sb_x sign of the qubit starts that pin the run to one sector
-_PINNED = {"plus_x": +1, "minus_x": -1}
-
-
 def _effective_model(params, qubit_init, fock_dim, delta_eff):
     """Effective model on the joint space from |0> (x) |qubit_init>, as (h,
     dissipators, rho0): H_cs with the thermal pair (x) 1 and w L[1 (x) sb_x],
@@ -506,100 +496,39 @@ def sector_fock_tail(cov, fock_dim):
     return float(tails[worst]), float(cov["times"][worst])
 
 
-def conditional_squeezing_run(
-    params,
-    qubit_init="plus_x",
-    model="effective",
-    fock_dim=80,
-    sample_times=None,
-    delta_eff=None,
-    store_states=False,
-):
-    """Run the conditional-squeezing protocol and record per-sample
-    post-selected metrics (p_plus, zeta_sq, squeezing_db, n_magnon, theta_star).
+def conditional_squeezing_run(params, fock_dim=80, sample_times=None, store_states=False):
+    """The conditional-squeezing protocol in the full model: |0> (x) |+x>
+    on the 2N joint space, integrated in the exact half-pump frame
+    (build_H_rot) under the default SolverConfig.  Each sample is
+    postselected on sb_x = +1 in that frame (_plus_x_metrics), giving the
+    series p_plus, zeta_sq, squeezing_db, theta_star and n_magnon.
 
-    Two paths:
-
-    * model="effective" from a pinned start (plus_x, minus_x) reads the
-      exact sector covariance (path "sector_exact", drive_interaction
-      frame; minus_x takes the +1 one with s -> -s) and raises
-      TruncationError where its Fock tail beyond fock_dim passes
-      MIXED_TAIL_TOL; metadata records the worst tail (max_fock_tail,
-      max_fock_tail_time).  delta_eff=None takes the analytic 2.007 MHz,
-      below the two-photon threshold, so the default run is refused.
-      Stored states are S(zeta)|0>, which needs kappa = 0.
-    * model="full_rotating" integrates the full model in the exact
-      half-pump frame (build_H_rot) under the default SolverConfig (path
-      "joint_master_equation"); each sample is postselected on sb_x = +1
-      in that frame (_plus_x_metrics).  metadata records the largest
-      population of the last kept Fock level, p_{N-1} summed over the
-      qubit, and its first sample time (max_edge_population,
-      max_edge_population_time); nothing is refused on it.
-
-    Any other model, an effective run from another start, stored states of
-    an effective run with kappa > 0 and a delta_eff for the full model
-    (which build_H_rot does not read) raise DimensionError; nothing is
-    integrated first.
+    metadata holds evolve_master's solver statistics, the path
+    ("joint_master_equation"), fock_dim, and the largest population of the
+    last kept Fock level, p_{N-1} summed over the qubit, with its first
+    sample time (max_edge_population, max_edge_population_time); nothing is
+    refused on it.  The effective model needs no run: its sectors are read
+    from sector_covariance_squeezing.
     """
-    if model not in ("effective", "full_rotating"):
-        raise DimensionError(f"unknown model {model!r}: use 'effective' or 'full_rotating'")
-    sign = _PINNED.get(qubit_init)
-    if model == "effective" and sign is None:
-        raise DimensionError(f"an effective run starts from plus_x or minus_x, "
-                             f"not {qubit_init!r}")
-    if model == "full_rotating" and delta_eff is not None:
-        raise DimensionError("the full model has no effective detuning: it takes no delta_eff")
     if sample_times is None:
         sample_times = default_sample_times()
-    sample_times = np.asarray(sample_times, dtype=float)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
+    rho0.frame = "rotating_half_pump"
+    edge = []
 
-    meta = {"model": model, "qubit_init": qubit_init, "fock_dim": fock_dim}
+    def hook(t, rho):
+        # p_{N-1}: the last two diagonal entries of the (magnon, qubit) order
+        edge.append(rho[-2, -2].real + rho[-1, -1].real)
+        return _plus_x_metrics(t, rho)
 
-    if model == "full_rotating":
-        rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
-        rho0.frame = "rotating_half_pump"
-        edge = []
-
-        def hook(t, rho):
-            # p_{N-1}: the last two diagonal entries of the (magnon, qubit) order
-            edge.append(rho[-2, -2].real + rho[-1, -1].real)
-            return _plus_x_metrics(t, rho)
-
-        result = evolve_master(build_H_rot(params, fock_dim),
-                               build_dissipators_full(params, fock_dim), rho0,
-                               solver=SolverConfig(sample_times=sample_times),
-                               sample_hook=hook, store_states=store_states)
-        worst = int(np.argmax(edge))
-        result.metadata.update(meta, path="joint_master_equation",
-                               max_edge_population=float(edge[worst]),
-                               max_edge_population_time=float(result.times[worst]))
-        return result
-
-    d = derive(params, delta_eff_override=delta_eff)
-    cov = sector_covariance_squeezing(params, sample_times, delta_eff)
-    if sign < 0:
-        cov["s"] = -cov["s"]
-    tail, t_tail = sector_fock_tail(cov, fock_dim)
-    if tail > MIXED_TAIL_TOL:
-        raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
-                              f"fock_dim={fock_dim} at t = {t_tail:.3f} ns "
-                              f"(tolerance {MIXED_TAIL_TOL:.0e})")
-    if store_states and d.kappa > 0.0:
-        raise DimensionError("an effective run stores the pure states S(zeta)|0> only: "
-                             f"kappa = {params.kappa} MHz leaves them mixed")
-    obs = {k: cov[k] for k in ("zeta_sq", "squeezing_db", "n_magnon")}
-    obs["p_plus"] = np.full(len(sample_times), float(sign > 0))
-    # min_quadrature_variance's angle, and its 0 for the vacuum
-    s = cov["s"]
-    obs["theta_star"] = np.where(s == 0.0, 0.0, np.angle(s) / 2.0 + math.pi / 2.0)
-    states = None
-    if store_states:
-        states = [StateDensity(density_from_vector(squeezed_vacuum_fock(z, fock_dim)),
-                               frame="drive_interaction", time=float(t))
-                  for t, z in zip(sample_times, _squeeze_parameters(cov))]
-    return TrajectoryResult(sample_times.copy(), obs, states, "drive_interaction",
-                            dict(meta, path="sector_exact", max_fock_tail=tail,
-                                 max_fock_tail_time=t_tail, delta_eff=d.Delta_eff))
+    result = evolve_master(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
+                           rho0, solver=SolverConfig(sample_times=sample_times),
+                           sample_hook=hook, store_states=store_states)
+    worst = int(np.argmax(edge))
+    result.metadata.update(path="joint_master_equation", fock_dim=fock_dim,
+                           max_edge_population=float(edge[worst]),
+                           max_edge_population_time=float(result.times[worst]))
+    return result
 
 
 _TAYLOR_DEGREE = 18  # remainder below 1/19! ~ 8e-18 at a scaled norm of 1

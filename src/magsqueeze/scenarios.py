@@ -50,7 +50,7 @@ from .dynamics import (
 )
 # unused here; benchmark/spans.py traces both names
 from .dynamics import conditional_superposition_run, ideal_superposition_targets
-from .errors import ConfigError
+from .errors import ConfigError, TruncationError
 from .model import derive, squeezing_parameter
 from .observables import require_outcome, superposition_fidelities, superposition_grids
 from .observables import wigner  # unused here; benchmark/spans.py traces scenarios.wigner
@@ -196,44 +196,51 @@ def _run_coupling_map(sc, outdir, mode):
     return [path], [f"mode={mode}"]
 
 
+def _sector_tail(cfg, delta):
+    """(cov, tail, t): the plus_x sector covariance on the scenario's time
+    grid, and the worst Fock tail that fock_dim leaves out, with its time."""
+    cov = sector_covariance_squeezing(cfg.params, _time_grid(cfg), delta)
+    return (cov, *sector_fock_tail(cov, cfg.run.fock_dim))
+
+
 def _effective_leg(cfg, delta):
-    """The pinned plus_x effective run on the scenario's time grid, and the
-    manifest note of its path and worst Fock tail."""
-    run = conditional_squeezing_run(cfg.params, qubit_init="plus_x", model="effective",
-                                    fock_dim=cfg.run.fock_dim, sample_times=_time_grid(cfg),
-                                    delta_eff=delta)
-    meta = run.metadata
-    return run, (f"effective: path={meta['path']}, max_fock_tail={meta['max_fock_tail']:.2e} "
-                 f"at t={meta['max_fock_tail_time']:g} ns, fock_dim={meta['fock_dim']}")
+    """The plus_x sector covariance on the scenario's time grid, and the
+    manifest note of its path and worst Fock tail.  A tail above
+    MIXED_TAIL_TOL raises TruncationError: fock_dim cannot hold the state."""
+    cov, tail, t_tail = _sector_tail(cfg, delta)
+    nf = cfg.run.fock_dim
+    if tail > MIXED_TAIL_TOL:
+        raise TruncationError(f"the sector state leaves {tail:.2e} of its population beyond "
+                              f"fock_dim={nf} at t = {t_tail:.3f} ns "
+                              f"(tolerance {MIXED_TAIL_TOL:.0e})")
+    return cov, (f"effective: path=sector_exact, max_fock_tail={tail:.2e} "
+                 f"at t={t_tail:g} ns, fock_dim={nf}")
+
+
+def _full_window(cfg):
+    """(t_end, times): the full leg's window, t_end = min(time_max, 40 ns),
+    and the scenario's time grid up to it."""
+    t_end = min(cfg.run.time_max, 40.0)
+    times = _time_grid(cfg)
+    return t_end, times[times <= t_end + 1e-9]
 
 
 def _run_squeeze_compare(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
     eff, eff_note = _effective_leg(cfg, delta)
-    times = eff.times
 
     # full model in the exact half-pump rotating frame (unitarily identical
-    # to the lab-frame drive, far cheaper to step)
-    t_full_max = min(cfg.run.time_max, 40.0)
-    times_full = times[times <= t_full_max + 1e-9]
-    full = conditional_squeezing_run(cfg.params, qubit_init="plus_x", model="full_rotating",
-                                     fock_dim=cfg.run.fock_dim, sample_times=times_full)
-
-    rows = []
-    s_full = dict(zip(np.round(full.times, 9), full.observables["squeezing_db"]))
-    p_full = dict(zip(np.round(full.times, 9), full.observables["p_plus"]))
-    for i, t in enumerate(times):
-        key = round(float(t), 9)
-        rows.append(
-            (
-                float(t),
-                float(eff.observables["squeezing_db"][i]),
-                float(eff.observables["n_magnon"][i]),
-                float(s_full.get(key, math.nan)),
-                float(p_full.get(key, math.nan)),
-            )
-        )
+    # to the lab-frame drive, far cheaper to step); its times are a prefix
+    # of the effective grid
+    t_full_max, times_full = _full_window(cfg)
+    full = conditional_squeezing_run(cfg.params, fock_dim=cfg.run.fock_dim,
+                                     sample_times=times_full)
+    pad = np.full(len(eff["times"]) - len(full.times), math.nan)
+    rows = [tuple(float(v) for v in row)
+            for row in zip(eff["times"], eff["squeezing_db"], eff["n_magnon"],
+                           np.concatenate([full.observables["squeezing_db"], pad]),
+                           np.concatenate([full.observables["p_plus"], pad]))]
     path = os.path.join(outdir, "squeeze_compare.csv")
     write_csv(
         path,
@@ -387,13 +394,9 @@ def _run_custom(sc, outdir):
     """Minimal deterministic run: effective conditional squeezing series."""
     cfg = sc.config
     delta = _operating_delta(cfg)
-    run, eff_note = _effective_leg(cfg, delta)
-    rows = [
-        (float(t), float(s), float(n))
-        for t, s, n in zip(
-            run.times, run.observables["squeezing_db"], run.observables["n_magnon"]
-        )
-    ]
+    cov, eff_note = _effective_leg(cfg, delta)
+    rows = [(float(t), float(s), float(n))
+            for t, s, n in zip(cov["times"], cov["squeezing_db"], cov["n_magnon"])]
     path = os.path.join(outdir, "squeeze_custom.csv")
     write_csv(path, ["time_ns", "S_dB", "n_magnon"], rows)
     return [path], [f"delta_eff_rad_ns={delta:.6e}", eff_note]
@@ -438,14 +441,14 @@ def run(sc):
 # calibration and convergence
 
 
-def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
-                        t_max=40.0):
+def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41):
     """Scan Delta_eff around the analytic default and pick the value
     minimizing the time-integrated |S_full - S_eff|.
 
     full_series: optional (times, S_dB) tuple to calibrate against.
     Without it, the full model is integrated in the rotating frame over
-    [0, t_max].
+    squeeze_compare's full-leg window: the run's time grid up to
+    min(time_max, 40 ns).
 
     Returns (best_delta_rad_ns, scan_table, convex) where scan_table is a
     list of (delta_rad_ns, objective) rows.
@@ -466,13 +469,8 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41,
     if full_series is not None:
         t_ref, s_ref = full_series
     else:
-        full = conditional_squeezing_run(
-            cfg.params,
-            qubit_init="plus_x",
-            model="full_rotating",
-            fock_dim=cfg.run.fock_dim,
-            sample_times=default_sample_times(t_max),
-        )
+        full = conditional_squeezing_run(cfg.params, fock_dim=cfg.run.fock_dim,
+                                         sample_times=_full_window(cfg)[1])
         t_ref, s_ref = full.times, full.observables["squeezing_db"]
 
     t_ref = np.asarray(t_ref, dtype=float)
@@ -500,21 +498,21 @@ def convergence_check(sc):
     """Check the scenario's truncated leg against its fock_dim.
 
     TRUNCATING_SCENARIOS (custom, squeeze_compare): the worst Fock tail of
-    the pinned effective run (the exact sector covariance) over the
-    scenario's time grid, as max_fock_tail and its time; flagged above
-    MIXED_TAIL_TOL.  The other scenarios, superposition_fidelity and
-    superposition_wigner among them, truncate nothing: trivially converged.
+    their effective leg (_sector_tail) over the scenario's time grid, as
+    max_fock_tail and its time; flagged above MIXED_TAIL_TOL, where the
+    leg itself would refuse to run.  The other scenarios,
+    superposition_fidelity and superposition_wigner among them, truncate
+    nothing: trivially converged.
     """
     cfg = sc.config
-    nf = cfg.run.fock_dim
-    report = {"fock_dim": nf}
+    report = {"fock_dim": cfg.run.fock_dim}
 
     if sc.scenario not in TRUNCATING_SCENARIOS:
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
     else:
-        cov = sector_covariance_squeezing(cfg.params, _time_grid(cfg), _operating_delta(cfg))
-        report["max_fock_tail"], report["max_fock_tail_time"] = sector_fock_tail(cov, nf)
+        _, report["max_fock_tail"], report["max_fock_tail_time"] = _sector_tail(
+            cfg, _operating_delta(cfg))
         report["fock_tail_tol"] = MIXED_TAIL_TOL
         report["flagged"] = report["max_fock_tail"] > MIXED_TAIL_TOL
     return report

@@ -46,6 +46,7 @@ from magsqueeze.dynamics import (
     conditional_squeezing_run,
     evolve_master,
     sector_covariance_squeezing,
+    sector_fock_tail,
 )
 from magsqueeze.model import (
     build_H_cs,
@@ -70,7 +71,7 @@ from magsqueeze.scenarios import (
     run,
     superposition_fidelity_series,
 )
-from magsqueeze.states import squeezed_vacuum_fock, superposition_pm
+from magsqueeze.states import MIXED_TAIL_TOL, squeezed_vacuum_fock, superposition_pm
 from test_model import analytic_propagator  # test-local oracle of the ideal propagator
 from test_model import james_effective  # test-local oracle of the averaged model
 from test_scenarios_cli import sweep_digests, write_per_cell_sweep  # per-cell sweep CSVs
@@ -127,12 +128,9 @@ def test_check_03_ideal_squeezing_law():
     t0 = time.perf_counter()
     d = derive(NODISS)
     times = np.arange(0.0, 41.0, 1.0)
-    out = conditional_squeezing_run(
-        NODISS, model="effective", fock_dim=420, sample_times=times, delta_eff=0.0
-    )
-    dev = np.max(np.abs(
-        out.observables["squeezing_db"] - DB_PER_NEPER * abs(d.g_cs) * times
-    ))
+    out = sector_covariance_squeezing(NODISS, times, delta_eff=0.0)
+    assert sector_fock_tail(out, 420)[0] <= MIXED_TAIL_TOL
+    dev = np.max(np.abs(out["squeezing_db"] - DB_PER_NEPER * abs(d.g_cs) * times))
     dt = time.perf_counter() - t0
     report(3, dev < 0.01 and dt < 60.0, f"max dev {dev:.2e} dB, {dt:.1f} s")
     assert dev < 0.01
@@ -170,11 +168,9 @@ def test_check_04_propagator_oracle():
 def test_check_05_dissipative_peak_squeezing():
     t0 = time.perf_counter()
     times = np.arange(0.0, 60.5, 0.5)
-    out = conditional_squeezing_run(
-        PhysicalParams(), model="effective", fock_dim=120,
-        sample_times=times, delta_eff=DELTA_OP,
-    )
-    s = out.observables["squeezing_db"]
+    out = sector_covariance_squeezing(PhysicalParams(), times, delta_eff=DELTA_OP)
+    assert sector_fock_tail(out, 120)[0] <= MIXED_TAIL_TOL
+    s = out["squeezing_db"]
     peak = float(s.max())
     t_peak = float(times[int(s.argmax())])
     dt = time.perf_counter() - t0
@@ -187,9 +183,7 @@ def test_check_05_dissipative_peak_squeezing():
 def test_check_06_full_vs_effective_calibrated():
     t0 = time.perf_counter()
     times = np.arange(0.0, 40.5, 0.5)
-    full = conditional_squeezing_run(
-        PhysicalParams(), model="full_rotating", fock_dim=80, sample_times=times
-    )
+    full = conditional_squeezing_run(PhysicalParams(), fock_dim=80, sample_times=times)
     s_full = full.observables["squeezing_db"]
     sc = ScenarioConfig(
         scenario="squeeze_compare", config=Config(run=RunOptions(fock_dim=80))
@@ -197,7 +191,7 @@ def test_check_06_full_vs_effective_calibrated():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         best, _table, convex = calibrate_delta_eff(
-            sc, full_series=(times, s_full), window_mhz=30.0, n_scan=61, t_max=40.0
+            sc, full_series=(times, s_full), window_mhz=30.0, n_scan=61
         )
     s_eff = sector_covariance_squeezing(
         PhysicalParams(), times, delta_eff=best
@@ -239,16 +233,14 @@ def test_check_07_dissipation_monotonicity():
     times = np.arange(0.0, 151.0, 1.0)
     peaks = []
     for kappa in (0.5, 1.0, 2.0, 4.0):
-        out = conditional_squeezing_run(
-            PhysicalParams(kappa=kappa), model="effective", fock_dim=100,
-            sample_times=times, delta_eff=DELTA_OP,
-        )
-        peaks.append(float(out.observables["squeezing_db"].max()))
-    hot = conditional_squeezing_run(
-        PhysicalParams(temperature=300.0), model="effective", fock_dim=150,
-        sample_times=times, delta_eff=DELTA_OP,
-    )
-    peak_hot = float(hot.observables["squeezing_db"].max())
+        out = sector_covariance_squeezing(PhysicalParams(kappa=kappa), times,
+                                          delta_eff=DELTA_OP)
+        assert sector_fock_tail(out, 100)[0] <= MIXED_TAIL_TOL
+        peaks.append(float(out["squeezing_db"].max()))
+    hot = sector_covariance_squeezing(PhysicalParams(temperature=300.0), times,
+                                      delta_eff=DELTA_OP)
+    assert sector_fock_tail(hot, 150)[0] <= MIXED_TAIL_TOL
+    peak_hot = float(hot["squeezing_db"].max())
     dt = time.perf_counter() - t0
     mono = all(a >= b for a, b in zip(peaks, peaks[1:]))
     colder_wins = peak_hot < peaks[0]

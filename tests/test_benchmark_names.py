@@ -76,3 +76,29 @@ def test_span_counters_read_real_results():
     counts = SPANS._wigner_counts((), {}, grid)
     assert counts == {"points": 25, "rank_points": 25 * grid.meta["rank"]}
     assert grid.meta["rank"] > 0
+
+
+@pytest.mark.parametrize("argv, ini, code, want", [
+    # the benchmark's below-threshold custom run: refused from the covariance
+    (["sweep", "--scenario", "custom"],
+     "[run]\nfock_dim = 60\ntime_max = 45 ns\ndelta_eff = 2 MHz\n", 3, (1, 0)),
+    # squeeze_compare: one effective leg, one full-model run
+    (["squeeze"], "[run]\nfock_dim = 40\ntime_max = 5 ns\n", 0, (1, 1)),
+], ids=["custom_refusal", "squeeze_compare"])
+def test_spans_name_what_runs(tmp_path, argv, ini, code, want):
+    # the span of each effective leg is the covariance call, and the
+    # conditional_squeezing_run span counts full-model runs only
+    from magsqueeze import cli
+
+    path = tmp_path / "run.ini"
+    path.write_text(ini, encoding="utf-8")
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        got = cli.main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    assert got == code
+    assert (names.count("dynamics.sector_covariance_squeezing"),
+            names.count("dynamics.conditional_squeezing_run")) == want

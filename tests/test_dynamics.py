@@ -10,6 +10,7 @@ than against stored trajectories.
 """
 
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
@@ -53,6 +54,7 @@ from magsqueeze.dynamics import (
     magnon_thermal_dissipators,
     postselect_qubit,
     sector_covariance_squeezing,
+    sector_fock_tail,
     superposition_blocks,
 )
 from magsqueeze.qops import (
@@ -84,7 +86,9 @@ from magsqueeze.states import (
     squeezed_vacuum_fock,
     superposition_pm,
 )
-from magsqueeze.scenarios import superposition_fidelity_series
+from magsqueeze.config import Config, RunOptions
+from magsqueeze.scenarios import (ScenarioConfig, _effective_leg, _sector_tail,
+                                  run as run_scenario, superposition_fidelity_series)
 from test_model import analytic_propagator, build_H_tot, lab_leg  # test-local oracles
 from test_observables import uhlmann_fidelity  # test-local oracle
 
@@ -736,110 +740,100 @@ def test_postselect_conditional_squeezing_anchor(params, derived):
 def test_sector_exact_ideal_law():
     times = np.arange(0.0, 20.0 + 1.0, 1.0)
     d = derive(NODISS)
-    res = conditional_squeezing_run(NODISS, qubit_init="plus_x", model="effective",
-                                    fock_dim=80, sample_times=times, delta_eff=0.0)
-    assert res.metadata["path"] == "sector_exact"
-    assert res.frame == "drive_interaction"
-    assert_allclose(res.observables["p_plus"], 1.0, atol=1e-12)
+    cov = sector_covariance_squeezing(NODISS, times, delta_eff=0.0)
     # the untruncated covariance: exact to round-off
-    assert_allclose(res.observables["squeezing_db"],
-                    DB_PER_NEPER * abs(d.g_cs) * times, atol=1e-10)
-    # the minus_x sector squeezes the orthogonal quadrature at the same rate
-    res_m = conditional_squeezing_run(NODISS, qubit_init="minus_x", model="effective",
-                                      fock_dim=80, sample_times=times, delta_eff=0.0)
-    assert res_m.metadata["path"] == "sector_exact"
-    # a pinned -x start has no sb_x = +1 population
-    assert_allclose(res_m.observables["p_plus"], 0.0, atol=0.0)
-    assert_allclose(res_m.observables["squeezing_db"],
-                    res.observables["squeezing_db"], atol=1e-9)
-    dtheta = (res_m.observables["theta_star"][1:] - res.observables["theta_star"][1:]) % math.pi
+    assert_allclose(cov["squeezing_db"], DB_PER_NEPER * abs(d.g_cs) * times, atol=1e-10)
+    # the minus_x sector (s -> -s) squeezes the orthogonal quadrature at the
+    # same rate: min_quadrature_variance of the two sectors' kets
+    qv = {sector: [min_quadrature_variance(np.outer(ket, ket.conj()))
+                   for ket in sector_kets(NODISS, 80, sector, 0.0, times)]
+          for sector in (+1, -1)}
+    for sector in (+1, -1):
+        assert_allclose([squeezing_db(q.value) for q in qv[sector]], cov["squeezing_db"],
+                        atol=1e-9)
+    dtheta = np.array([m.angle - p.angle for p, m in zip(qv[+1], qv[-1])])[1:] % math.pi
     assert_allclose(dtheta, math.pi / 2.0, atol=1e-7)
 
 
 def test_sector_master_equation_peak(params):
-    # dissipative sector run at the operating detuning: the peak sits near
+    # dissipative sector at the operating detuning: the peak sits near
     # 42.5 ns at 8.65 dB (kappa-limited, down from the 11.9 dB ideal value).
-    # The run reads the exact covariance; the master equation's own peak is
+    # This reads the exact covariance; the master equation's own peak is
     # pinned by test_covariance_matches_master_equation.
     times = np.arange(0.0, 45.0 + 2.5, 2.5)
-    res = conditional_squeezing_run(params, model="effective", fock_dim=120,
-                                    sample_times=times, delta_eff=DELTA_OP)
-    assert res.metadata["path"] == "sector_exact"
-    s = res.observables["squeezing_db"]
+    s = sector_covariance_squeezing(params, times, delta_eff=DELTA_OP)["squeezing_db"]
     assert s[np.searchsorted(times, 42.5)] == pytest.approx(8.6542, abs=5e-3)
     assert times[int(np.argmax(s))] == pytest.approx(42.5, abs=2.6)
     assert 8.0 < s.max() < 13.0
 
 
 def test_pinned_minus_x_sector_master_equation(params):
-    # dissipative pinned runs (the exact covariance of each sector): p_plus
-    # is the sb_x = +1 probability of the start (0 for -x), and the -x
-    # sector squeezes at the same level as +x
+    # the dissipative -x sector, integrated as its own master equation,
+    # squeezes at the level of the +1 sector's exact covariance: the -1
+    # sector is the +1 one with s -> -s
     times = np.arange(0.0, 10.0 + 2.5, 2.5)
-    runs = {
-        init: conditional_squeezing_run(params, qubit_init=init, model="effective",
-                                        fock_dim=20, sample_times=times, delta_eff=DELTA_OP)
-        for init in ("plus_x", "minus_x")
-    }
-    for init, p_plus in (("plus_x", 1.0), ("minus_x", 0.0)):
-        assert runs[init].metadata["path"] == "sector_exact"
-        assert_allclose(runs[init].observables["p_plus"], p_plus, atol=0.0)
+    me = sector_master_equation(params, -1, 20, times, DELTA_OP)
+    cov = sector_covariance_squeezing(params, times, DELTA_OP)
     for key in ("zeta_sq", "squeezing_db", "n_magnon"):
-        assert_allclose(runs["minus_x"].observables[key], runs["plus_x"].observables[key],
-                        rtol=1e-6, atol=1e-9)
+        assert_allclose(me.observables[key], cov[key], rtol=1e-6, atol=1e-9)
 
 
 def test_pinned_run_without_magnon_dissipation_is_exact():
     # a pinned sb_x start fills one (s, s) block, and the qubit channel only
     # damps the (+,-) block, so qubit dissipation alone keeps the closed form
     times = np.arange(0.0, 10.0 + 1.0, 1.0)
-    runs = [conditional_squeezing_run(p, qubit_init="plus_x", fock_dim=40,
-                                      sample_times=times, delta_eff=0.0)
+    runs = [sector_covariance_squeezing(p, times, delta_eff=0.0)
             for p in (PhysicalParams(kappa=0.0), NODISS)]
-    assert runs[0].metadata["path"] == "sector_exact"
-    for key, series in runs[1].observables.items():
-        np.testing.assert_array_equal(runs[0].observables[key], series)
+    for key, series in runs[1].items():
+        np.testing.assert_array_equal(runs[0][key], series)
+
+
+def sector_config(params, fock_dim, time_max=150.0):
+    """A scenario config whose effective leg runs params at fock_dim over
+    0..time_max on the default 0.5 ns grid."""
+    return Config(params=params, run=RunOptions(fock_dim=fock_dim, time_max=time_max))
 
 
 def test_pinned_run_without_magnon_loss_reads_the_covariance():
-    # no Fock truncation enters the series; fock_dim is held to its tail,
-    # 7.5e-3 beyond 20 levels at 40 ns and 6.9e-8 beyond 80
+    # no Fock truncation enters the effective leg's series; fock_dim is held
+    # to its tail, 7.5e-3 beyond 20 levels at 40 ns and 6.9e-8 beyond 80
     params = PhysicalParams(kappa=0.0)
     times = np.arange(0.0, 40.0 + 0.5, 0.5)
     with pytest.raises(TruncationError, match="beyond fock_dim=20 at t = 40.000 ns"):
-        conditional_squeezing_run(params, fock_dim=20, sample_times=times, delta_eff=DELTA_OP)
+        _effective_leg(sector_config(params, 20, 40.0), DELTA_OP)
     cov = sector_covariance_squeezing(params, times, DELTA_OP)
-    for init in ("plus_x", "minus_x"):
-        run = conditional_squeezing_run(params, qubit_init=init, fock_dim=80,
-                                        sample_times=times, delta_eff=DELTA_OP)
-        assert run.metadata["path"] == "sector_exact"
-        assert run.states is None
-        for key in ("zeta_sq", "squeezing_db", "n_magnon"):
-            np.testing.assert_array_equal(run.observables[key], cov[key])
-        assert run.observables["theta_star"][0] == 0.0  # the vacuum's convention
-    # a stored ket that 20 levels cannot hold is refused
-    with pytest.raises(TruncationError):
-        conditional_squeezing_run(params, fock_dim=20, sample_times=[40.0],
-                                  delta_eff=0.0, store_states=True)
+    leg, note = _effective_leg(sector_config(params, 80, 40.0), DELTA_OP)
+    assert note == "effective: path=sector_exact, max_fock_tail=6.91e-08 at t=40 ns, fock_dim=80"
+    for key in ("times", "zeta_sq", "squeezing_db", "n_magnon"):
+        np.testing.assert_array_equal(leg[key], cov[key])
 
 
-def test_pinned_run_refuses_a_fock_tail_beyond_the_tolerance(params):
-    # the analytic Delta_eff (delta_eff=None, 2.007 MHz) lies below the
+def test_pinned_run_refuses_a_fock_tail_beyond_the_tolerance(params, monkeypatch, tmp_path):
+    # the analytic Delta_eff (derive()'s 2.007 MHz) lies below the
     # two-photon threshold: the magnon number grows without bound, and by
     # 150 ns 80 levels hold under 2 % of the state
-    assert derive(params).Delta_eff / TWO_PI * 1e3 == pytest.approx(2.007, abs=1e-3)
+    delta = derive(params).Delta_eff
+    assert delta / TWO_PI * 1e3 == pytest.approx(2.007, abs=1e-3)
     with pytest.raises(TruncationError, match=r"9\.81e-01 .* fock_dim=80 at t = 150\.000 ns"):
-        conditional_squeezing_run(params, fock_dim=80)
-    # the refusal comes before any master equation, stored states included
+        _effective_leg(sector_config(params, 80), delta)
+    # squeeze_compare refuses before its full-model master equation, and
+    # writes nothing
+    def forbidden(*args, **kwargs):
+        raise AssertionError("squeeze_compare ran the full model")
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", forbidden)
+    cfg = sector_config(params, 60, 45.0)
+    cfg.run.delta_eff, cfg.run.output_dir = 2.0, str(tmp_path)
     with pytest.raises(TruncationError, match="fock_dim=60 at t = 45.000 ns"):
-        conditional_squeezing_run(params, fock_dim=60, sample_times=np.arange(0.0, 45.5, 0.5),
-                                  delta_eff=TWO_PI * 2e-3, store_states=True)
-    # a run that passes records its worst tail and where it sits
-    times = np.arange(0.0, 150.0 + 0.5, 0.5)
-    run = conditional_squeezing_run(params, fock_dim=80, sample_times=times, delta_eff=DELTA_OP)
-    assert run.metadata["max_fock_tail"] == pytest.approx(2.25e-7, rel=1e-2)
-    assert run.metadata["max_fock_tail_time"] == 55.0
-    assert run.metadata["max_fock_tail"] < MIXED_TAIL_TOL
+        run_scenario(ScenarioConfig(scenario="squeeze_compare", config=cfg))
+    assert os.listdir(tmp_path) == []
+    # a leg that passes records its worst tail and where it sits
+    _, tail, t_tail = _sector_tail(sector_config(params, 80), DELTA_OP)
+    assert tail == pytest.approx(2.25e-7, rel=1e-2)
+    assert t_tail == 55.0
+    assert tail < MIXED_TAIL_TOL
+    assert _effective_leg(sector_config(params, 80), DELTA_OP)[1].endswith(
+        f"max_fock_tail={tail:.2e} at t=55 ns, fock_dim=80")
 
 
 def test_gaussian_populations_match_the_master_equation_diagonal(params):
@@ -858,6 +852,7 @@ def test_gaussian_populations_match_the_master_equation_diagonal(params):
        delta_mhz=st.floats(-12.0, 12.0), fock_dim=st.integers(20, 56),
        t=st.floats(1.0, 40.0), sector=st.sampled_from([+1, -1]))
 @settings(max_examples=40)
+@example(kappa=0.0, temperature=10.0, delta_mhz=0.2, fock_dim=56, t=25.85, sector=+1)
 def test_master_equation_stays_within_the_tail_error_of_the_covariance(
         kappa, temperature, delta_mhz, fock_dim, t, sector):
     # wherever the tail passes, the master equation at that fock_dim is off
@@ -866,22 +861,22 @@ def test_master_equation_stays_within_the_tail_error_of_the_covariance(
     # t up to 60 ns (rtol 1e-10), max |dS| was 8.6e3 dB and max
     # |dn|/(1 + n) 1.2e2 per unit of the run's worst tail (6.4e2 dB and 68
     # at the custom default, as in the README's table); the worst |dS| came
-    # at kappa = 0, fock_dim 55-56, t near 25 ns and tails of 5e-6 to 8e-6.
-    # The bound is 1e4 dB and 2.5e2 per unit of tail, plus the solver's own
-    # floor.
+    # at kappa = 0, fock_dim 55-56, t near 25 ns.  A scan of that corner
+    # (t 20-30 ns, |Delta| <= 12 MHz; then t 25.80-25.95 ns in 0.01 ns steps
+    # and Delta 0-0.4 MHz in 0.02 MHz steps) peaks where the tail meets
+    # MIXED_TAIL_TOL: the example reads 0.0869 dB at a tail of 9.986e-6,
+    # 0.870 of its dB bound.  The bound is 1e4 dB and 2.5e2 per unit of
+    # tail, plus the solver's own floor.
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     delta = TWO_PI * delta_mhz * 1e-3
     times = np.linspace(0.0, t, 7)
-    try:
-        run = conditional_squeezing_run(params, qubit_init="plus_x" if sector > 0 else "minus_x",
-                                        fock_dim=fock_dim, sample_times=times, delta_eff=delta)
-    except TruncationError:
-        assume(False)
-    tail = run.metadata["max_fock_tail"]
+    cov = sector_covariance_squeezing(params, times, delta)
+    tail, _ = sector_fock_tail(cov, fock_dim)
+    assume(tail <= MIXED_TAIL_TOL)  # where the effective leg runs
     me = sector_master_equation(params, sector, fock_dim, times, delta,
                                 rel_tol=1e-10, abs_tol=1e-12)
-    d_s = np.abs(me.observables["squeezing_db"] - run.observables["squeezing_db"])
-    n = run.observables["n_magnon"]
+    d_s = np.abs(me.observables["squeezing_db"] - cov["squeezing_db"])
+    n = cov["n_magnon"]
     d_n = np.abs(me.observables["n_magnon"] - n) / (1.0 + n)
     assert d_s.max() <= 1e4 * tail + 1e-5
     assert d_n.max() <= 2.5e2 * tail + 1e-7
@@ -1135,8 +1130,7 @@ def test_full_lab_matches_full_rotating(params):
     lab = evolve_master(build_H_tot(params, 20), build_dissipators_full(params, 20),
                         joint_initial_state(qubit="plus_x", fock_dim=20),
                         solver=solver_for(times), sample_hook=lab_hook, store_states=True)
-    rot = conditional_squeezing_run(params, model="full_rotating", fock_dim=20,
-                                    sample_times=times, store_states=True)
+    rot = conditional_squeezing_run(params, fock_dim=20, sample_times=times, store_states=True)
     # the full models fill the whole joint space
     for run in (lab, rot):
         assert np.count_nonzero(run.states[-1].matrix) == (2 * 20) ** 2
@@ -1151,31 +1145,29 @@ def test_full_model_squeezes_at_twice_the_reduced_rate(params):
     # so the full model accumulates squeezing at very nearly double the
     # reduced-model rate at early times; this pins that known offset
     times = np.arange(0.0, 5.0 + 1.0, 1.0)
-    full = conditional_squeezing_run(params, model="full_rotating", fock_dim=20,
-                                     sample_times=times)
-    eff = conditional_squeezing_run(params, model="effective", fock_dim=20,
-                                    sample_times=times)
-    ratio = full.observables["squeezing_db"][-1] / eff.observables["squeezing_db"][-1]
+    full = conditional_squeezing_run(params, fock_dim=20, sample_times=times)
+    eff = sector_covariance_squeezing(params, times)
+    ratio = full.observables["squeezing_db"][-1] / eff["squeezing_db"][-1]
     assert 1.85 < ratio < 2.05
 
 
 def test_run_store_states(params):
-    times = np.arange(0.0, 4.0 + 1.0, 1.0)
-    res = conditional_squeezing_run(replace(params, kappa=0.0), model="effective", fock_dim=30,
-                                    sample_times=times, store_states=True)
+    # the full run stores its joint states in the frame it integrates
+    times = np.arange(0.0, 2.0 + 1.0, 1.0)
+    res = conditional_squeezing_run(params, fock_dim=6, sample_times=times, store_states=True)
+    assert res.frame == "rotating_half_pump"
     assert len(res.states) == len(times)
     for t, st in zip(times, res.states):
-        assert st.frame == "drive_interaction"
+        assert st.frame == "rotating_half_pump"
         assert st.time == pytest.approx(t)
-        assert st.matrix.shape == (30, 30)
+        assert st.matrix.shape == (12, 12)
 
 
 def test_full_run_records_its_fock_edge_population():
     # max_edge_population is p_{N-1} summed over the qubit, read from the
     # diagonal of each stored joint state
     nf = 8
-    run = conditional_squeezing_run(HOT, model="full_rotating", fock_dim=nf,
-                                    sample_times=np.arange(0.0, 3.0 + 0.5, 0.5),
+    run = conditional_squeezing_run(HOT, fock_dim=nf, sample_times=np.arange(0.0, 3.0 + 0.5, 0.5),
                                     store_states=True)
     edge = [np.real(np.diag(state.matrix)).reshape(nf, 2).sum(axis=1)[-1]
             for state in run.states]
@@ -1190,22 +1182,21 @@ def test_full_run_records_its_fock_edge_population():
     dict(model="full_lab"),
     dict(model="effective", qubit_init="g"),
     dict(model="effective", qubit_init="plus_plus_minus"),
-    dict(model="effective", store_states=True),  # at the default kappa = 0.5 MHz
-    dict(model="full_rotating"),  # with the delta_eff below, which it would not read
+    dict(model="effective", store_states=True),
+    dict(delta_eff=DELTA_OP),  # the full model has no effective detuning
 ], ids=["adiabatic", "full_lab", "effective_from_g", "effective_from_plus_plus_minus",
         "stored_states_with_kappa", "full_with_delta_eff"])
 def test_run_refuses_requests_off_its_two_paths(params, monkeypatch, refused):
-    # conditional_squeezing_run reads the pinned covariance or integrates
-    # full_rotating; anything else, and an argument its path would not
-    # read, is refused before any master equation
+    # conditional_squeezing_run integrates the full model from plus_x and
+    # takes no model, start or detuning: each request that those switches
+    # once made is refused by the signature, before any master equation
+    # (the effective model is read from sector_covariance_squeezing)
     def forbidden(*args, **kwargs):
         raise AssertionError("conditional_squeezing_run ran a master equation")
 
     monkeypatch.setattr("magsqueeze.dynamics.evolve_master", forbidden)
-    assert params.kappa == 0.5
-    with pytest.raises(DimensionError):
-        conditional_squeezing_run(params, fock_dim=40, sample_times=[0.0, 1.0],
-                                  delta_eff=DELTA_OP, **refused)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        conditional_squeezing_run(params, fock_dim=40, sample_times=[0.0, 1.0], **refused)
 
 
 # ---------------------------------------------------------------------------
@@ -1289,20 +1280,14 @@ def test_gaussian_sector_states_match_the_eigendecomposition(delta_mhz, sector, 
     assert phased_defect(ket, oracle[sector], phase) < 1e-10
     assert phased_defect(squeezed_vacuum_fock(-zeta, nf), oracle[-sector], phase) < 1e-10
 
-    # the pinned run without magnon loss: stored state and metrics
-    init = "plus_x" if sector > 0 else "minus_x"
-    run = conditional_squeezing_run(PhysicalParams(kappa=0.0), qubit_init=init,
-                                    fock_dim=nf, sample_times=[t], delta_eff=delta,
-                                    store_states=True)
-    assert run.metadata["path"] == "sector_exact"
-    rho = run.states[0].matrix
-    assert 1.0 - float(np.real(np.vdot(oracle[sector], rho @ oracle[sector]))) < 1e-10
+    # the sector covariance without magnon loss: metrics, and the angle
+    # theta* = arg(s)/2 + pi/2 (mod pi) of the squeezed quadrature, with
+    # s -> -s for the -1 sector
+    cov = sector_covariance_squeezing(PhysicalParams(kappa=0.0), [t], delta)
     qv = min_quadrature_variance(np.outer(oracle[sector], oracle[sector].conj()))
-    assert run.observables["n_magnon"][0] == pytest.approx(qv.n_mean, rel=1e-9, abs=1e-12)
-    assert run.observables["zeta_sq"][0] == pytest.approx(qv.value, rel=1e-8)
-    # theta* is defined modulo pi
-    assert abs(np.exp(2.0j * run.observables["theta_star"][0])
-               - np.exp(2.0j * qv.angle)) < 1e-7
+    assert cov["n_magnon"][0] == pytest.approx(qv.n_mean, rel=1e-9, abs=1e-12)
+    assert cov["zeta_sq"][0] == pytest.approx(qv.value, rel=1e-8)
+    assert abs(-sector * cov["s"][0] / abs(cov["s"][0]) - np.exp(2.0j * qv.angle)) < 1e-7
 
     # the targets ignore the run's dissipation
     targets, = ideal_superposition_targets(PhysicalParams(kappa=kappa), [t], nf, delta)

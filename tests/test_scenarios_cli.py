@@ -13,7 +13,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,7 +409,7 @@ def test_calibrate_recovers_synthetic_detuning():
     target = d.Delta_eff + TWO_PI * 1.7e-3
     best, table, convex = calibrate_delta_eff(
         sc, full_series=synthetic_series(sc.config.params, target),
-        window_mhz=2.0, n_scan=21, t_max=30.0
+        window_mhz=2.0, n_scan=21
     )
     assert len(table) == 21
     spacing = table[1][0] - table[0][0]
@@ -424,12 +426,36 @@ def test_calibrate_warns_when_not_single_minimum():
     with pytest.warns(UserWarning, match="single-minimum"):
         best, table, convex = calibrate_delta_eff(
             sc, full_series=synthetic_series(sc.config.params, target),
-            window_mhz=5.0, n_scan=21, t_max=30.0
+            window_mhz=5.0, n_scan=21
         )
     assert not convex
     # the best point is still the true target, not the mirror
     spacing = table[1][0] - table[0][0]
     assert abs(best - target) <= spacing
+
+
+@pytest.mark.parametrize("time_max, times", [
+    (5.0, np.arange(0.0, 5.25, 0.5)),    # the config's window
+    (150.0, np.arange(0.0, 40.25, 0.5)),  # the default: capped at 40 ns
+])
+def test_calibrate_runs_its_full_leg_on_the_config_time_grid(monkeypatch, time_max, times):
+    # without a reference series, calibrate integrates the full model on
+    # squeeze_compare's full-leg window: run.time_max and run.time_step
+    # reach it, up to 40 ns
+    seen = []
+
+    def full_leg(params, fock_dim=80, sample_times=None, **kwargs):
+        seen.append(np.asarray(sample_times))
+        t, s = synthetic_series(params, OPERATING_DETUNING_RAD_NS, t_max=sample_times[-1])
+        return SimpleNamespace(times=t, observables={"squeezing_db": s})
+
+    monkeypatch.setattr("magsqueeze.scenarios.conditional_squeezing_run", full_leg)
+    cfg = small_run(time_max=time_max, time_step=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the +-Delta mirror wells
+        calibrate_delta_eff(ScenarioConfig(scenario="squeeze_compare", config=cfg))
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], times)
 
 
 @pytest.mark.parametrize("scenario", ["coupling_map_a", "coupling_map_b", "kappa_sweep",
