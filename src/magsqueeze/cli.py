@@ -119,8 +119,9 @@ def _run_calibrate(args):
     path = os.path.join(cfg.run.output_dir, "calibration.csv")
     scenarios.write_csv(path, ["delta_eff_rad_ns", "objective_dB_ns"],
                         [(d, o) for d, o in table])
+    below = ", below-threshold" if scenarios.below_threshold(cfg.params, best) else ""
     print(f"calibrated delta_eff = {best:.6e} rad/ns "
-          f"({best / (2.0 * np.pi) * 1e3:.3f} MHz), single-minimum={convex}")
+          f"({best / (2.0 * np.pi) * 1e3:.3f} MHz), single-minimum={convex}{below}")
     print(f"scan table: {path}")
     return 0
 

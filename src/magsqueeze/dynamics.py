@@ -40,6 +40,10 @@ the diagonal stays real and every sample, rebuilt by its mirrors, is
 exactly Hermitian.  Its tolerances are weighted per entry so that its RMS
 error norm over the upper vector equals the one over all of rho
 (_upper_tolerances): it takes the steps it would take on the full vec.
+
+DOP853 runs in a loop of its own (_dop853) that takes scipy's steps with
+scipy's tableau, but forms every dense sum with np.einsum: neither it nor
+the RHS makes a BLAS call per step.
 """
 
 import math
@@ -227,10 +231,11 @@ def _lindblad_rhs(h, channels):
     on the upper entries.  A is one CSR matrix on the union pattern of its
     parts: -i H_0 - sink, then -i H_k and -i H_k^dag for each oscillating
     term.  Each call sets its data to coef @ e^{i omega t}, one column of
-    coef per part.  The jumps form one superoperator on the row-major vec
-    of rho, kept on the upper rows.  A call rebuilds rho from y, so f is
-    exact only for a Hermitian rho; the diagonal of f is made real.  nnz
-    counts A's stored entries and those of the jump rows.
+    coef per part, by np.einsum: no BLAS call.  The jumps form one
+    superoperator on the row-major vec of rho, kept on the upper rows.  A
+    call rebuilds rho from y, so f is exact only for a Hermitian rho; the
+    diagonal of f is made real.  nnz counts A's stored entries and those of
+    the jump rows.
     """
     import scipy.sparse as sp
 
@@ -255,7 +260,7 @@ def _lindblad_rhs(h, channels):
     rho = np.empty((dim, dim), dtype=complex)
 
     def rhs(t, y):
-        np.matmul(coef, np.exp(1.0j * omegas * t), out=a.data)
+        np.einsum("kp,p->k", coef, np.exp(1.0j * omegas * t), out=a.data)
         _from_upper(y, upper, mirror, rho)
         ar = (a @ rho).reshape(-1)
         z = ar[upper]
@@ -267,7 +272,7 @@ def _lindblad_rhs(h, channels):
     return rhs, dim, a.nnz + jumps.nnz
 
 
-RTOL_FLOOR = 100.0 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
+RTOL_FLOOR = 100.0 * np.finfo(float).eps  # a smaller weighted rtol is refused
 
 
 def _upper_tolerances(dim, diag, rel_tol, abs_tol):
@@ -279,8 +284,9 @@ def _upper_tolerances(dim, diag, rel_tol, abs_tol):
     a diagonal entry w = n_up / dim^2, with n_up = dim (dim + 1) / 2.
     Dividing both tolerances by sqrt(w) makes the RMS over the n_up entries,
     and the initial-step norm, equal to those over all dim^2 entries.  The
-    off-diagonal rtol is then rel_tol sqrt(dim / (dim + 1)); below
-    RTOL_FLOOR scipy would clamp it and break that equality, so that raises
+    off-diagonal rtol is then rel_tol sqrt(dim / (dim + 1)).  Below
+    RTOL_FLOOR, 100 eps, no step can meet it in double precision (scipy
+    raises such an rtol to the floor), so a weighted rtol below it raises
     DimensionError.
     """
     n_up = dim * (dim + 1) // 2
@@ -294,28 +300,148 @@ def _upper_tolerances(dim, diag, rel_tol, abs_tol):
     return rtol, abs_tol / root
 
 
-def _dop853(rhs, y0, t_grid, rtol, atol):
-    """Adaptive DOP853 sampled on t_grid through its dense output, step for
-    step what solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev)."""
+# DOP853's step-size control, as in scipy.integrate's RungeKutta
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _combine(coef, k):
+    """sum_s coef[s] k[s] over the first len(coef) rows of a complex stage
+    array k, as np.einsum on its real view: no BLAS call."""
+    return np.einsum("s,sn->n", coef, k[:len(coef)].view(float)).view(complex)
+
+
+def _rms(x):
+    """RMS norm of a complex vector, its squares summed by np.einsum."""
+    xr = x.view(float)
+    return math.sqrt(np.einsum("i,i->", xr, xr)) / math.sqrt(len(x))
+
+
+def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
+    """DOP853's first step from (t0, y0) with f0 = f(t0, y0), as scipy's
+    select_initial_step chooses it (Hairer, Norsett and Wanner, II.4);
+    calls f once."""
     from scipy.integrate import DOP853
 
-    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=rtol, atol=atol)
-    ys, done = [], 0
-    try:
-        while done < len(t_grid):
-            message = ode.step()
-            if ode.status == "failed":
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t0)
+    f1 = f(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (DOP853.error_estimator_order + 1))
+    return min(100.0 * h0, h1, t_end - t0)
+
+
+def _error_norm(k, h, scale):
+    """DOP853's error norm of a step h with stages k: the 5th-order estimate
+    (E5), damped where the 3rd-order one (E3) is small (Hairer, Norsett and
+    Wanner, II.10), as an RMS on the per-entry scale."""
+    from scipy.integrate import DOP853
+
+    err5, err3 = _combine(DOP853.E5, k) / scale, _combine(DOP853.E3, k) / scale
+    err5_2 = np.einsum("i,i->", err5.view(float), err5.view(float))
+    err3_2 = np.einsum("i,i->", err3.view(float), err3.view(float))
+    if err5_2 == 0.0 and err3_2 == 0.0:
+        return 0.0
+    return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+
+
+def _dense_samples(k, f, t_old, y_old, h, y, f_new, ts):
+    """The step (t_old, y_old) -> (t_old + h, y) at the times ts, by DOP853's
+    7th-degree dense output.  k holds the step's 13 stages (f(t_old, y_old)
+    first, f_new last); its rows 13-15 get the three extra stages, three
+    calls of f.  Returns one row per time."""
+    from scipy.integrate import DOP853
+
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1):
+        k[s] = f(t_old + c * h, y_old + _combine(a[:s], k) * h)
+    delta = y - y_old
+    poly = np.empty((3 + len(DOP853.D), len(y)), dtype=complex)
+    poly[0] = delta
+    poly[1] = h * k[0] - delta
+    poly[2] = 2 * delta - h * (f_new + k[0])
+    poly[3:] = h * np.einsum("ds,sn->dn", DOP853.D, k.view(float)).view(complex)
+    x = ((np.asarray(ts) - t_old) / h)[:, None]
+    out = np.zeros((len(x), len(y)), dtype=complex)
+    for i, row in enumerate(poly[::-1]):
+        out += row
+        out *= x if i % 2 == 0 else 1 - x
+    out += y_old
+    return out
+
+
+def _dop853(rhs, y0, t_grid, rtol, atol):
+    """Adaptive DOP853 from (t_grid[0], y0), sampled on t_grid through its
+    dense output: step for step what scipy.integrate.DOP853 does under
+    solve_ivp(..., t_eval=t_grid), with the tableau read from that class
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
+
+    scipy combines the stages with np.dot, an OpenBLAS gemv that runs on
+    every core once the stage block is large and leaves the other threads
+    spinning between calls; here each combination and error sum is an
+    np.einsum on the real view (_combine), in one thread.
+
+    A step is accepted where its error norm is below 1; the next step is
+    scaled by SAFETY err^(-1/8) within [MIN_FACTOR, MAX_FACTOR], and does
+    not grow after a rejection.  A step below 10 ulp of t raises
+    StiffnessError.  The three extra stages of the dense output are built
+    only on steps that hold a sample, so the RHS is called 2 + 12 (accepted
+    + rejected) + 3 (steps holding a sample) times.  Returns (samples,
+    n_rhs_evals, step_times, n_rejected): step_times are the ends of the
+    accepted steps.
+    """
+    from scipy.integrate import DOP853
+
+    n_calls = 0
+
+    def f(t, y):
+        nonlocal n_calls
+        n_calls += 1
+        return rhs(t, y)
+
+    n_stages = DOP853.n_stages
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    t_end = float(t_grid[-1])
+    k = np.empty((n_stages + 1 + len(DOP853.A_EXTRA), len(y0)), dtype=complex)
+    t, y = float(t_grid[0]), y0
+    fy = f(t, y)
+    h_abs = _initial_step(f, t, y, fy, t_end, rtol, atol)
+    ys, done, step_times, n_rejected = [], 0, [], 0
+    while done < len(t_grid):
+        min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
                 raise StiffnessError(
-                    f"integrator failed: {message} (reached t = {ode.t:.3f} ns)")
-            upto = int(np.searchsorted(t_grid, ode.t, side="right"))
-            if upto > done:
-                ys.extend(ode.dense_output()(t_grid[done:upto]).T)
-                done = upto
-        return ys, ode.nfev
-    finally:
-        # the solver's closures refer to the solver itself; clearing it frees
-        # its work arrays and rhs now instead of at the next full collection
-        vars(ode).clear()
+                    "integrator failed: Required step size is less than spacing between "
+                    f"numbers. (reached t = {t:.3f} ns)")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = fy
+            for s in range(1, n_stages):
+                k[s] = f(t + DOP853.C[s] * h, y + _combine(DOP853.A[s, :s], k) * h)
+            y_new = y + h * _combine(DOP853.B, k)
+            k[n_stages] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _error_norm(k, h, scale)
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**exponent)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err**exponent)
+            rejected = True
+            n_rejected += 1
+        upto = int(np.searchsorted(t_grid, t_new, side="right"))
+        if upto > done:
+            ys.extend(_dense_samples(k, f, t, y, h, y_new, f_new, t_grid[done:upto]))
+            done = upto
+        t, y, fy = t_new, y_new, f_new
+        step_times.append(t)
+    return ys, n_calls, step_times, n_rejected
 
 
 def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
@@ -334,7 +460,9 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     part is integrated under the weighted tolerances of _upper_tolerances
     (DimensionError where solver.rel_tol weighs in below RTOL_FLOOR), and
     each sample is rebuilt by its mirrors, exactly Hermitian.  Trace drift
-    beyond 1e-8 warns; eigenvalues below -1e-6 abort.
+    beyond 1e-8 warns; eigenvalues below -1e-6 abort.  metadata counts the
+    RHS calls (n_rhs_evals) and the accepted and rejected steps (n_steps,
+    n_rejected) of _dop853.
     """
     solver = solver or SolverConfig()
     if solver.sample_times is None:
@@ -365,10 +493,9 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         prepend = False
 
     if len(t_grid) == 1:
-        ys = [y0]
-        n_evals = 0
+        ys, n_evals, step_times, n_rejected = [y0], 0, [], 0
     else:
-        ys, n_evals = _dop853(rhs, y0, t_grid, rtol, atol)
+        ys, n_evals, step_times, n_rejected = _dop853(rhs, y0, t_grid, rtol, atol)
 
     if prepend:
         ys = ys[1:]
@@ -409,6 +536,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "max_trace_drift": max_trace_drift,
             "min_eigenvalue": float(min_eig),
             "n_rhs_evals": n_evals,
+            "n_steps": len(step_times),
+            "n_rejected": n_rejected,
             "wall_time_s": _time.perf_counter() - wall0,
             "setup_s": setup_s,
             "generator_nnz": nnz,
@@ -496,7 +625,7 @@ def sector_fock_tail(cov, fock_dim):
     return float(tails[worst]), float(cov["times"][worst])
 
 
-def conditional_squeezing_run(params, fock_dim=80, sample_times=None, store_states=False):
+def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
     """The conditional-squeezing protocol in the full model: |0> (x) |+x>
     on the 2N joint space, integrated in the exact half-pump frame
     (build_H_rot) under the default SolverConfig.  Each sample is
@@ -523,7 +652,7 @@ def conditional_squeezing_run(params, fock_dim=80, sample_times=None, store_stat
 
     result = evolve_master(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
                            rho0, solver=SolverConfig(sample_times=sample_times),
-                           sample_hook=hook, store_states=store_states)
+                           sample_hook=hook)
     worst = int(np.argmax(edge))
     result.metadata.update(path="joint_master_equation", fock_dim=fock_dim,
                            max_edge_population=float(edge[worst]),

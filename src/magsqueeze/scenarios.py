@@ -459,6 +459,11 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41):
     around +2 MHz, is never single-minimum and warns; the pick falls in
     whichever of the two wells the grid samples more closely (check 6:
     -9.99 MHz, the mirror of +9.99 MHz).
+
+    A pick at or below the two-photon threshold (below_threshold) warns
+    too: there the magnon number grows without bound, so the effective
+    model has no squeezing peak to match.  A short window can favour one
+    (fock 40 over 0-5 ns picks 0.007 MHz).
     """
     cfg = sc.config
     d = derive(cfg.params)
@@ -491,7 +496,22 @@ def calibrate_delta_eff(sc, full_series=None, window_mhz=10.0, n_scan=41):
             "full scan table returned",
             stacklevel=2,
         )
-    return table[best][0], table, convex
+    pick = table[best][0]
+    if below_threshold(cfg.params, pick):
+        warnings.warn(
+            f"calibrated delta_eff {pick / TWO_PI * 1e3:.3f} MHz is at or below the "
+            f"two-photon threshold |g_cs| = {abs(d.g_cs) / TWO_PI * 1e3:.3f} MHz, "
+            "where the magnon number grows without bound",
+            stacklevel=2,
+        )
+    return pick, table, convex
+
+
+def below_threshold(params, delta_eff):
+    """True where |delta_eff| <= |g_cs|: the detuned two-magnon drive is
+    past its instability threshold and the magnon number grows without
+    bound."""
+    return abs(delta_eff) <= abs(derive(params).g_cs)
 
 
 def convergence_check(sc):

@@ -1,4 +1,8 @@
-"""Golden outputs of the twelve default commands.
+"""Golden outputs of the twelve default commands and one short full-model run.
+
+The thirteenth command is squeeze on a 5 ns window at fock 40 (the
+benchmark's full_model shape), on a config that collect() writes; it is
+the one entry that integrates the full-model master equation.
 
 For every file a command writes (its manifest aside), tests/golden.json
 holds the sha256, the byte count and the row count; for every manifest it
@@ -8,8 +12,8 @@ a byte regenerates the file and says which outputs moved:
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-The commands run in one process at the default config, with every
-MAGSQUEEZE_* environment override removed.
+The commands run in one process, at the default config unless CONFIGS
+names one, with every MAGSQUEEZE_* environment override removed.
 """
 
 import contextlib
@@ -37,6 +41,12 @@ COMMANDS = {
     "wigner_sym": ["wigner", "--state", "sym"],
     "wigner_antisym": ["wigner", "--state", "antisym"],
     "converge_custom": ["converge", "--scenario", "custom"],
+    "squeeze_5ns": ["squeeze"],
+}
+
+# commands that run on a config of their own, written next to their outputs
+CONFIGS = {
+    "squeeze_5ns": "[run]\nfock_dim = 40\ntime_max = 5 ns\n",
 }
 
 
@@ -46,11 +56,16 @@ def _digest(data):
 
 
 def collect(workdir):
-    """{command: {"exit", "outputs", "notes"}} of the twelve commands, each
+    """{command: {"exit", "outputs", "notes"}} of the commands, each
     writing into its own directory under workdir."""
     result = {}
     for name, argv in COMMANDS.items():
         outdir = os.path.join(workdir, name)
+        if name in CONFIGS:
+            ini = os.path.join(workdir, f"{name}.ini")
+            with open(ini, "w", encoding="utf-8") as fh:
+                fh.write(CONFIGS[name])
+            argv = argv + ["--config", ini]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main(argv + ["--out", outdir])

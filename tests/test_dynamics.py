@@ -36,8 +36,11 @@ from magsqueeze.dynamics import (
     LindbladSpec,
     RTOL_FLOOR,
     SolverConfig,
+    _dop853,
     _effective_model,
+    _error_norm,
     _expm_stack,
+    _initial_step,
     _lindblad_rhs,
     _moment_generator,
     _operators,
@@ -500,28 +503,107 @@ def test_upper_vector_run_matches_the_stacked_oracle(params, fock_dim, t_max):
         np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
 
 
+def scipy_dop853(rhs, y0, t_grid, rtol, atol):
+    """Test-local oracle: scipy.integrate.DOP853 stepped on rhs from
+    (t_grid[0], y0) and sampled on t_grid through its dense output, as
+    solve_ivp(..., t_eval=t_grid) does.  Returns (samples, nfev,
+    step_times), the ends of its accepted steps."""
+    ode = DOP853(rhs, t_grid[0], y0, t_grid[-1], rtol=rtol, atol=atol)
+    ys, done, steps = [], 0, []
+    while done < len(t_grid):
+        ode.step()
+        assert ode.status != "failed"
+        steps.append(ode.t)
+        upto = int(np.searchsorted(t_grid, ode.t, side="right"))
+        if upto > done:
+            ys.extend(ode.dense_output()(t_grid[done:upto]).T)
+            done = upto
+    return ys, ode.nfev, steps
+
+
+def upper_problem(h, dissipators, fock_dim, rel_tol=1e-8, abs_tol=1e-10):
+    """(rhs, y0, rtol, atol) of evolve_master's upper-vector run of h from
+    |0> (x) |+x> on the joint space of fock_dim."""
+    rhs, dim, _ = _lindblad_rhs(h, dissipators.active())
+    upper, _, diag = _triangle(dim)
+    rtol, atol = _upper_tolerances(dim, diag, rel_tol, abs_tol)
+    y0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim).matrix.reshape(-1)[upper]
+    return rhs, y0, rtol, atol
+
+
+@pytest.mark.parametrize("params, frame, fock_dim, rel_tol, abs_tol, rejects", [
+    (PhysicalParams(), "full_rotating", 12, 1e-8, 1e-10, False),
+    (HOT, "full_rotating", 12, 1e-8, 1e-10, False),
+    (PhysicalParams(), "full_lab", 8, 1e-3, 1e-5, True),
+], ids=["default", "hot", "lab-loose"])
+def test_dop853_loop_matches_scipy_step_for_step(params, frame, fock_dim, rel_tol, abs_tol,
+                                                 rejects):
+    # _dop853 against scipy's DOP853 stepped on the same upper-vector RHS:
+    # the same tableau and step control make the same RHS calls and accept
+    # the same steps; the stage sums differ only in rounding (np.einsum
+    # against scipy's np.dot).  The loose lab-frame run rejects steps, so
+    # the rejection branch is compared too
+    build = build_H_rot if frame == "full_rotating" else build_H_tot
+    rhs, y0, rtol, atol = upper_problem(build(params, fock_dim),
+                                        build_dissipators_full(params, fock_dim), fock_dim,
+                                        rel_tol, abs_tol)
+    times = np.arange(0.0, 2.0 + 0.125, 0.25)
+    ys, nfev, steps, n_rejected = _dop853(rhs, y0, times, rtol, atol)
+    ref_ys, ref_nfev, ref_steps = scipy_dop853(rhs, y0, times, rtol, atol)
+    assert (n_rejected > 0) == rejects
+    assert nfev == ref_nfev
+    assert len(steps) == len(ref_steps)
+    assert_allclose(steps, ref_steps, rtol=0.0, atol=1e-9)
+    assert len(ys) == len(times)
+    for y, ref in zip(ys, ref_ys):
+        assert_allclose(y, ref, rtol=0.0, atol=1e-12)
+
+
+def test_solver_statistics_count_every_rhs_call(params):
+    # two calls start the run (f(t0) and the initial-step probe), every
+    # attempted step makes 12, and the three extra stages of the dense
+    # output are made only on steps that hold a sample
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    rhs, y0, rtol, atol = upper_problem(build_H_rot(params, 12),
+                                        build_dissipators_full(params, 12), 12)
+    times = np.array([0.0, 0.1, 0.1001, 0.9, 2.0])  # two samples in one step
+    ys, nfev, steps, n_rejected = _dop853(counted, y0, times, rtol, atol)
+    holding = len(np.unique(np.searchsorted(steps, times, side="left")))
+    assert holding < len(times)
+    assert nfev == len(calls) == 2 + 12 * (len(steps) + n_rejected) + 3 * holding
+    # the full_model workload's shape: 0-5 ns at fock 40, one sample per step
+    run = conditional_squeezing_run(params, fock_dim=40,
+                                    sample_times=np.arange(0.0, 5.0 + 0.25, 0.5))
+    meta = run.metadata
+    assert meta["n_rhs_evals"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"]) + 3 * 11
+
+
 @settings(max_examples=200)
 @given(dim=st.integers(1, 10), log_rtol=st.floats(-12.0, -3.0), h=st.floats(1e-3, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_weighted_error_norm_equals_the_full_vector_norm(dim, log_rtol, h, seed):
-    # DOP853's error norm (_estimate_error_norm on the scale its step forms)
-    # and its initial step, on the upper entries of Hermitian vectors under
-    # the weighted per-entry tolerances, equal those on all dim^2 entries
-    # under the scalar ones: pins scipy's handling of an array rtol
+    # the loop's initial step and error norm, on the upper entries of
+    # Hermitian vectors under the weighted per-entry tolerances, equal
+    # scipy's DOP853 on all dim^2 entries under the scalar ones
     rng = np.random.default_rng(seed)
     rel_tol, abs_tol = 10.0 ** log_rtol, 10.0 ** (log_rtol - 2.0)
     upper, _, diag = _triangle(dim)
     rtol, atol = _upper_tolerances(dim, diag, rel_tol, abs_tol)
     y, y_new, f = (random_hermitian(rng, dim).ravel() for _ in range(3))
     full = DOP853(lambda t, x: f, 0.0, y, 1.0, rtol=rel_tol, atol=abs_tol)
-    part = DOP853(lambda t, x: f[upper], 0.0, y[upper], 1.0, rtol=rtol, atol=atol)
-    assert part.h_abs == pytest.approx(full.h_abs, rel=1e-13)
+    h_abs = _initial_step(lambda t, x: f[upper], 0.0, y[upper], f[upper], 1.0, rtol, atol)
+    assert h_abs == pytest.approx(full.h_abs, rel=1e-13)
     k = np.array([random_hermitian(rng, dim).ravel() for _ in range(full.K.shape[0])])
-    norms = []
-    for ode, sel in ((full, slice(None)), (part, upper)):
-        scale = ode.atol + np.maximum(np.abs(y[sel]), np.abs(y_new[sel])) * ode.rtol
-        norms.append(ode._estimate_error_norm(k[:, sel], h, scale))
-    assert norms[1] == pytest.approx(norms[0], rel=1e-13)
+    scale = full.atol + np.maximum(np.abs(y), np.abs(y_new)) * full.rtol
+    ref = full._estimate_error_norm(k, h, scale)
+    scale = atol + np.maximum(np.abs(y[upper]), np.abs(y_new[upper])) * rtol
+    k_upper = np.ascontiguousarray(k[:, upper])  # the loop's stage rows are contiguous
+    assert _error_norm(k_upper, h, scale) == pytest.approx(ref, rel=1e-13)
 
 
 effective_runs = st.builds(
@@ -641,8 +723,8 @@ def test_trajectory_metadata(params):
     spread = StateDensity(np.full((nf, nf), 1.0 / nf, dtype=complex))
     res = evolve_master(None, magnon_thermal_dissipators(params, nf), spread,
                         solver=solver_for([1.0, 2.0]))
-    for key in ("max_trace_drift", "min_eigenvalue", "n_rhs_evals", "wall_time_s", "method",
-                "setup_s", "generator_nnz"):
+    for key in ("max_trace_drift", "min_eigenvalue", "n_rhs_evals", "n_steps", "n_rejected",
+                "wall_time_s", "method", "setup_s", "generator_nnz"):
         assert key in res.metadata
     assert res.metadata["n_rhs_evals"] > 0
     assert res.metadata["setup_s"] > 0.0
@@ -1130,7 +1212,7 @@ def test_full_lab_matches_full_rotating(params):
     lab = evolve_master(build_H_tot(params, 20), build_dissipators_full(params, 20),
                         joint_initial_state(qubit="plus_x", fock_dim=20),
                         solver=solver_for(times), sample_hook=lab_hook, store_states=True)
-    rot = conditional_squeezing_run(params, fock_dim=20, sample_times=times, store_states=True)
+    rot = full_rotating_states(params, 20, times, sample_hook=_plus_x_metrics)
     # the full models fill the whole joint space
     for run in (lab, rot):
         assert np.count_nonzero(run.states[-1].matrix) == (2 * 20) ** 2
@@ -1151,11 +1233,27 @@ def test_full_model_squeezes_at_twice_the_reduced_rate(params):
     assert 1.85 < ratio < 2.05
 
 
+def full_rotating_states(params, fock_dim, times, sample_hook=None):
+    """The master equation of conditional_squeezing_run, with its joint
+    states stored: |0> (x) |+x> under build_H_rot in the
+    rotating_half_pump frame."""
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
+    rho0.frame = "rotating_half_pump"
+    return evolve_master(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
+                         rho0, solver=solver_for(times), sample_hook=sample_hook,
+                         store_states=True)
+
+
 def test_run_store_states(params):
-    # the full run stores its joint states in the frame it integrates
+    # the full model's master equation stores its joint states in the frame
+    # it integrates, and the run's series are those states postselected
     times = np.arange(0.0, 2.0 + 1.0, 1.0)
-    res = conditional_squeezing_run(params, fock_dim=6, sample_times=times, store_states=True)
-    assert res.frame == "rotating_half_pump"
+    res = full_rotating_states(params, 6, times)
+    run = conditional_squeezing_run(params, fock_dim=6, sample_times=times)
+    assert res.frame == run.frame == "rotating_half_pump"
+    assert run.states is None
+    for st, p_plus in zip(res.states, run.observables["p_plus"]):
+        assert postselect_qubit(st, "plus_x")[0] == p_plus
     assert len(res.states) == len(times)
     for t, st in zip(times, res.states):
         assert st.frame == "rotating_half_pump"
@@ -1167,10 +1265,10 @@ def test_full_run_records_its_fock_edge_population():
     # max_edge_population is p_{N-1} summed over the qubit, read from the
     # diagonal of each stored joint state
     nf = 8
-    run = conditional_squeezing_run(HOT, fock_dim=nf, sample_times=np.arange(0.0, 3.0 + 0.5, 0.5),
-                                    store_states=True)
+    times = np.arange(0.0, 3.0 + 0.5, 0.5)
+    run = conditional_squeezing_run(HOT, fock_dim=nf, sample_times=times)
     edge = [np.real(np.diag(state.matrix)).reshape(nf, 2).sum(axis=1)[-1]
-            for state in run.states]
+            for state in full_rotating_states(HOT, nf, times).states]
     worst = int(np.argmax(edge))
     assert edge[worst] > 1e-8
     assert run.metadata["max_edge_population"] == edge[worst]
@@ -1184,8 +1282,9 @@ def test_full_run_records_its_fock_edge_population():
     dict(model="effective", qubit_init="plus_plus_minus"),
     dict(model="effective", store_states=True),
     dict(delta_eff=DELTA_OP),  # the full model has no effective detuning
+    dict(store_states=True),  # the states are evolve_master's to store
 ], ids=["adiabatic", "full_lab", "effective_from_g", "effective_from_plus_plus_minus",
-        "stored_states_with_kappa", "full_with_delta_eff"])
+        "stored_states_with_kappa", "full_with_delta_eff", "stored_states"])
 def test_run_refuses_requests_off_its_two_paths(params, monkeypatch, refused):
     # conditional_squeezing_run integrates the full model from plus_x and
     # takes no model, start or detuning: each request that those switches

@@ -1,5 +1,6 @@
-"""The twelve default commands reproduce tests/golden.json byte for byte
-(golden_outputs.py runs them and rewrites the file)."""
+"""The twelve default commands and the 5 ns full-model squeeze reproduce
+tests/golden.json byte for byte (golden_outputs.py runs them and rewrites
+the file)."""
 
 import json
 import os

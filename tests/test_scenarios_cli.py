@@ -32,6 +32,7 @@ from magsqueeze.observables import gaussian_wigner, wigner
 from magsqueeze.scenarios import (
     OPERATING_DETUNING_RAD_NS,
     ScenarioConfig,
+    below_threshold,
     calibrate_delta_eff,
     convergence_check,
     run,
@@ -407,10 +408,12 @@ def test_calibrate_recovers_synthetic_detuning():
     sc = ScenarioConfig(scenario="squeeze_compare", config=small_run())
     d = derive(sc.config.params)
     target = d.Delta_eff + TWO_PI * 1.7e-3
-    best, table, convex = calibrate_delta_eff(
-        sc, full_series=synthetic_series(sc.config.params, target),
-        window_mhz=2.0, n_scan=21
-    )
+    # the target, 3.7 MHz, lies below the two-photon threshold
+    with pytest.warns(UserWarning, match="two-photon threshold"):
+        best, table, convex = calibrate_delta_eff(
+            sc, full_series=synthetic_series(sc.config.params, target),
+            window_mhz=2.0, n_scan=21
+        )
     assert len(table) == 21
     spacing = table[1][0] - table[0][0]
     assert abs(best - target) <= spacing / 2.0 * 1.01
@@ -422,8 +425,9 @@ def test_calibrate_warns_when_not_single_minimum():
     # genuine second well; the scan must say so rather than silently pick one
     sc = ScenarioConfig(scenario="squeeze_compare", config=small_run())
     d = derive(sc.config.params)
-    target = d.Delta_eff + TWO_PI * 1.7e-3
-    with pytest.warns(UserWarning, match="single-minimum"):
+    target = d.Delta_eff + TWO_PI * 1.7e-3  # below the two-photon threshold too
+    with pytest.warns(UserWarning, match="two-photon threshold"), \
+            pytest.warns(UserWarning, match="single-minimum"):
         best, table, convex = calibrate_delta_eff(
             sc, full_series=synthetic_series(sc.config.params, target),
             window_mhz=5.0, n_scan=21
@@ -432,6 +436,33 @@ def test_calibrate_warns_when_not_single_minimum():
     # the best point is still the true target, not the mirror
     spacing = table[1][0] - table[0][0]
     assert abs(best - target) <= spacing
+
+
+def test_calibrate_flags_a_pick_below_the_two_photon_threshold(tmp_path, capsys):
+    # a 5 ns window at fock 40 favours resonance: the pick, 0.007 MHz, is a
+    # clean minimum of the objective but lies far below |g_cs| = 2 pi x
+    # 7.495 MHz, where the magnon number grows without bound
+    ini = write_ini(tmp_path, "[run]\nfock_dim = 40\ntime_max = 5 ns\n")
+    with pytest.warns(UserWarning, match="two-photon threshold") as caught:
+        code = cli.main(["calibrate", "--config", ini, "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert not [w for w in caught if "single-minimum" in str(w.message)]
+    assert "MHz), single-minimum=True, below-threshold\n" in capsys.readouterr().out
+
+
+def test_calibrate_does_not_flag_a_pick_above_the_threshold():
+    # the scan, -8 to 12 MHz, recovers a 10.45 MHz target; the pick is above
+    # |g_cs| and only the +-Delta mirror may warn
+    sc = ScenarioConfig(scenario="squeeze_compare", config=small_run())
+    target = OPERATING_DETUNING_RAD_NS + TWO_PI * 1.7e-3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        best, table, _convex = calibrate_delta_eff(
+            sc, full_series=synthetic_series(sc.config.params, target))
+    assert abs(best - target) <= (table[1][0] - table[0][0]) / 2.0 * 1.01
+    assert not below_threshold(sc.config.params, best)
+    assert below_threshold(sc.config.params, -0.999 * abs(derive(sc.config.params).g_cs))
+    assert not [w for w in caught if "threshold" in str(w.message)]
 
 
 @pytest.mark.parametrize("time_max, times", [
