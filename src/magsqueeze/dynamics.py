@@ -284,10 +284,9 @@ def _upper_tolerances(dim, diag, rel_tol, abs_tol):
     a diagonal entry w = n_up / dim^2, with n_up = dim (dim + 1) / 2.
     Dividing both tolerances by sqrt(w) makes the RMS over the n_up entries,
     and the initial-step norm, equal to those over all dim^2 entries.  The
-    off-diagonal rtol is then rel_tol sqrt(dim / (dim + 1)).  Below
-    RTOL_FLOOR, 100 eps, no step can meet it in double precision (scipy
-    raises such an rtol to the floor), so a weighted rtol below it raises
-    DimensionError.
+    off-diagonal rtol is then rel_tol sqrt(dim / (dim + 1)).  No step can
+    meet an rtol below RTOL_FLOOR, 100 eps, in double precision, so a
+    weighted rtol below it raises DimensionError instead of being clamped.
     """
     n_up = dim * (dim + 1) // 2
     root = np.full(n_up, math.sqrt(2.0 * n_up / dim**2))
