@@ -17,8 +17,9 @@ which such a start never fills.  The sector Hamiltonian is quadratic and
 the channels thermal, so at any kappa the state stays Gaussian, and its
 exact, untruncated covariance (sector_covariance_squeezing) gives every
 metric; sector_fock_tail measures what a given fock_dim would leave out.
-conditional_squeezing_run is the full model alone: one master equation
-on the 2N joint space, in the rotating_half_pump frame.
+conditional_squeezing_run is the full model alone: a master equation
+on the 2N joint space, in the rotating_half_pump frame, whose N grows
+from FOCK_START up to fock_dim as the state reaches its last level.
 
 The superposition run from |0> (x) |g> also has a closed form: each of its
 sb_x blocks is a Gaussian operator, the diagonal ones from the sector
@@ -372,7 +373,7 @@ def _dense_samples(k, f, t_old, y_old, h, y, f_new, ts):
     return out
 
 
-def _dop853(rhs, y0, t_grid, rtol, atol):
+def _dop853(rhs, y0, t_grid, rtol, atol, stop=None):
     """Adaptive DOP853 from (t_grid[0], y0), sampled on t_grid through its
     dense output: step for step what scipy.integrate.DOP853 does under
     solve_ivp(..., t_eval=t_grid), with the tableau read from that class
@@ -388,9 +389,14 @@ def _dop853(rhs, y0, t_grid, rtol, atol):
     not grow after a rejection.  A step below 10 ulp of t raises
     StiffnessError.  The three extra stages of the dense output are built
     only on steps that hold a sample, so the RHS is called 2 + 12 (accepted
-    + rejected) + 3 (steps holding a sample) times.  Returns (samples,
-    n_rhs_evals, step_times, n_rejected): step_times are the ends of the
-    accepted steps.
+    + rejected) + 3 (steps holding a sample) times.
+
+    stop, if given, is tested on the end state of each step the error test
+    accepts.  Where it holds, that step is refused (counted in n_rejected)
+    and the run ends at the step's start, with the samples up to there.
+    Returns (samples, n_rhs_evals, step_times, n_rejected, y): step_times
+    are the ends of the accepted steps, y the state at the last of them
+    (y0 where none was accepted).
     """
     from scipy.integrate import DOP853
 
@@ -434,25 +440,33 @@ def _dop853(rhs, y0, t_grid, rtol, atol):
             h_abs *= max(MIN_FACTOR, SAFETY * err**exponent)
             rejected = True
             n_rejected += 1
+        if stop is not None and stop(y_new):
+            return ys, n_calls, step_times, n_rejected + 1, y
         upto = int(np.searchsorted(t_grid, t_new, side="right"))
         if upto > done:
             ys.extend(_dense_samples(k, f, t, y, h, y_new, f_new, t_grid[done:upto]))
             done = upto
         t, y, fy = t_new, y_new, f_new
         step_times.append(t)
-    return ys, n_calls, step_times, n_rejected
+    return ys, n_calls, step_times, n_rejected, y
 
 
 def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
-                  store_states=False):
-    """Integrate the master equation and monitor state sanity at samples.
+                  store_states=False, stop=None):
+    """Integrate the master equation from rho0.time and monitor state
+    sanity at samples.
 
     h           static matrix, SplitHamiltonian, or None
     dissipators LindbladSpec (may be empty)
-    rho0        StateDensity (frame tag propagated to outputs)
-    solver      SolverConfig; sample_times required
+    rho0        StateDensity (frame tag propagated to outputs); the run
+                starts at its time
+    solver      SolverConfig; sample_times required, none before rho0.time
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
                 merged into the observables series
+    stop        optional callable (diagonal of rho, real) -> bool, tested
+                on the end of each accepted step (_dop853): where it holds,
+                the run ends at that step's start t with the samples up to
+                t, and metadata["stopped_state"] holds the state at t
 
     rho0 must be Hermitian to HERMITIAN_TOL of its largest entry
     (DimensionError otherwise).  The upper vector of its exact Hermitian
@@ -461,7 +475,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     each sample is rebuilt by its mirrors, exactly Hermitian.  Trace drift
     beyond 1e-8 warns; eigenvalues below -1e-6 abort.  metadata counts the
     RHS calls (n_rhs_evals) and the accepted and rejected steps (n_steps,
-    n_rejected) of _dop853.
+    n_rejected) of _dop853; stopped_state is None where the run reached its
+    last sample.
     """
     solver = solver or SolverConfig()
     if solver.sample_times is None:
@@ -469,6 +484,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     t_grid = np.asarray(solver.sample_times, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise DimensionError("sample_times must be strictly increasing")
+    t0 = float(rho0.time)
+    if t_grid[0] < t0:
+        raise DimensionError(f"sample time {t_grid[0]:g} ns precedes the start, "
+                             f"rho0.time = {t0:g} ns")
 
     channels = dissipators.active() if dissipators is not None else []
     setup0 = _time.perf_counter()
@@ -485,17 +504,22 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
     y0 = (0.5 * (y0 + y0.conj().T)).reshape(-1)[upper]  # the exact Hermitian part
     wall0 = _time.perf_counter()
-    if float(t_grid[0]) != 0.0:
-        t_grid = np.concatenate([[0.0], t_grid])
-        prepend = True
-    else:
-        prepend = False
+    prepend = float(t_grid[0]) != t0
+    if prepend:
+        t_grid = np.concatenate([[t0], t_grid])
 
     if len(t_grid) == 1:
-        ys, n_evals, step_times, n_rejected = [y0], 0, [], 0
+        ys, n_evals, step_times, n_rejected, y_end = [y0], 0, [], 0, y0
     else:
-        ys, n_evals, step_times, n_rejected = _dop853(rhs, y0, t_grid, rtol, atol)
-
+        test = None if stop is None else (lambda y: stop(y[diag].real))
+        ys, n_evals, step_times, n_rejected, y_end = _dop853(rhs, y0, t_grid, rtol, atol,
+                                                             test)
+    stopped_state = None
+    if len(ys) < len(t_grid):
+        stopped_state = StateDensity(
+            _from_upper(y_end, upper, mirror, np.empty((dim, dim), dtype=complex)),
+            frame=rho0.frame, time=step_times[-1] if step_times else t0)
+        t_grid = t_grid[:len(ys)]
     if prepend:
         ys = ys[1:]
         t_grid = t_grid[1:]
@@ -541,6 +565,7 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             "setup_s": setup_s,
             "generator_nnz": nnz,
             "method": "adaptive_rk",
+            "stopped_state": stopped_state,
         },
     )
 
@@ -624,6 +649,26 @@ def sector_fock_tail(cov, fock_dim):
     return float(tails[worst]), float(cov["times"][worst])
 
 
+FOCK_START = 16  # magnon levels a full-model run starts with
+FOCK_GROWTH = 8  # levels added each time the state reaches the edge
+GROWTH_TOL = 1e-12  # edge population p_{N-1} at which the run grows
+
+
+def _pad_magnon(state, fock_dim):
+    """A joint (magnon, qubit) state zero-padded to fock_dim magnon levels."""
+    n = state.dim // 2
+    rho = np.zeros((fock_dim, 2, fock_dim, 2), dtype=complex)
+    rho[:n, :, :n, :] = state.matrix.reshape(n, 2, n, 2)
+    return StateDensity(rho.reshape(2 * fock_dim, 2 * fock_dim), frame=state.frame,
+                        time=state.time)
+
+
+def _edge_above_tol(p):
+    """Stop test on the diagonal p of a joint state: the last magnon level,
+    summed over the qubit, holds more than GROWTH_TOL."""
+    return p[-2] + p[-1] > GROWTH_TOL
+
+
 def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
     """The conditional-squeezing protocol in the full model: |0> (x) |+x>
     on the 2N joint space, integrated in the exact half-pump frame
@@ -631,32 +676,66 @@ def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
     postselected on sb_x = +1 in that frame (_plus_x_metrics), giving the
     series p_plus, zeta_sq, squeezing_db, theta_star and n_magnon.
 
-    metadata holds evolve_master's solver statistics, the path
-    ("joint_master_equation"), fock_dim, and the largest population of the
-    last kept Fock level, p_{N-1} summed over the qubit, with its first
+    fock_dim caps N.  The run starts at N = min(FOCK_START, fock_dim) and
+    grows on demand: a segment below the cap stops at the first accepted
+    step whose last level, p_{N-1} summed over the qubit, holds more than
+    GROWTH_TOL; the last state within it is zero-padded to
+    min(N + FOCK_GROWTH, fock_dim) levels and integrated on from its time.
+    Samples already taken are kept.  At the cap the segment runs to the end,
+    so a run with fock_dim <= FOCK_START is one master equation at fock_dim.
+
+    metadata holds evolve_master's solver statistics summed over the
+    segments (n_rhs_evals, n_steps, n_rejected, wall_time_s, setup_s; a
+    stop counts as a rejected step), min_eigenvalue and max_trace_drift over
+    them, generator_nnz of the last, the (N, start time) of each segment
+    (fock_sizes), the path ("joint_master_equation"), fock_dim, and the
+    largest p_{N-1} at any sample, at that sample's N, with its first
     sample time (max_edge_population, max_edge_population_time); nothing is
     refused on it.  The effective model needs no run: its sectors are read
     from sector_covariance_squeezing.
     """
     if sample_times is None:
         sample_times = default_sample_times()
-    rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
+    times = np.asarray(sample_times, dtype=float)
+    n = min(FOCK_START, fock_dim)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=n)
     rho0.frame = "rotating_half_pump"
-    edge = []
+    edge, segments, sizes = [], [], []
 
     def hook(t, rho):
         # p_{N-1}: the last two diagonal entries of the (magnon, qubit) order
         edge.append(rho[-2, -2].real + rho[-1, -1].real)
         return _plus_x_metrics(t, rho)
 
-    result = evolve_master(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
-                           rho0, solver=SolverConfig(sample_times=sample_times),
-                           sample_hook=hook)
+    while True:
+        sizes.append((n, float(rho0.time)))
+        segments.append(evolve_master(
+            build_H_rot(params, n), build_dissipators_full(params, n), rho0,
+            solver=SolverConfig(sample_times=times), sample_hook=hook,
+            stop=_edge_above_tol if n < fock_dim else None))
+        stopped = segments[-1].metadata["stopped_state"]
+        if stopped is None:
+            break
+        times = times[len(segments[-1].times):]
+        n = min(n + FOCK_GROWTH, fock_dim)
+        rho0 = _pad_magnon(stopped, n)
+
+    metas = [seg.metadata for seg in segments]
+    meta = dict(metas[-1])
+    for key in ("n_rhs_evals", "n_steps", "n_rejected", "wall_time_s", "setup_s"):
+        meta[key] = sum(m[key] for m in metas)
+    meta["min_eigenvalue"] = min(m["min_eigenvalue"] for m in metas)
+    meta["max_trace_drift"] = max(m["max_trace_drift"] for m in metas)
+    all_times = np.concatenate([seg.times for seg in segments])
     worst = int(np.argmax(edge))
-    result.metadata.update(path="joint_master_equation", fock_dim=fock_dim,
-                           max_edge_population=float(edge[worst]),
-                           max_edge_population_time=float(result.times[worst]))
-    return result
+    meta.update(path="joint_master_equation", fock_dim=fock_dim, fock_sizes=sizes,
+                max_edge_population=float(edge[worst]),
+                max_edge_population_time=float(all_times[worst]))
+    return TrajectoryResult(
+        times=all_times,
+        observables={key: np.concatenate([seg.observables.get(key, []) for seg in segments])
+                     for key in segments[-1].observables},
+        frame=rho0.frame, metadata=meta)
 
 
 _TAYLOR_DEGREE = 18  # remainder below 1/19! ~ 8e-18 at a scaled norm of 1

@@ -250,7 +250,9 @@ def _run_squeeze_compare(sc, outdir):
     notes = [
         f"delta_eff_rad_ns={delta:.6e}",
         eff_note,
-        f"full-model window 0..{t_full_max} ns (rotating-frame integration)",
+        f"full-model window 0..{t_full_max} ns (rotating-frame integration), fock sizes "
+        + ", ".join(f"{n} from {t:.3f} ns" for n, t in full.metadata["fock_sizes"])
+        + f" (cap fock_dim={cfg.run.fock_dim})",
     ]
     return [path], notes
 

@@ -33,6 +33,9 @@ from magsqueeze.model import (
     frame_transform,
 )
 from magsqueeze.dynamics import (
+    FOCK_GROWTH,
+    FOCK_START,
+    GROWTH_TOL,
     LindbladSpec,
     RTOL_FLOOR,
     SolverConfig,
@@ -548,7 +551,7 @@ def test_dop853_loop_matches_scipy_step_for_step(params, frame, fock_dim, rel_to
                                         build_dissipators_full(params, fock_dim), fock_dim,
                                         rel_tol, abs_tol)
     times = np.arange(0.0, 2.0 + 0.125, 0.25)
-    ys, nfev, steps, n_rejected = _dop853(rhs, y0, times, rtol, atol)
+    ys, nfev, steps, n_rejected, _ = _dop853(rhs, y0, times, rtol, atol)
     ref_ys, ref_nfev, ref_steps = scipy_dop853(rhs, y0, times, rtol, atol)
     assert (n_rejected > 0) == rejects
     assert nfev == ref_nfev
@@ -559,7 +562,7 @@ def test_dop853_loop_matches_scipy_step_for_step(params, frame, fock_dim, rel_to
         assert_allclose(y, ref, rtol=0.0, atol=1e-12)
 
 
-def test_solver_statistics_count_every_rhs_call(params):
+def test_solver_statistics_count_every_rhs_call(params, monkeypatch):
     # two calls start the run (f(t0) and the initial-step probe), every
     # attempted step makes 12, and the three extra stages of the dense
     # output are made only on steps that hold a sample
@@ -572,15 +575,33 @@ def test_solver_statistics_count_every_rhs_call(params):
     rhs, y0, rtol, atol = upper_problem(build_H_rot(params, 12),
                                         build_dissipators_full(params, 12), 12)
     times = np.array([0.0, 0.1, 0.1001, 0.9, 2.0])  # two samples in one step
-    ys, nfev, steps, n_rejected = _dop853(counted, y0, times, rtol, atol)
+    ys, nfev, steps, n_rejected, _ = _dop853(counted, y0, times, rtol, atol)
     holding = len(np.unique(np.searchsorted(steps, times, side="left")))
     assert holding < len(times)
     assert nfev == len(calls) == 2 + 12 * (len(steps) + n_rejected) + 3 * holding
-    # the full_model workload's shape: 0-5 ns at fock 40, one sample per step
-    run = conditional_squeezing_run(params, fock_dim=40,
-                                    sample_times=np.arange(0.0, 5.0 + 0.25, 0.5))
+    # the full_model workload's shape: 0-5 ns at fock 40, one sample per
+    # step.  The run grows through segments, each a run of its own: a
+    # segment that starts between samples takes its start as a sample too,
+    # and the step its stop test refuses counts as rejected
+    segments = []
+
+    def recorded(*args, **kwargs):
+        segments.append(evolve_master(*args, **kwargs))
+        return segments[-1]
+
+    monkeypatch.setattr("magsqueeze.dynamics.evolve_master", recorded)
+    times = np.arange(0.0, 5.0 + 0.25, 0.5)
+    run = conditional_squeezing_run(params, fock_dim=40, sample_times=times)
     meta = run.metadata
-    assert meta["n_rhs_evals"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"]) + 3 * 11
+    assert [n for n, _ in meta["fock_sizes"]] == [16, 24]
+    assert len(segments) == 2
+    for seg, (_, start) in zip(segments, meta["fock_sizes"]):
+        m = seg.metadata
+        holding = len(seg.times) + (len(seg.times) > 0 and start not in times)
+        assert m["n_rhs_evals"] == 2 + 12 * (m["n_steps"] + m["n_rejected"]) + 3 * holding
+    for key in ("n_rhs_evals", "n_steps", "n_rejected"):
+        assert meta[key] == sum(seg.metadata[key] for seg in segments)
+    assert np.array_equal(run.times, times)
 
 
 @settings(max_examples=200)
@@ -1273,6 +1294,112 @@ def test_full_run_records_its_fock_edge_population():
     assert edge[worst] > 1e-8
     assert run.metadata["max_edge_population"] == edge[worst]
     assert run.metadata["max_edge_population_time"] == run.times[worst]
+
+
+def test_evolve_master_starts_at_the_state_time(params):
+    # a run split at t1 continues from the state at t1 with the phases of
+    # t1: it matches one unbroken run, where a start at t = 0 would not
+    nf = 8
+    h, dissipators = build_H_rot(HOT, nf), build_dissipators_full(HOT, nf)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
+    times = np.arange(0.0, 2.0 + 0.25, 0.5)
+    tol = dict(rel_tol=1e-10, abs_tol=1e-12)
+    whole = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tol),
+                          store_states=True)
+    first = evolve_master(h, dissipators, rho0, solver=solver_for(times[:3], **tol),
+                          store_states=True)
+    split = first.states[-1]
+    assert split.time == times[2]
+    second = evolve_master(h, dissipators, split, solver=solver_for(times[3:], **tol),
+                           store_states=True)
+    assert np.array_equal(second.times, times[3:])
+    for a, b in zip(whole.states[3:], second.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+    at_zero = evolve_master(h, dissipators, replace(split, time=0.0),
+                            solver=solver_for(times[3:] - times[2], **tol), store_states=True)
+    assert np.max(np.abs(at_zero.states[-1].matrix - whole.states[-1].matrix)) > 1e-3
+    # a sample at the start is the start itself; one before it is refused
+    same = evolve_master(h, dissipators, split, solver=solver_for([times[2]]), store_states=True)
+    assert np.array_equal(same.states[0].matrix, split.matrix)
+    with pytest.raises(DimensionError, match="precedes the start"):
+        evolve_master(h, dissipators, split, solver=solver_for(times[1:]))
+
+
+def test_evolve_master_stops_before_the_step_its_test_refuses(params):
+    # the stop test sees the diagonal of each accepted step's end; the run
+    # keeps the samples before the refused step and hands back the state
+    # it started from, which a second run continues to the same samples
+    nf = 8
+    h, dissipators = build_H_rot(HOT, nf), build_dissipators_full(HOT, nf)
+    rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
+    times = np.arange(0.0, 3.0 + 0.25, 0.5)
+    whole = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True)
+    edge = [np.real(np.diag(st.matrix))[-2:].sum() for st in whole.states]
+    tol = 0.5 * (edge[2] + edge[3])
+    seen = []
+
+    def stop(p):
+        seen.append(p[-2] + p[-1])
+        return seen[-1] > tol
+
+    part = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True,
+                         stop=stop)
+    state = part.metadata["stopped_state"]
+    assert np.array_equal(part.times, times[:3])
+    assert times[2] <= state.time < times[3]
+    assert np.real(np.diag(state.matrix))[-2:].sum() <= tol < seen[-1]
+    assert whole.metadata["stopped_state"] is None
+    for a, b in zip(part.states, whole.states):
+        assert np.array_equal(a.matrix, b.matrix)
+    rest = evolve_master(h, dissipators, state, solver=solver_for(times[3:]), store_states=True)
+    for a, b in zip(rest.states, whole.states[3:]):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+
+
+# bounds of the grown run against the fixed-fock oracle: measured worst
+# over 52 random draws in the property's ranges, times about 5
+GROWN_DB_BOUND, GROWN_P_BOUND, GROWN_N_BOUND = 5e-6, 1e-6, 1e-7
+
+
+@settings(max_examples=5)
+@given(kappa=st.floats(0.0, 2.0), temperature=st.floats(10.0, 300.0),
+       t_max=st.floats(0.5, 10.0), fock_dim=st.integers(24, 48))
+@example(kappa=2.0, temperature=300.0, t_max=10.0, fock_dim=48)
+def test_grown_run_matches_the_fixed_fock_oracle(kappa, temperature, t_max, fock_dim):
+    # the run that grows its Fock space up to fock_dim against one master
+    # equation at fock_dim: each segment stops once its last level holds
+    # GROWTH_TOL, so what the smaller space leaves out stays below the
+    # solver's own error, and the two differ by their step sequences
+    params = PhysicalParams(kappa=kappa, temperature=temperature)
+    times = np.linspace(0.0, t_max, 6)
+    run = conditional_squeezing_run(params, fock_dim=fock_dim, sample_times=times)
+    ref = full_rotating_states(params, fock_dim, times, sample_hook=_plus_x_metrics)
+    sizes, starts = zip(*run.metadata["fock_sizes"])
+    assert list(sizes) == [min(FOCK_START + FOCK_GROWTH * i, fock_dim) for i in range(len(sizes))]
+    assert starts[0] == 0.0 and np.all(np.diff(starts) > 0.0) and starts[-1] < t_max
+    # below the cap every sample's last level stays within the tolerance
+    assert sizes[-1] == fock_dim or run.metadata["max_edge_population"] <= GROWTH_TOL
+    assert np.array_equal(run.times, times)
+    got, want = run.observables, ref.observables
+    assert np.max(np.abs(got["squeezing_db"] - want["squeezing_db"])) < GROWN_DB_BOUND
+    assert np.max(np.abs(got["p_plus"] - want["p_plus"])) < GROWN_P_BOUND
+    assert np.max(np.abs(got["n_magnon"] - want["n_magnon"])
+                  / (1.0 + want["n_magnon"])) < GROWN_N_BOUND
+
+
+@pytest.mark.parametrize("fock_dim", [6, FOCK_START])
+def test_run_at_or_below_the_start_size_is_one_fixed_run(params, fock_dim):
+    # fock_dim <= FOCK_START: no growth, the oracle's master equation bit
+    # for bit
+    times = np.arange(0.0, 2.0 + 0.25, 0.5)
+    run = conditional_squeezing_run(HOT, fock_dim=fock_dim, sample_times=times)
+    ref = full_rotating_states(HOT, fock_dim, times, sample_hook=_plus_x_metrics)
+    assert run.metadata["fock_sizes"] == [(fock_dim, 0.0)]
+    assert run.metadata["n_rhs_evals"] == ref.metadata["n_rhs_evals"]
+    assert np.array_equal(run.times, ref.times)
+    assert sorted(run.observables) == sorted(ref.observables)
+    for key, series in ref.observables.items():
+        assert np.array_equal(run.observables[key], series)
 
 
 @pytest.mark.parametrize("refused", [
