@@ -10,10 +10,13 @@ div B = curl B = 0, so each Cartesian component of B is harmonic, and by
 the mean-value property its average over a ball that clears the wire
 equals its value at the ball's center (Jackson, Classical
 Electrodynamics, problem 1.10).  volume_avg_field is therefore the
-clearance check plus loop_field at the center, and the volume coupling
-map is one loop_field call over its x0 axis; the radius enters only
-through the spin count and the clearance check.  The collective coupling
-is
+clearance check plus loop_field at the center.  Each coupling map makes
+one field evaluation: the volume map one loop_field call over its x0
+axis, with one clearance test for its whole (R, x0) grid, and the point
+map one pass over the four segments at the origin for its whole I_p
+axis, since the current enters the field only through the Biot-Savart
+prefactor.  The radius enters only through the spin count and the
+clearance test.  The collective coupling is
 
     g = g_e mu_B B_eff sqrt(N S / 2) / h
 
@@ -97,6 +100,10 @@ def segment_field(p1, p2, current, r):
     Closed form: B = (mu0 I / 4 pi) (a x b)(|a| + |b|) / (|a||b|(|a||b| + a.b))
     with a = r - p1, b = r - p2.  Vectorized over a trailing-axis-3 array
     of field points; raises on points within 1e-12 um of the segment.
+    current may be an array: it enters only through the prefactor, and its
+    shape broadcasts against r's leading axes, so an (n,) array of currents
+    at one point gives an (n, 3) field, each row bit for bit the field of
+    that current alone.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
@@ -109,24 +116,32 @@ def segment_field(p1, p2, current, r):
     nb = np.linalg.norm(b, axis=-1)
     cross = np.cross(a, b)
     denom = na * nb * (na * nb + np.einsum("...i,...i->...", a, b))
-    pref = constants.MU0 / (4.0 * math.pi) * current
-    return pref * cross * ((na + nb) / denom)[..., None]
+    pref = constants.MU0 / (4.0 * math.pi) * np.asarray(current, dtype=float)
+    return pref[..., None] * cross * ((na + nb) / denom)[..., None]
 
 
-def loop_field(geometry, r):
-    """Total field of the four loop segments at point(s) r, tesla."""
+def _segments_field(geometry, current, r):
+    """Sum of the four segment fields of geometry's loop carrying current."""
     total = None
     for p1, p2 in geometry.segments():
-        b = segment_field(p1, p2, geometry.current, r)
+        b = segment_field(p1, p2, current, r)
         total = b if total is None else total + b
     return total
 
 
+def loop_field(geometry, r):
+    """Total field of the four loop segments at point(s) r, tesla."""
+    return _segments_field(geometry, geometry.current, r)
+
+
 def _check_clearance(geometry, centers, radius):
-    """Raise unless every sphere of this radius at centers clears every wire."""
+    """Raise unless every sphere of radius (one, or an array of radii) at
+    every one of centers clears every wire: one test per (center, radius)
+    pair, the same comparison as a test per radius."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    radius = np.asarray(radius, dtype=float).reshape(-1)
     for p1, p2 in geometry.segments():
-        if np.any(_segment_distance(p1, p2, centers) <= radius):
+        if np.any(_segment_distance(p1, p2, centers)[:, None] <= radius):
             raise NumericalError("sphere intersects a loop wire segment")
 
 
@@ -217,19 +232,25 @@ def coupling_map(geometry, material, axes, mode):
 
     mode "point_sphere": axes {"R": ..., "I_p": ...}, field at the center,
     sphere centered at the origin (radius-limited placements are the
-    caller's concern in this approximation).
+    caller's concern in this approximation).  The loop keeps geometry's
+    side length and carries each I_p in turn; one segment pass at the
+    origin gives the field for the whole I_p axis, after one check that
+    every I_p is positive (ConfigError, as LoopGeometry raises).
     mode "volume_avg": axes {"R": ..., "x0": ...}, sphere on the loop axis
-    at (x0, 0, 0), volume average (the center field of a cleared sphere).
+    at (x0, 0, 0), volume average (the center field of a cleared sphere):
+    one loop_field call over the x0 axis and one clearance test over the
+    whole (R, x0) grid, which refuses any map with a sphere that touches a
+    wire.
+    Either map is bit for bit the map built one cell at a time.
     """
     if mode == "point_sphere":
         names = ("R_um", "I_p_uA")
         r_vals = np.asarray(axes["R"], dtype=float)
         i_vals = np.asarray(axes["I_p"], dtype=float)
+        if np.any(i_vals <= 0):
+            raise ConfigError("loop side length and current must be positive")
         g = np.empty((len(r_vals), len(i_vals)))
-        b_eff = np.array([
-            loop_field(LoopGeometry(side_length=geometry.side_length, current=cur),
-                       np.zeros(3))[0]
-            for cur in i_vals])
+        b_eff = _segments_field(geometry, i_vals, np.zeros(3))[:, 0]
         for i, rad in enumerate(r_vals):
             n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
             g[i] = _g_ghz(material, b_eff, n_spins)
@@ -241,8 +262,8 @@ def coupling_map(geometry, material, axes, mode):
         g = np.empty((len(r_vals), len(x_vals)))
         centers = np.column_stack([x_vals, np.zeros((len(x_vals), 2))])
         b_eff = loop_field(geometry, centers)[:, 0]
+        _check_clearance(geometry, centers, r_vals)
         for i, rad in enumerate(r_vals):
-            _check_clearance(geometry, centers, rad)
             n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
             g[i] = _g_ghz(material, b_eff, n_spins)
         values = (r_vals, x_vals)

@@ -7,7 +7,9 @@ the sphere's center (mean-value property of the harmonic field
 components); they are checked against a test-local Gauss-Legendre
 quadrature of the sphere average (loop_field at every node, then the
 weighted sum), and their clearance guard against spheres that touch a
-wire.
+wire.  Both coupling maps evaluate the field once per map; they are held
+bit for bit to a test-local loop that builds the map one cell at a time,
+and segment_field's array of currents to the closed form per current.
 """
 
 import math
@@ -25,6 +27,8 @@ from magsqueeze.coupling import (
     LoopGeometry,
     MaterialSpec,
     SphereSpec,
+    _check_clearance,
+    _g_ghz,
     coupling_map,
     coupling_strength,
     loop_field,
@@ -137,6 +141,34 @@ def test_segment_field_linearity_in_current():
     np.testing.assert_allclose(b3, 3.0 * b1, rtol=1e-13)
 
 
+def scalar_segment_field(p1, p2, current, r):
+    """Test-local oracle: the closed form for one current at one point, with
+    the prefactor mu0 I / 4 pi applied first, then the cross product, then the
+    distance factor."""
+    a = r - p1
+    b = r - p2
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    denom = na * nb * (na * nb + np.einsum("i,i->", a, b))
+    return MU0 / (4.0 * math.pi) * current * np.cross(a, b) * ((na + nb) / denom)
+
+
+@given(
+    currents=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+    point=st.tuples(st.floats(0.5, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+@settings(max_examples=200)
+def test_segment_field_broadcasts_currents_bit_for_bit(currents, point):
+    p1 = np.array([0.0, -2.0, 1.0])
+    p2 = np.array([0.0, 3.0, 1.0])
+    r = np.array(point)
+    got = segment_field(p1, p2, np.array(currents), r)
+    assert got.shape == (len(currents), 3)
+    for row, cur in zip(got, currents):
+        assert np.array_equal(row, scalar_segment_field(p1, p2, cur, r))
+        assert np.array_equal(segment_field(p1, p2, cur, r), row)
+
+
 def test_center_field_closed_form():
     b = loop_field(GEOM, np.array([0.0, 0.0, 0.0]))
     expected = center_field_magnitude(GEOM)
@@ -226,6 +258,68 @@ def test_coupling_map_point_mode(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "R_um,I_p_uA,g_ghz"
     assert len(lines) == 1 + 6
+
+
+def test_coupling_map_point_mode_refuses_a_nonpositive_current(monkeypatch):
+    def no_field(*args):
+        raise AssertionError("a field was computed before the current check")
+
+    monkeypatch.setattr("magsqueeze.coupling.segment_field", no_field)
+    for currents in ([0.2, 0.0], [-0.1], [0.4, -1.0, 0.6]):
+        with pytest.raises(ConfigError, match="current must be positive"):
+            coupling_map(GEOM, YIG, {"R": [0.5], "I_p": currents}, mode="point_sphere")
+
+
+def per_cell_coupling_map(geometry, axes, mode):
+    """Test-local oracle: the coupling map built one cell at a time, with one
+    LoopGeometry and loop_field call per current and one clearance check per
+    radius."""
+    r_vals = np.asarray(axes["R"], dtype=float)
+    if mode == "point_sphere":
+        cols = np.asarray(axes["I_p"], dtype=float)
+        b_eff = np.array([
+            loop_field(LoopGeometry(side_length=geometry.side_length, current=cur),
+                       np.zeros(3))[0]
+            for cur in cols])
+    else:
+        cols = np.asarray(axes["x0"], dtype=float)
+        centers = np.column_stack([cols, np.zeros((len(cols), 2))])
+        b_eff = loop_field(geometry, centers)[:, 0]
+    g = np.empty((len(r_vals), len(cols)))
+    for i, rad in enumerate(r_vals):
+        if mode == "volume_avg":
+            _check_clearance(geometry, centers, rad)
+        g[i] = _g_ghz(YIG, b_eff, spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), YIG))
+    return g
+
+
+def sorted_axis(lo, hi):
+    return st.lists(st.floats(lo, hi), max_size=6).map(sorted)
+
+
+@given(
+    side=st.floats(2.0, 20.0),
+    current=st.floats(0.05, 2.0),
+    r_vals=sorted_axis(0.05, 15.0),
+    i_vals=sorted_axis(0.05, 2.0),
+    x_vals=sorted_axis(-20.0, 20.0),
+)
+@settings(max_examples=200)
+def test_coupling_maps_match_the_per_cell_loop(side, current, r_vals, i_vals, x_vals):
+    # R reaches past the on-axis wire distance sqrt(x0^2 + side^2 / 4), so
+    # the volume draws hold both cleared and refused maps
+    geom = LoopGeometry(side_length=side, current=current)
+    for mode, axes in (("point_sphere", {"R": r_vals, "I_p": i_vals}),
+                       ("volume_avg", {"R": r_vals, "x0": x_vals})):
+        try:
+            want = per_cell_coupling_map(geom, axes, mode)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="intersects"):
+                coupling_map(geom, YIG, axes, mode)
+            continue
+        got = coupling_map(geom, YIG, axes, mode).g_ghz
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def per_row_coupling_csv(res):

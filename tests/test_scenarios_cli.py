@@ -580,6 +580,25 @@ def test_cli_invalid_parameter_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_start_loads_no_scipy():
+    # the benchmark's setup_s times this statement in a fresh interpreter;
+    # importing scipy.linalg or scipy.integrate there adds 0.2-0.5 s to a
+    # start of about 0.25 s (2 cores), so scipy loads only where it is used
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MAGSQUEEZE_")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = ("import sys\n"
+            "import magsqueeze.cli\n"
+            "from magsqueeze.config import load_config\n"
+            "from magsqueeze.scenarios import ScenarioConfig\n"
+            "ScenarioConfig.from_config(load_config(), scenario='custom')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("error", [DimensionError, FrameError])
 def test_cli_dimension_and_frame_errors_exit_code(tmp_path, capsys, monkeypatch, error):
     def fail(sc):
