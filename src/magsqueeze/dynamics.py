@@ -806,7 +806,8 @@ def sector_covariance_squeezing(params, times, delta_eff=None):
 
     The equations are linear with constant coefficients: with y = (n,
     Re s, Im s, det, 1), y' = G y, so each step t_{k-1} -> t_k (t_{-1} = 0) is
-    y -> e^{G (t_k - t_{k-1})} y, one matrix exponential per distinct step.
+    y -> e^{G (t_k - t_{k-1})} y, one matrix exponential per distinct step,
+    applied to every cell at once as one product and one sum over y's entries.
 
     params and delta_eff may each be one value or a sequence; they are
     broadcast against each other into cells, all on the same times.
@@ -829,16 +830,15 @@ def sector_covariance_squeezing(params, times, delta_eff=None):
     steps, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     props = _expm_stack(steps[:, None, None, None] * gen)  # (step, cell, 5, 5)
 
-    # elementwise products, so equal cells give bit-equal rows wherever
-    # they sit in the stack
-    y = np.zeros((n_cells, 4))  # (n, Re s, Im s, det); the 1 stays implicit
-    y[:, 3] = 1.0  # the vacuum's det
-    out = np.empty((4, n_cells, len(times)))
+    # the sum runs along the outer axis, so it adds the terms j = 0..4 left to right;
+    # elementwise, so equal cells give bit-equal rows wherever they sit in the stack
+    p = np.ascontiguousarray(props[:, :, :4].transpose(0, 3, 2, 1))  # (step, j, i, cell)
+    y = np.ones((len(times) + 1, 5, n_cells))  # per time: n, Re s, Im s, det, 1
+    y[0, :3] = 0.0  # the vacuum, det = 1
+    buf = np.empty(p.shape[1:])
     for k, u in enumerate(which.ravel()):
-        p = props[u, :, :4]
-        y = (p[..., 0] * y[:, :1] + p[..., 1] * y[:, 1:2] + p[..., 2] * y[:, 2:3]
-             + p[..., 3] * y[:, 3:] + p[..., 4])
-        out[:, :, k] = y.T
+        np.add.reduce(np.multiply(p[u], y[k, :, None], out=buf), axis=0, out=y[k + 1, :4])
+    out = np.ascontiguousarray(y[1:, :4].transpose(1, 2, 0))  # (4, cell, time)
     n = out[0]
     s_abs = np.hypot(out[1], out[2])
     zeta_sq = out[3] / (1.0 + 2.0 * n + 2.0 * s_abs)

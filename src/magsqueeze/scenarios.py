@@ -3,9 +3,9 @@ plus a JSON manifest with checksums.
 
 Everything here is deterministic and seed-free; rerunning a scenario with
 the same config produces byte-identical CSV files.  The kappa and
-temperature sweeps and the heatmap read every cell from one batched call
-of the exact sector covariance evolution, whose rows do not depend on the
-other cells in the batch.
+temperature sweeps read every cell from one batched call of the exact
+sector covariance evolution, whose rows do not depend on the other cells in
+the batch; the heatmap makes one such call with one cell per kappa.
 
 superposition_wigner and superposition_fidelity run no master equation
 either: every grid, ideal and dissipative, and every outcome weight and
@@ -144,16 +144,17 @@ def _config_echo(cfg):
 
 
 def write_csv(path, header, rows):
-    """Plot-ready CSV: unit-annotated header, %.12e floats, LF endings."""
+    """Plot-ready CSV: unit-annotated header, %.12e floats, str() of any
+    other value, LF endings.  Each row is formatted by one %-template, built
+    again only when the types along a row change."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    f"{v:.12e}" if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+        kinds = None
+        for row in map(tuple, rows):
+            if kinds != (kinds := tuple(map(type, row))):
+                template = ",".join("%.12e" if isinstance(v, float) else "%s"
+                                    for v in row) + "\n"
+            fh.write(template % row)
 
 
 # manifest note of the scenarios whose cells are covariance evolutions
@@ -292,27 +293,26 @@ def _run_temperature_sweep(sc, outdir):
 
 def _run_heatmap(sc, outdir):
     """Peak conditional squeezing over the (kappa, gamma) plane, from the
-    exact covariance evolution of the sector-reduced run: every cell in one
-    batched call.
+    exact covariance evolution of the sector-reduced run: one batched call
+    with one cell per kappa.
 
     The qubit channel acts trivially on the sb_x-polarized protocol, so
-    the gamma axis cannot change these values; it is swept and recorded
-    for orientation against the figure it mirrors.
+    gamma does not enter the moment equations and each kappa's peak is
+    repeated along the gamma axis, which is recorded for orientation
+    against the figure it mirrors.
     """
     cfg = sc.config
     delta = _operating_delta(cfg)
     pts = cfg.run.heatmap_points
     kappas = np.logspace(-1.0, 1.0, pts)       # 0.1 .. 10 MHz
     gammas = np.logspace(0.0, 3.0, pts)        # 1 .. 1000 kHz
-    cells = [(float(k), float(g)) for k in kappas for g in gammas]
     times = _time_grid(cfg)
     s_db = sector_covariance_squeezing(
-        [replace(cfg.params, kappa=k, gamma=g, gamma_phi=g) for k, g in cells],
-        times, delta_eff=delta,
+        [replace(cfg.params, kappa=float(k)) for k in kappas], times, delta_eff=delta,
     )["squeezing_db"]
     peak = np.argmax(s_db, axis=1)
-    rows = [(k, g, float(s_db[i, peak[i]]), float(times[peak[i]]))
-            for i, (k, g) in enumerate(cells)]
+    rows = [(float(k), float(g), float(s_db[i, peak[i]]), float(times[peak[i]]))
+            for i, k in enumerate(kappas) for g in gammas]
     path = os.path.join(outdir, "max_squeeze_heatmap.csv")
     write_csv(path, ["kappa_MHz", "gamma_kHz", "peak_S_dB", "t_peak_ns"], rows)
     notes = [

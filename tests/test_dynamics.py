@@ -1210,6 +1210,61 @@ def test_batched_covariance_equals_per_cell_calls():
         sector_covariance_squeezing(cells, times, delta_eff=deltas[:3])
 
 
+def covariance_step_loop(cells, times):
+    """sector_covariance_squeezing's arrays for (params, delta) cells from a
+    loop that updates y = (n, Re s, Im s, det) one step at a time, term by
+    term in the order p0 n + p1 Re s + p2 Im s + p3 det + p4."""
+    ds = [derive(p, delta_eff_override=delta) for p, delta in cells]
+    steps, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    props = _expm_stack(steps[:, None, None, None]
+                        * np.array([_moment_generator(d) for d in ds]))
+    y = np.zeros((len(ds), 4))
+    y[:, 3] = 1.0
+    out = np.empty((4, len(ds), len(times)))
+    for k, u in enumerate(which.ravel()):
+        p = props[u, :, :4]
+        y = (p[..., 0] * y[:, :1] + p[..., 1] * y[:, 1:2] + p[..., 2] * y[:, 2:3]
+             + p[..., 3] * y[:, 3:] + p[..., 4])
+        out[:, :, k] = y.T
+    s_abs = np.hypot(out[1], out[2])
+    zeta_sq = out[3] / (1.0 + 2.0 * out[0] + 2.0 * s_abs)
+    return {"zeta_sq": zeta_sq, "squeezing_db": -10.0 * np.log10(zeta_sq),
+            "n_magnon": out[0], "s_abs": s_abs,
+            "s": (np.exp(2.0j * np.outer([d.Delta_eff for d in ds], times))
+                  * (out[1] + 1.0j * out[2]))}
+
+
+@settings(max_examples=200)
+@given(
+    cells=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                             st.floats(1.0, 300.0),
+                             st.sampled_from([+1.0, -1.0]),
+                             st.floats(1.001 * G_CS_MHZ, 30.0)),
+                   min_size=1, max_size=6),
+    # uniform grids from 0 or from later, a single time, non-uniform grids
+    times=st.one_of(
+        st.builds(lambda start, t_max, dt: start + default_sample_times(t_max, dt),
+                  st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+                  st.floats(0.0, 80.0), st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+        st.floats(0.0, 100.0).map(lambda t: np.array([t])),
+        covariance_grids),
+)
+def test_covariance_matches_the_step_loop_bit_for_bit(cells, times):
+    # .tobytes() tells -0.0 from 0.0 and the last bit of every entry, which
+    # the golden CSVs' 13 digits cannot
+    cells = [(PhysicalParams(kappa=kappa, temperature=temp), sign * TWO_PI * 1e-3 * mhz)
+             for kappa, temp, sign, mhz in cells]
+    ref = covariance_step_loop(cells, times)
+    batch = sector_covariance_squeezing([p for p, _ in cells], times,
+                                        delta_eff=[delta for _, delta in cells])
+    one = sector_covariance_squeezing(cells[0][0], times, delta_eff=cells[0][1])
+    for key, want in ref.items():
+        assert batch[key].shape == want.shape
+        assert batch[key].tobytes() == want.tobytes(), key
+        assert one[key].tobytes() == want[0].tobytes(), key
+    assert batch["times"].tobytes() == np.asarray(times, dtype=float).tobytes()
+
+
 def test_covariance_outside_physical_region_raises():
     # a step backward in time from the vacuum un-thermalizes it: <n> goes
     # negative and zeta^2 = 1 + 2<n> - 2|s| below zero

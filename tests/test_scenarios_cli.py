@@ -321,6 +321,39 @@ def test_heatmap_reads_the_run_time_grid(tmp_path):
     assert peak == pytest.approx(np.max(s_db), rel=1e-12)
 
 
+def test_heatmap_evaluates_one_series_per_kappa(tmp_path, monkeypatch):
+    # gamma does not enter the moment equations: one covariance call with
+    # one cell per kappa, whose peak repeats byte for byte along gamma, and
+    # the file is the one that per-cell calls with gamma set would write
+    cells = []
+
+    def recorded(params, times, delta_eff=None):
+        cells.append(len(params))
+        return sector_covariance_squeezing(params, times, delta_eff)
+
+    monkeypatch.setattr("magsqueeze.scenarios.sector_covariance_squeezing", recorded)
+    cfg = small_run(output_dir=str(tmp_path), time_max=30.0, time_step=0.5, heatmap_points=3)
+    run(ScenarioConfig(scenario="max_squeeze_heatmap", config=cfg))
+    assert cells == [3]
+    path = tmp_path / "max_squeeze_heatmap.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for block in (rows[0:3], rows[3:6], rows[6:9]):
+        assert len({row[0] for row in block}) == 1 and len({row[1] for row in block}) == 3
+        assert len({(row[2], row[3]) for row in block}) == 1
+    times, expected = sweep_times(cfg), []
+    for kappa in np.logspace(-1.0, 1.0, 3):
+        for gamma in np.logspace(0.0, 3.0, 3):
+            s_db = sector_covariance_squeezing(
+                replace(cfg.params, kappa=kappa, gamma=gamma, gamma_phi=gamma), times,
+                delta_eff=OPERATING_DETUNING_RAD_NS)["squeezing_db"]
+            i = int(np.argmax(s_db))
+            expected.append((float(kappa), float(gamma), float(s_db[i]), float(times[i])))
+    write_csv(str(tmp_path / "per_cell.csv"), ["kappa_MHz", "gamma_kHz", "peak_S_dB",
+                                               "t_peak_ns"], expected)
+    assert path.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
 def test_coupling_map_scenario(tmp_path):
     cfg = small_run(output_dir=str(tmp_path))
     manifest = run(ScenarioConfig(scenario="coupling_map_a", config=cfg))
@@ -337,6 +370,18 @@ def test_write_csv_format(tmp_path):
     assert path.read_bytes() == (
         b"a_ns,b\n1.500000000000e+00,2\n2.500000000000e-01,tag\n"
     )
+
+
+def test_write_csv_matches_formatting_each_value(tmp_path):
+    # each row is one %-template, rebuilt where the types along a row
+    # change: the bytes of formatting every value on its own
+    rows = [(1.5, 2), (0.25, "tag"), (np.float64(-0.0), 3.0), [math.nan, -math.inf],
+            (True, np.float32(0.1)), (1e-300, -2.5e17, "x"), ("a", None), (7.0, 8.0)]
+    path = tmp_path / "x.csv"
+    write_csv(str(path), ["a", "b"], iter(rows))
+    assert path.read_text() == "a,b\n" + "".join(
+        ",".join(f"{v:.12e}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
 
 
 def run_superposition_wigner(tmp_path, monkeypatch, **run_options):
