@@ -642,7 +642,9 @@ def default_sample_times(t_max=150.0, dt=0.5):
 
 def sector_fock_tail(cov, fock_dim):
     """(tail, t): the largest population that the states of one sector
-    covariance run leave beyond fock_dim, and its first sample time."""
+    covariance run leave beyond fock_dim, 1 - sum p_n of the exact Fock
+    populations, and its first sample time.  A converged state reads the
+    sum's rounding floor, a few 1e-16, not 0."""
     tails = 1.0 - gaussian_fock_populations(cov["n_magnon"], cov["s_abs"],
                                             fock_dim).sum(axis=-1)
     worst = int(np.argmax(tails))

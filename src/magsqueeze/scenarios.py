@@ -32,7 +32,7 @@ import math
 import os
 import time as _time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,8 +114,7 @@ class RunManifest:
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(vars(self), indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path):
@@ -134,12 +133,12 @@ def _versions():
 
 def _config_echo(cfg):
     return {
-        "physical": asdict(cfg.params),
+        "physical": dict(vars(cfg.params)),
         "geometry": {
             "side_length_um": cfg.geometry.side_length,
             "current_uA": cfg.geometry.current,
         },
-        "run": asdict(cfg.run),
+        "run": dict(vars(cfg.run)),
     }
 
 
@@ -238,10 +237,9 @@ def _run_squeeze_compare(sc, outdir):
     full = conditional_squeezing_run(cfg.params, fock_dim=cfg.run.fock_dim,
                                      sample_times=times_full)
     pad = np.full(len(eff["times"]) - len(full.times), math.nan)
-    rows = [tuple(float(v) for v in row)
-            for row in zip(eff["times"], eff["squeezing_db"], eff["n_magnon"],
-                           np.concatenate([full.observables["squeezing_db"], pad]),
-                           np.concatenate([full.observables["p_plus"], pad]))]
+    rows = np.column_stack([eff["times"], eff["squeezing_db"], eff["n_magnon"],
+                            np.concatenate([full.observables["squeezing_db"], pad]),
+                            np.concatenate([full.observables["p_plus"], pad])]).tolist()
     path = os.path.join(outdir, "squeeze_compare.csv")
     write_csv(
         path,
@@ -269,11 +267,9 @@ def _run_parameter_sweep(sc, outdir, param, column, values):
         [replace(cfg.params, **{param: v}) for v in values], times, delta_eff=delta)
     s_db, n_m = out["squeezing_db"], out["n_magnon"]
     peak = np.argmax(s_db, axis=1)
-    peaks = [(v, float(s_db[i, peak[i]]), float(times[peak[i]]))
-             for i, v in enumerate(values)]
-    rows = [(float(v), float(t), float(s), float(n))
-            for v, s_row, n_row in zip(values, s_db, n_m)
-            for t, s, n in zip(times, s_row, n_row)]
+    peaks = list(zip(values, s_db[np.arange(len(values)), peak].tolist(), times[peak].tolist()))
+    rows = np.column_stack([np.repeat(values, len(times)), np.tile(times, len(values)),
+                            s_db.ravel(), n_m.ravel()]).tolist()
     path = os.path.join(outdir, f"{param}_sweep.csv")
     write_csv(path, [column, "time_ns", "S_dB", "n_magnon"], rows)
     peak_path = os.path.join(outdir, f"{param}_sweep_peaks.csv")
@@ -311,8 +307,9 @@ def _run_heatmap(sc, outdir):
         [replace(cfg.params, kappa=float(k)) for k in kappas], times, delta_eff=delta,
     )["squeezing_db"]
     peak = np.argmax(s_db, axis=1)
-    rows = [(float(k), float(g), float(s_db[i, peak[i]]), float(times[peak[i]]))
-            for i, k in enumerate(kappas) for g in gammas]
+    rows = np.column_stack([np.repeat(kappas, pts), np.tile(gammas, pts),
+                            np.repeat(s_db[np.arange(pts), peak], pts),
+                            np.repeat(times[peak], pts)]).tolist()
     path = os.path.join(outdir, "max_squeeze_heatmap.csv")
     write_csv(path, ["kappa_MHz", "gamma_kHz", "peak_S_dB", "t_peak_ns"], rows)
     notes = [
@@ -376,7 +373,7 @@ def superposition_fidelity_series(params, times, delta_eff):
         sector_covariance_squeezing(replace(params, kappa=0.0), times, delta_eff))
     out = superposition_fidelities(superposition_blocks(params, times, delta_eff), zeta)
     (p_g, f_g), (p_e, f_e) = out["g"], out["e"]
-    return [tuple(float(v) for v in row) for row in zip(times, p_g, p_e, f_g, f_e)]
+    return list(zip(times.tolist(), p_g.tolist(), p_e.tolist(), f_g.tolist(), f_e.tolist()))
 
 
 _FIDELITY_TIMES_NS = np.arange(5.0, 40.0 + 2.5, 5.0)
@@ -397,8 +394,7 @@ def _run_custom(sc, outdir):
     cfg = sc.config
     delta = _operating_delta(cfg)
     cov, eff_note = _effective_leg(cfg, delta)
-    rows = [(float(t), float(s), float(n))
-            for t, s, n in zip(cov["times"], cov["squeezing_db"], cov["n_magnon"])]
+    rows = np.column_stack([cov["times"], cov["squeezing_db"], cov["n_magnon"]]).tolist()
     path = os.path.join(outdir, "squeeze_custom.csv")
     write_csv(path, ["time_ns", "S_dB", "n_magnon"], rows)
     return [path], [f"delta_eff_rad_ns={delta:.6e}", eff_note]

@@ -34,22 +34,23 @@ def gaussian_fock_populations(n_mean, s_abs, fock_dim):
     """Fock populations p_0 .. p_{fock_dim-1} of the zero-mean one-mode
     Gaussian state with <m^dag m> = n_mean and |<m^2>| = s_abs, untruncated.
 
-    Its generating function is G(z) = Tr rho z^{m^dag m}
-    = 1 / ((1 - z) sqrt((n + 1/2 + l)^2 - |s|^2)), l = (1 + z) / (2 (1 - z)),
-    analytic on |z| < 1 with the principal root.  One FFT of G on the circle
-    |z| = 1 - 8/K, K = 8 fock_dim points, gives the p_n; the coefficients
-    that alias onto them are weighted by (1 - 8/K)^K < e^-8.  n_mean and
-    s_abs broadcast against each other; the populations run along a new
-    last axis.
+    Its generating function Tr rho z^{m^dag m} = Q(z)^{-1/2}, Q = ((n + 1) -
+    n z)^2 - |s|^2 (1 - z)^2 = a + b z + c z^2, gives p_0 = a^{-1/2} and
+    a (k + 1) p_{k+1} = -b (k + 1/2) p_k - c k p_{k-1}, stable forward: the
+    wanted solution is the dominant one.  c = (n - s)(n + s), b = -2 (c + n)
+    and a = n + 1 - b/2 keep n^2 from cancelling against |s|^2.  n_mean and
+    s_abs broadcast; the populations run along a new last axis.
     """
-    k = 8 * fock_dim
-    radius = 1.0 - 8.0 / k
-    z = radius * np.exp(2.0j * np.pi * np.arange(k) / k)
-    lam = (1.0 + z) / (2.0 * (1.0 - z))
-    n = np.asarray(n_mean, dtype=float)[..., None]
-    s = np.asarray(s_abs, dtype=float)[..., None]
-    g = 1.0 / ((1.0 - z) * np.sqrt((n + 0.5 + lam) ** 2 - s ** 2))
-    return np.fft.fft(g, axis=-1)[..., :fock_dim].real / (k * radius ** np.arange(fock_dim))
+    n, s = np.asarray(n_mean, dtype=float), np.asarray(s_abs, dtype=float)
+    c = (n - s) * (n + s)
+    b = -2.0 * (c + n)
+    a = (n + 1.0) - 0.5 * b
+    p = np.empty(a.shape + (fock_dim,))
+    prev, p[..., 0] = 0.0, 1.0 / np.sqrt(a)
+    for k in range(fock_dim - 1):
+        p[..., k + 1] = -(b * (k + 0.5) * p[..., k] + c * k * prev) / (a * (k + 1))
+        prev = p[..., k]
+    return p
 
 
 def squeezed_vacuum_fock(xi, fock_dim):

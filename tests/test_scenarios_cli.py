@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,8 +253,8 @@ def test_custom_scenario_writes_outputs_and_manifest(tmp_path):
     assert entry["sha256"] == sha256(str(csv_path))
     assert entry["bytes"] == os.path.getsize(csv_path)
     # the effective leg names its path and its worst Fock tail
-    assert data["notes"][1] == ("effective: path=sector_exact, max_fock_tail=3.33e-16 "
-                                "at t=10 ns, fock_dim=40")
+    assert data["notes"][1] == ("effective: path=sector_exact, max_fock_tail=2.22e-16 "
+                                "at t=8 ns, fock_dim=40")
 
 
 def test_squeeze_compare_notes_name_the_effective_path(tmp_path):
@@ -414,6 +414,21 @@ def test_superposition_wigner_writes_closed_form_grids(tmp_path, monkeypatch):
     p_g, p_e = (float(part.split("=")[1]) for part in manifest.notes[-1].split())
     assert manifest.notes[-1].startswith("p_g=")
     assert p_g + p_e == pytest.approx(1.0, abs=2e-6)
+
+
+def test_manifest_is_the_json_of_a_deep_copy(tmp_path, monkeypatch):
+    # the manifest and its config echo are written from the dataclass fields
+    # as they stand: the bytes of deep asdict copies of both
+    manifest, _ = run_superposition_wigner(tmp_path, monkeypatch, wigner_points=21)
+    cfg = Config(run=RunOptions(output_dir=str(tmp_path), wigner_points=21))
+    assert manifest.config_echo == {
+        "physical": asdict(cfg.params),
+        "geometry": {"side_length_um": cfg.geometry.side_length,
+                     "current_uA": cfg.geometry.current},
+        "run": asdict(cfg.run),
+    }
+    expected = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "manifest.json").read_bytes() == expected.encode("utf-8")
 
 
 def test_superposition_wigner_warns_when_the_grid_is_too_small(tmp_path, monkeypatch):

@@ -121,6 +121,51 @@ def test_gaussian_populations_broadcast_over_samples():
                                        rtol=0.0, atol=1e-15)
 
 
+def fft_fock_populations(n_mean, s_abs, fock_dim):
+    """Oracle: the p_n as the Fourier coefficients of G(z) = Tr rho z^{m^dag m}
+    = 1 / ((1 - z) sqrt((n + 1/2 + l)^2 - |s|^2)), l = (1 + z) / (2 (1 - z)),
+    on the circle |z| = 1 - 32/K with K = 32 fock_dim points.  The
+    coefficients that alias onto them are weighted by (1 - 32/K)^K < e^-32."""
+    k = 32 * fock_dim
+    radius = 1.0 - 32.0 / k
+    z = radius * np.exp(2.0j * np.pi * np.arange(k) / k)
+    lam = (1.0 + z) / (2.0 * (1.0 - z))
+    n = np.asarray(n_mean, dtype=float)[..., None]
+    s = np.asarray(s_abs, dtype=float)[..., None]
+    g = 1.0 / ((1.0 - z) * np.sqrt((n + 0.5 + lam) ** 2 - s ** 2))
+    return np.fft.fft(g, axis=-1)[..., :fock_dim].real / (k * radius ** np.arange(fock_dim))
+
+
+@given(
+    n_unit=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+    scale=st.sampled_from([1.0, 1e-3, 1e-6]),
+    purity=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    fock_dim=st.integers(1, 200),
+)
+@settings(max_examples=60, deadline=None)
+def test_gaussian_populations_match_an_oversampled_fft(n_unit, scale, purity, fock_dim):
+    # (cell, 1) occupations against (time,) |<m^2>| up to the purest state
+    # that the coldest cell allows, |s|^2 <= n (n + 1)
+    n = scale * np.array(n_unit)[:, None]
+    n_min = n.min()
+    s = np.array(purity) * math.sqrt(n_min * (n_min + 1.0))
+    p = gaussian_fock_populations(n, s, fock_dim)
+    assert p.shape == (len(n_unit), len(purity), fock_dim)
+    np.testing.assert_allclose(p, fft_fock_populations(n, s, fock_dim), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_gaussian_populations_of_a_squeezed_vacuum_have_no_odd_levels(j):
+    # sinh r = (4^(j-1) - 1)/2^j and cosh r = (4^(j-1) + 1)/2^j are dyadic
+    # (j = 1 is the vacuum), so n = sinh^2 r and |s| = sinh r cosh r hold
+    # |s|^2 = n (n + 1) exactly
+    sh, ch = (4 ** (j - 1) - 1) / 2 ** j, (4 ** (j - 1) + 1) / 2 ** j
+    p = gaussian_fock_populations(sh * sh, sh * ch, 120)
+    assert np.all(p[1::2] == 0.0)
+    weights = np.abs(squeezed_vacuum_fock(math.asinh(sh), 2000)) ** 2
+    np.testing.assert_allclose(p, weights[:120], rtol=0.0, atol=1e-14)
+
+
 def dyad_moments(ket, bra):
     """(Tr, <m^2>, <m^dag^2>, <m^dag m>) of |ket><bra| from Fock amplitudes,
     <A> = <bra|A|ket> / <bra|ket>."""
