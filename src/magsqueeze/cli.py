@@ -78,15 +78,10 @@ def _load(args):
     return cfg
 
 
-def _scenario_for(args):
-    if args.scenario is not None:
-        return args.scenario
-    return _COMMAND_SCENARIO[args.command]
-
-
 def _run_scenario(args):
     cfg = _load(args)
-    sc = scenarios.ScenarioConfig.from_config(cfg, scenario=_scenario_for(args))
+    sc = scenarios.ScenarioConfig.from_config(
+        cfg, scenario=args.scenario or _COMMAND_SCENARIO[args.command])
     manifest = scenarios.run(sc)
     print(f"{sc.scenario}: {len(manifest.outputs)} output(s) in {cfg.run.output_dir}")
     for note in manifest.notes:

@@ -115,9 +115,14 @@ def load_config(path=None, env=None):
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive (Omega vs omega_m)
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        cp.read(path)
+        # read_file, not read: read skips a path it cannot open
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cp.read_file(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from None
         for section in cp.sections():
             if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -143,4 +148,8 @@ def load_config(path=None, env=None):
     run = replace(base.run, **values["run"])
     if run.time_step <= 0 or run.time_max <= 0:
         raise ConfigError("run.time_max and run.time_step must be positive")
+    # the fewest points a heatmap axis and a Wigner axis can be drawn on
+    for key, least in (("heatmap_points", 1), ("wigner_points", 2)):
+        if getattr(run, key) < least:
+            raise ConfigError(f"run.{key}: {getattr(run, key)} below the minimum of {least}")
     return Config(params=params, geometry=replace(base.geometry, **values["geometry"]), run=run)

@@ -28,7 +28,7 @@ With those choices the Biot-Savart prefactor is just mu0/(4 pi): the
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,12 +172,13 @@ def spin_count(sphere, material):
 
 
 def _g_ghz(material, b_eff, n_spins):
-    """g = g_e mu_B B_eff sqrt(N S / 2) / h in linear GHz (b_eff may be an array)."""
+    """g = g_e mu_B B_eff sqrt(N S / 2) / h in linear GHz (b_eff and n_spins
+    may be arrays that broadcast)."""
     energy = (
         material.lande_g
         * constants.MU_B
         * b_eff
-        * math.sqrt(n_spins * material.spin / 2.0)
+        * np.sqrt(n_spins * material.spin / 2.0)
     )
     return energy / constants.H_PLANCK * 1e-9
 
@@ -207,7 +208,6 @@ class CouplingMapResult:
     axis_names: tuple
     axis_values: tuple           # (values_axis0, values_axis1)
     g_ghz: np.ndarray            # shape (len(axis0), len(axis1))
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         """One (axis0, axis1, g) row per point, axis 0 outer, %.12e, LF endings."""
@@ -243,43 +243,20 @@ def coupling_map(geometry, material, axes, mode):
     wire.
     Either map is bit for bit the map built one cell at a time.
     """
+    r_vals = np.asarray(axes["R"], dtype=float)
     if mode == "point_sphere":
-        names = ("R_um", "I_p_uA")
-        r_vals = np.asarray(axes["R"], dtype=float)
-        i_vals = np.asarray(axes["I_p"], dtype=float)
-        if np.any(i_vals <= 0):
+        names, other = ("R_um", "I_p_uA"), np.asarray(axes["I_p"], dtype=float)
+        if np.any(other <= 0):
             raise ConfigError("loop side length and current must be positive")
-        g = np.empty((len(r_vals), len(i_vals)))
-        b_eff = _segments_field(geometry, i_vals, np.zeros(3))[:, 0]
-        for i, rad in enumerate(r_vals):
-            n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
-            g[i] = _g_ghz(material, b_eff, n_spins)
-        values = (r_vals, i_vals)
+        b_eff = _segments_field(geometry, other, np.zeros(3))[:, 0]
     elif mode == "volume_avg":
-        names = ("R_um", "x0_um")
-        r_vals = np.asarray(axes["R"], dtype=float)
-        x_vals = np.asarray(axes["x0"], dtype=float)
-        g = np.empty((len(r_vals), len(x_vals)))
-        centers = np.column_stack([x_vals, np.zeros((len(x_vals), 2))])
+        names, other = ("R_um", "x0_um"), np.asarray(axes["x0"], dtype=float)
+        centers = np.column_stack([other, np.zeros((len(other), 2))])
         b_eff = loop_field(geometry, centers)[:, 0]
         _check_clearance(geometry, centers, r_vals)
-        for i, rad in enumerate(r_vals):
-            n_spins = spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
-            g[i] = _g_ghz(material, b_eff, n_spins)
-        values = (r_vals, x_vals)
     else:
         raise ConfigError(f"unknown coupling map mode {mode!r}")
-    return CouplingMapResult(
-        axis_names=names,
-        axis_values=values,
-        g_ghz=g,
-        meta={
-            "mode": mode,
-            "side_length_um": geometry.side_length,
-            "material": {
-                "spin_density_cm3": material.spin_density,
-                "spin": material.spin,
-                "lande_g": material.lande_g,
-            },
-        },
-    )
+    n_spins = np.array([spin_count(SphereSpec(center=(0.0, 0.0, 0.0), radius=rad), material)
+                        for rad in r_vals], dtype=float)
+    return CouplingMapResult(axis_names=names, axis_values=(r_vals, other),
+                             g_ghz=_g_ghz(material, b_eff[None, :], n_spins[:, None]))

@@ -373,11 +373,12 @@ def _dense_samples(k, f, t_old, y_old, h, y, f_new, ts):
     return out
 
 
-def _dop853(rhs, y0, t_grid, rtol, atol, stop=None):
-    """Adaptive DOP853 from (t_grid[0], y0), sampled on t_grid through its
-    dense output: step for step what scipy.integrate.DOP853 does under
-    solve_ivp(..., t_eval=t_grid), with the tableau read from that class
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
+def _dop853(rhs, t0, y0, t_eval, rtol, atol, stop=None):
+    """Adaptive DOP853 from (t0, y0) to t_eval[-1] > t0, sampled on t_eval
+    (increasing, none before t0) through its dense output: step for step
+    what scipy.integrate.DOP853 does under solve_ivp(..., (t0, t_eval[-1]),
+    t_eval=t_eval), with the tableau read from that class (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4-II.6).
 
     scipy combines the stages with np.dot, an OpenBLAS gemv that runs on
     every core once the stage block is large and leaves the other threads
@@ -388,8 +389,9 @@ def _dop853(rhs, y0, t_grid, rtol, atol, stop=None):
     scaled by SAFETY err^(-1/8) within [MIN_FACTOR, MAX_FACTOR], and does
     not grow after a rejection.  A step below 10 ulp of t raises
     StiffnessError.  The three extra stages of the dense output are built
-    only on steps that hold a sample, so the RHS is called 2 + 12 (accepted
-    + rejected) + 3 (steps holding a sample) times.
+    only on steps that hold a sample of t_eval (t0 is one only where t_eval
+    holds it), so the RHS is called 2 + 12 (accepted + rejected) + 3 (steps
+    holding a sample) times.
 
     stop, if given, is tested on the end state of each step the error test
     accepts.  Where it holds, that step is refused (counted in n_rejected)
@@ -409,13 +411,13 @@ def _dop853(rhs, y0, t_grid, rtol, atol, stop=None):
 
     n_stages = DOP853.n_stages
     exponent = -1.0 / (DOP853.error_estimator_order + 1)
-    t_end = float(t_grid[-1])
+    t_end = float(t_eval[-1])
     k = np.empty((n_stages + 1 + len(DOP853.A_EXTRA), len(y0)), dtype=complex)
-    t, y = float(t_grid[0]), y0
+    t, y = float(t0), y0
     fy = f(t, y)
     h_abs = _initial_step(f, t, y, fy, t_end, rtol, atol)
     ys, done, step_times, n_rejected = [], 0, [], 0
-    while done < len(t_grid):
+    while done < len(t_eval):
         min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
@@ -442,9 +444,9 @@ def _dop853(rhs, y0, t_grid, rtol, atol, stop=None):
             n_rejected += 1
         if stop is not None and stop(y_new):
             return ys, n_calls, step_times, n_rejected + 1, y
-        upto = int(np.searchsorted(t_grid, t_new, side="right"))
+        upto = int(np.searchsorted(t_eval, t_new, side="right"))
         if upto > done:
-            ys.extend(_dense_samples(k, f, t, y, h, y_new, f_new, t_grid[done:upto]))
+            ys.extend(_dense_samples(k, f, t, y, h, y_new, f_new, t_eval[done:upto]))
             done = upto
         t, y, fy = t_new, y_new, f_new
         step_times.append(t)
@@ -459,7 +461,8 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     h           static matrix, SplitHamiltonian, or None
     dissipators LindbladSpec (may be empty)
     rho0        StateDensity (frame tag propagated to outputs); the run
-                starts at its time
+                starts at its time, which is a sample only where
+                sample_times holds it
     solver      SolverConfig; sample_times required, none before rho0.time
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
                 merged into the observables series
@@ -504,15 +507,12 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         raise DimensionError(f"rho0 is not Hermitian (relative defect {defect:.2e})")
     y0 = (0.5 * (y0 + y0.conj().T)).reshape(-1)[upper]  # the exact Hermitian part
     wall0 = _time.perf_counter()
-    prepend = float(t_grid[0]) != t0
-    if prepend:
-        t_grid = np.concatenate([[t0], t_grid])
 
-    if len(t_grid) == 1:
+    if t_grid[-1] == t0:
         ys, n_evals, step_times, n_rejected, y_end = [y0], 0, [], 0, y0
     else:
         test = None if stop is None else (lambda y: stop(y[diag].real))
-        ys, n_evals, step_times, n_rejected, y_end = _dop853(rhs, y0, t_grid, rtol, atol,
+        ys, n_evals, step_times, n_rejected, y_end = _dop853(rhs, t0, y0, t_grid, rtol, atol,
                                                              test)
     stopped_state = None
     if len(ys) < len(t_grid):
@@ -520,9 +520,6 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
             _from_upper(y_end, upper, mirror, np.empty((dim, dim), dtype=complex)),
             frame=rho0.frame, time=step_times[-1] if step_times else t0)
         t_grid = t_grid[:len(ys)]
-    if prepend:
-        ys = ys[1:]
-        t_grid = t_grid[1:]
 
     series = {}
     states = [] if store_states else None

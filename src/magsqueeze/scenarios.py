@@ -59,23 +59,6 @@ from .states import superposition_pm  # unused here; benchmark/spans.py traces i
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-SCENARIOS = (
-    "coupling_map_a",
-    "coupling_map_b",
-    "squeeze_compare",
-    "kappa_sweep",
-    "temperature_sweep",
-    "max_squeeze_heatmap",
-    "superposition_wigner",
-    "superposition_fidelity",
-    "custom",
-)
-
-# the scenarios whose effective leg is read at fock_dim: they hold the
-# fock_dim floor, and converge checks their Fock tail; the rest truncate
-# nothing
-TRUNCATING_SCENARIOS = ("custom", "squeeze_compare")
-
 # Operating detuning for dissipative runs: just above the two-photon
 # instability threshold |g_cs| = 2pi x 7.495 MHz, so the conditional
 # dynamics stay bounded (peak <n> ~ 2.5) while the squeezing peak stays
@@ -90,11 +73,11 @@ class ScenarioConfig:
     config: Config = field(default_factory=Config)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _SCENARIO_TABLE:
             raise ConfigError(
-                f"unknown scenario {self.scenario!r} (choose from {SCENARIOS})"
+                f"unknown scenario {self.scenario!r} (choose from {tuple(_SCENARIO_TABLE)})"
             )
-        if self.scenario in TRUNCATING_SCENARIOS:
+        if _SCENARIO_TABLE[self.scenario][1]:
             require_fock_floor(self.config.run, self.scenario)
 
     @classmethod
@@ -176,21 +159,10 @@ def _time_grid(cfg):
 # scenario bodies (each returns (outputs, notes))
 
 
-def _run_coupling_map(sc, outdir, mode):
-    cfg = sc.config
-    if mode == "point_sphere":
-        axes = {
-            "R": np.linspace(0.1, 1.0, 19),
-            "I_p": np.linspace(0.1, 1.0, 19),
-        }
-        fname = "coupling_map_point.csv"
-    else:
-        axes = {
-            "R": np.linspace(0.1, 1.0, 19),
-            "x0": np.linspace(0.0, 3.0, 21),
-        }
-        fname = "coupling_map_volume.csv"
-    result = coupling_map(cfg.geometry, YIG, axes, mode=mode)
+def _run_coupling_map(sc, outdir, mode, fname, **axis):
+    """One coupling map over R = 0.1..1 um and the given second axis."""
+    result = coupling_map(sc.config.geometry, YIG, {"R": np.linspace(0.1, 1.0, 19), **axis},
+                          mode=mode)
     path = os.path.join(outdir, fname)
     result.to_csv(path)
     return [path], [f"mode={mode}"]
@@ -275,16 +247,6 @@ def _run_parameter_sweep(sc, outdir, param, column, values):
     peak_path = os.path.join(outdir, f"{param}_sweep_peaks.csv")
     write_csv(peak_path, [column, "peak_S_dB", "t_peak_ns"], peaks)
     return [path, peak_path], [f"delta_eff_rad_ns={delta:.6e}", _COVARIANCE_NOTE]
-
-
-def _run_kappa_sweep(sc, outdir):
-    return _run_parameter_sweep(sc, outdir, "kappa", "kappa_MHz",
-                                (0.5, 1.0, 2.0, 4.0))
-
-
-def _run_temperature_sweep(sc, outdir):
-    return _run_parameter_sweep(sc, outdir, "temperature", "temperature_mK",
-                                (10.0, 100.0, 200.0, 300.0))
 
 
 def _run_heatmap(sc, outdir):
@@ -400,16 +362,25 @@ def _run_custom(sc, outdir):
     return [path], [f"delta_eff_rad_ns={delta:.6e}", eff_note]
 
 
-_SCENARIO_BODIES = {
-    "coupling_map_a": lambda sc, out: _run_coupling_map(sc, out, "point_sphere"),
-    "coupling_map_b": lambda sc, out: _run_coupling_map(sc, out, "volume_avg"),
-    "squeeze_compare": _run_squeeze_compare,
-    "kappa_sweep": _run_kappa_sweep,
-    "temperature_sweep": _run_temperature_sweep,
-    "max_squeeze_heatmap": _run_heatmap,
-    "superposition_wigner": _run_superposition_wigner,
-    "superposition_fidelity": _run_superposition_fidelity,
-    "custom": _run_custom,
+# scenario name -> (body(sc, outdir) -> (outputs, notes), truncates).  A
+# scenario that truncates reads its effective leg at fock_dim: it holds the
+# fock_dim floor, and converge checks its Fock tail; the rest truncate nothing
+_SCENARIO_TABLE = {
+    "coupling_map_a": (lambda sc, out: _run_coupling_map(
+        sc, out, "point_sphere", "coupling_map_point.csv", I_p=np.linspace(0.1, 1.0, 19)),
+        False),
+    "coupling_map_b": (lambda sc, out: _run_coupling_map(
+        sc, out, "volume_avg", "coupling_map_volume.csv", x0=np.linspace(0.0, 3.0, 21)),
+        False),
+    "squeeze_compare": (_run_squeeze_compare, True),
+    "kappa_sweep": (lambda sc, out: _run_parameter_sweep(
+        sc, out, "kappa", "kappa_MHz", (0.5, 1.0, 2.0, 4.0)), False),
+    "temperature_sweep": (lambda sc, out: _run_parameter_sweep(
+        sc, out, "temperature", "temperature_mK", (10.0, 100.0, 200.0, 300.0)), False),
+    "max_squeeze_heatmap": (_run_heatmap, False),
+    "superposition_wigner": (_run_superposition_wigner, False),
+    "superposition_fidelity": (_run_superposition_fidelity, False),
+    "custom": (_run_custom, True),
 }
 
 
@@ -418,7 +389,7 @@ def run(sc):
     outdir = sc.config.run.output_dir
     os.makedirs(outdir, exist_ok=True)
     t0 = _time.perf_counter()
-    outputs, notes = _SCENARIO_BODIES[sc.scenario](sc, outdir)
+    outputs, notes = _SCENARIO_TABLE[sc.scenario][0](sc, outdir)
     manifest = RunManifest(
         scenario=sc.scenario,
         config_echo=_config_echo(sc.config),
@@ -515,17 +486,17 @@ def below_threshold(params, delta_eff):
 def convergence_check(sc):
     """Check the scenario's truncated leg against its fock_dim.
 
-    TRUNCATING_SCENARIOS (custom, squeeze_compare): the worst Fock tail of
-    their effective leg (_sector_tail) over the scenario's time grid, as
-    max_fock_tail and its time; flagged above MIXED_TAIL_TOL, where the
-    leg itself would refuse to run.  The other scenarios,
-    superposition_fidelity and superposition_wigner among them, truncate
-    nothing: trivially converged.
+    The scenarios that _SCENARIO_TABLE marks as truncating (custom,
+    squeeze_compare): the worst Fock tail of their effective leg
+    (_sector_tail) over the scenario's time grid, as max_fock_tail and its
+    time; flagged above MIXED_TAIL_TOL, where the leg itself would refuse
+    to run.  The other scenarios, superposition_fidelity and
+    superposition_wigner among them, truncate nothing: trivially converged.
     """
     cfg = sc.config
     report = {"fock_dim": cfg.run.fock_dim}
 
-    if sc.scenario not in TRUNCATING_SCENARIOS:
+    if not _SCENARIO_TABLE[sc.scenario][1]:
         report["notes"] = "no Fock-space content; trivially converged"
         report["flagged"] = False
     else:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, TruncationError
-from .qops import KET_G, KET_E, StateDensity, density_from_vector
+from .qops import KET_G, KET_MINUS_X, KET_PLUS_X, StateDensity, density_from_vector
 
 TAIL_TOL = 1e-10
 
@@ -122,8 +122,8 @@ def superposition_pm(xi, sign, fock_dim):
 
 
 _QUBIT_KETS = {
-    "plus_x": (KET_G + KET_E) / math.sqrt(2.0),
-    "minus_x": (KET_G - KET_E) / math.sqrt(2.0),
+    "plus_x": KET_PLUS_X,
+    "minus_x": KET_MINUS_X,
     # (|+x> + |-x>)/sqrt(2) = |g> with the |+-> = (|g> +- |e>)/sqrt(2) convention
     "plus_plus_minus": KET_G,
 }

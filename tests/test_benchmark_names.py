@@ -6,6 +6,7 @@ Likewise every config the benchmark writes (benchmark/workloads.py) must
 still load: a dropped config key would fail every operation with exit 2.
 """
 
+import ast
 import importlib.util
 import os
 import random
@@ -21,9 +22,9 @@ from magsqueeze.observables import wigner
 from magsqueeze.qops import StateDensity
 from magsqueeze.scenarios import ScenarioConfig
 
-BENCHMARK_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK_DIR = os.path.join(ROOT, "benchmark")
+PACKAGE_DIR = os.path.join(ROOT, "src", "magsqueeze")
 
 
 def load_benchmark_module(name):
@@ -47,6 +48,39 @@ def test_traced_name_resolves(owner_path, attr):
     # Tracer.install reads the name from the owner's own namespace
     assert attr in vars(owner), f"{owner_path}.{attr} is gone"
     assert callable(vars(owner)[attr])
+
+
+PINNED_MARK = "unused here; benchmark/spans.py traces"
+
+
+def pinned_imports():
+    """(module, name) of each import in the package marked PINNED_MARK: a
+    mark after code covers the names imported on its line, a mark on a
+    line of its own those on the next line.  Every mark must cover one."""
+    pinned = []
+    for fname in sorted(os.listdir(PACKAGE_DIR)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, fname), encoding="utf-8") as fh:
+            source = fh.read()
+        marked = {i + (2 if line.lstrip().startswith("#") else 1)
+                  for i, line in enumerate(source.splitlines()) if PINNED_MARK in line}
+        aliases = [alias for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.lineno in marked]
+        assert {alias.lineno for alias in aliases} == marked, f"{fname}: a mark on no import"
+        pinned += [(f"magsqueeze.{fname[:-3]}", alias.asname or alias.name)
+                   for alias in aliases]
+    return pinned
+
+
+def test_pinned_imports_are_still_traced():
+    # an import kept only for a benchmark span goes stale once the span is
+    # dropped from PATCHES: it must then leave the package too
+    pinned = pinned_imports()
+    assert pinned, f"no import marked {PINNED_MARK!r}"
+    patched = {(owner, attr) for owner, attr, *_ in SPANS.PATCHES}
+    assert [p for p in pinned if p not in patched] == []
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))

@@ -551,7 +551,7 @@ def test_dop853_loop_matches_scipy_step_for_step(params, frame, fock_dim, rel_to
                                         build_dissipators_full(params, fock_dim), fock_dim,
                                         rel_tol, abs_tol)
     times = np.arange(0.0, 2.0 + 0.125, 0.25)
-    ys, nfev, steps, n_rejected, _ = _dop853(rhs, y0, times, rtol, atol)
+    ys, nfev, steps, n_rejected, _ = _dop853(rhs, times[0], y0, times, rtol, atol)
     ref_ys, ref_nfev, ref_steps = scipy_dop853(rhs, y0, times, rtol, atol)
     assert (n_rejected > 0) == rejects
     assert nfev == ref_nfev
@@ -575,14 +575,14 @@ def test_solver_statistics_count_every_rhs_call(params, monkeypatch):
     rhs, y0, rtol, atol = upper_problem(build_H_rot(params, 12),
                                         build_dissipators_full(params, 12), 12)
     times = np.array([0.0, 0.1, 0.1001, 0.9, 2.0])  # two samples in one step
-    ys, nfev, steps, n_rejected, _ = _dop853(counted, y0, times, rtol, atol)
+    ys, nfev, steps, n_rejected, _ = _dop853(counted, times[0], y0, times, rtol, atol)
     holding = len(np.unique(np.searchsorted(steps, times, side="left")))
     assert holding < len(times)
     assert nfev == len(calls) == 2 + 12 * (len(steps) + n_rejected) + 3 * holding
     # the full_model workload's shape: 0-5 ns at fock 40, one sample per
     # step.  The run grows through segments, each a run of its own: a
-    # segment that starts between samples takes its start as a sample too,
-    # and the step its stop test refuses counts as rejected
+    # segment that starts between samples builds no dense output for its
+    # start, and the step its stop test refuses counts as rejected
     segments = []
 
     def recorded(*args, **kwargs):
@@ -595,10 +595,9 @@ def test_solver_statistics_count_every_rhs_call(params, monkeypatch):
     meta = run.metadata
     assert [n for n, _ in meta["fock_sizes"]] == [16, 24]
     assert len(segments) == 2
-    for seg, (_, start) in zip(segments, meta["fock_sizes"]):
+    for seg in segments:
         m = seg.metadata
-        holding = len(seg.times) + (len(seg.times) > 0 and start not in times)
-        assert m["n_rhs_evals"] == 2 + 12 * (m["n_steps"] + m["n_rejected"]) + 3 * holding
+        assert m["n_rhs_evals"] == 2 + 12 * (m["n_steps"] + m["n_rejected"]) + 3 * len(seg.times)
     for key in ("n_rhs_evals", "n_steps", "n_rejected"):
         assert meta[key] == sum(seg.metadata[key] for seg in segments)
     assert np.array_equal(run.times, times)

@@ -625,6 +625,45 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b"[run]\nfock_dim = 40\nfock_dim = 60\n",
+    b"[run]\nfock_dim = 40\n[run]\ntime_max = 5 ns\n",
+    b"fock_dim = 40\n",
+    b"[run]\nfock_dim\n",
+    b"[run]\nscenario = cust\xffom\n",
+    None,
+], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals", "not-utf8",
+        "directory"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, data):
+    # configparser's own errors, a decoding error and a path that is no file
+    # are config errors that name the path, not a traceback or a run on the
+    # defaults
+    path = tmp_path / "run.ini"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    assert cli.main(["converge", "--config", str(path)]) == 2
+    assert f"config error: config file {path} cannot be read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, values", [
+    (["superpose"], "wigner_points", (1, 0, -1)),
+    (["wigner"], "wigner_points", (1, 0, -1)),
+    (["heatmap"], "heatmap_points", (0, -1)),
+])
+def test_cli_refuses_grids_that_cannot_be_drawn(tmp_path, capsys, argv, key, values):
+    # a Wigner axis needs two points and a heatmap axis one
+    for value in values:
+        ini = write_ini(tmp_path, f"[run]\n{key} = {value}\n")
+        assert cli.main(argv + ["--config", ini, "--out", str(tmp_path / "o")]) == 2
+        assert f"run.{key}: {value} below the minimum" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    least = 2 if key == "wigner_points" else 1
+    cfg = load_config(write_ini(tmp_path, f"[run]\n{key} = {least}\n"), env={})
+    assert getattr(cfg.run, key) == least
+
+
 def test_cli_invalid_parameter_exit_code(tmp_path):
     # PhysicalParams.validate raises ValueError; the CLI must report it as a
     # config error (exit 2), not end in a traceback
