@@ -112,7 +112,9 @@ def require_fock_floor(run, what):
 def load_config(path=None, env=None):
     """Read an INI file (optional) plus environment overrides into a Config."""
     env = os.environ if env is None else env
-    cp = configparser.ConfigParser()
+    # no file can name a section "\n", so a [DEFAULT] section is an ordinary
+    # one, refused as unknown, instead of keys copied into every section
+    cp = configparser.ConfigParser(default_section="\n")
     cp.optionxform = str  # keys are case-sensitive (Omega vs omega_m)
     if path is not None:
         # read_file, not read: read skips a path it cannot open

@@ -647,6 +647,18 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys, data):
     assert f"config error: config file {path} cannot be read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nfock_dim = 20\n",
+    "[DEFAULT]\nfock_dim = 20\n[physical]\nkappa = 1 MHz\n",
+], ids=["alone", "beside-physical"])
+def test_cli_refuses_a_default_section(tmp_path, capsys, text):
+    # configparser would copy [DEFAULT]'s keys into every section: alone it
+    # ran on fock_dim 80, beside [physical] it read as physical.fock_dim
+    ini = write_ini(tmp_path, text)
+    assert cli.main(["converge", "--config", ini]) == 2
+    assert "config error: unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, key, values", [
     (["superpose"], "wigner_points", (1, 0, -1)),
     (["wigner"], "wigner_points", (1, 0, -1)),
