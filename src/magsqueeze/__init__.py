@@ -40,7 +40,6 @@ from .model import (
     build_H_cs,
     build_H_rot,
     derive,
-    frame_transform,
     squeezing_parameter,
 )
 from .observables import (

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scenarios
 from .config import load_config, require_fock_floor
-from .errors import ConfigError, DimensionError, FrameError, NumericalError, TruncationError
+from .errors import ConfigError, DimensionError, NumericalError, TruncationError
 from .observables import (WignerGrid, flag_boundary, gaussian_wigner, require_outcome,
                           wigner_negativity_volume)
 
@@ -145,7 +145,7 @@ def main(argv=None):
         if args.command == "converge":
             return _run_converge(args)
         raise ConfigError(f"unhandled command {args.command!r}")
-    except (ConfigError, DimensionError, FrameError) as exc:
+    except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, TruncationError) as exc:

@@ -17,7 +17,6 @@ import math
 MU0 = 1.25663706212e-6       # vacuum permeability, T m / A
 MU_B = 9.2740100783e-24      # Bohr magneton, J / T
 H_PLANCK = 6.62607015e-34    # Planck constant, J s (exact)
-HBAR = 1.054571817e-34       # reduced Planck constant, J s
 K_B = 1.380649e-23           # Boltzmann constant, J / K (exact)
 
 G_E = 2.0                    # electron g-factor used for the YIG spins

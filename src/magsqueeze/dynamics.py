@@ -30,6 +30,11 @@ effective model.  The master equations below serve the full model, and the
 joint effective one (_effective_model, conditional_superposition_run)
 serves as a test oracle.
 
+A run's frame is the one its Hamiltonian is written in: rotating_half_pump
+for build_H_rot, drive_interaction for build_H_cs.  States and results do
+not record it; a state is a matrix and its time, and postselect_qubit
+takes a joint matrix and returns the magnon one.
+
 Every master equation integrates the upper vector of rho: its entries
 with i <= j, in row-major order.  The Hamiltonian is a SplitHamiltonian, a
 static part plus terms e^{i w t} H_k + h.c.; the static part and the start
@@ -103,8 +108,6 @@ class SolverConfig:
 class TrajectoryResult:
     times: np.ndarray
     observables: dict
-    states: list = None
-    frame: str = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -453,19 +456,18 @@ def _dop853(rhs, t0, y0, t_eval, rtol, atol, stop=None):
     return ys, n_calls, step_times, n_rejected, y
 
 
-def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
-                  store_states=False, stop=None):
+def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None, stop=None):
     """Integrate the master equation from rho0.time and monitor state
     sanity at samples.
 
     h           static matrix, SplitHamiltonian, or None
     dissipators LindbladSpec (may be empty)
-    rho0        StateDensity (frame tag propagated to outputs); the run
-                starts at its time, which is a sample only where
-                sample_times holds it
+    rho0        StateDensity; the run starts at its time, which is a sample
+                only where sample_times holds it
     solver      SolverConfig; sample_times required, none before rho0.time
     sample_hook optional callable (t, rho_matrix) -> dict of scalars,
-                merged into the observables series
+                merged into the observables series; rho_matrix is a new
+                array at each sample
     stop        optional callable (diagonal of rho, real) -> bool, tested
                 on the end of each accepted step (_dop853): where it holds,
                 the run ends at that step's start t with the samples up to
@@ -518,11 +520,10 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     if len(ys) < len(t_grid):
         stopped_state = StateDensity(
             _from_upper(y_end, upper, mirror, np.empty((dim, dim), dtype=complex)),
-            frame=rho0.frame, time=step_times[-1] if step_times else t0)
+            time=step_times[-1] if step_times else t0)
         t_grid = t_grid[:len(ys)]
 
     series = {}
-    states = [] if store_states else None
     max_trace_drift = 0.0
     min_eig = np.inf
     for t, y in zip(t_grid, ys):
@@ -539,8 +540,6 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
         if sample_hook is not None:
             for key, val in sample_hook(t, rho).items():
                 series.setdefault(key, []).append(val)
-        if store_states:
-            states.append(StateDensity(rho, frame=rho0.frame, time=float(t)))
     if max_trace_drift > 1e-8:
         warnings.warn(
             f"trace drift {max_trace_drift:.2e} exceeds 1e-8; tighten tolerances",
@@ -550,8 +549,6 @@ def evolve_master(h, dissipators, rho0, solver=None, sample_hook=None,
     return TrajectoryResult(
         times=t_grid.copy(),
         observables=observables,
-        states=states,
-        frame=rho0.frame,
         metadata={
             "max_trace_drift": max_trace_drift,
             "min_eigenvalue": float(min_eig),
@@ -580,18 +577,15 @@ _OUTCOME_KETS = {
 
 
 def postselect_qubit(rho_joint, outcome):
-    """Project the qubit onto an outcome and return (probability, magnon state).
+    """Project the qubit of a joint density matrix onto an outcome and
+    return (probability, magnon density matrix).
 
-    rho_joint may be a StateDensity or a raw joint matrix.  Probabilities
-    at or below 1e-12 raise (postselected state undefined).
+    Probabilities at or below 1e-12 raise (postselected state undefined).
     """
     if outcome not in _OUTCOME_KETS:
         raise DimensionError(f"unknown outcome {outcome!r}")
     ket = _OUTCOME_KETS[outcome]
-    if isinstance(rho_joint, StateDensity):
-        mat, frame, t = rho_joint.matrix, rho_joint.frame, rho_joint.time
-    else:
-        mat, frame, t = np.asarray(rho_joint), "lab", 0.0
+    mat = np.asarray(rho_joint)
     d = mat.shape[0]
     if d % 2:
         raise DimensionError("joint dimension must be even")
@@ -601,10 +595,7 @@ def postselect_qubit(rho_joint, outcome):
     p = float(np.trace(block).real)
     if p <= 1e-12:
         raise NumericalError(f"outcome {outcome} has probability {p:.3e}")
-    out = StateDensity(block / p, frame=frame, time=t)
-    out.meta["outcome"] = outcome
-    out.meta["probability"] = p
-    return p, out
+    return p, block / p
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +607,6 @@ def _effective_model(params, qubit_init, fock_dim, delta_eff):
     dissipators, rho0): H_cs with the thermal pair (x) 1 and w L[1 (x) sb_x],
     in the dressed {g, e} basis and the drive_interaction frame."""
     rho0 = joint_initial_state(qubit=qubit_init, fock_dim=fock_dim)
-    rho0.frame = "drive_interaction"
     sx = (kron(np.eye(fock_dim), SIGMA_X), _sx_weight(derive(params)))
     return (build_H_cs(params, fock_dim, delta_eff),
             LindbladSpec(_magnon_channels_on_joint(params, fock_dim) + [sx]), rho0)
@@ -628,7 +618,7 @@ def _plus_x_metrics(t, rho_joint):
     rotating_half_pump frame as it is: the drive_interaction frame differs
     by V = e^{+i (Omega/2) sb_x t}, which only phases the sb_x = +1 block."""
     p, rho_m = postselect_qubit(rho_joint, "plus_x")
-    qv = min_quadrature_variance(rho_m.matrix)
+    qv = min_quadrature_variance(rho_m)
     return {"p_plus": p, "zeta_sq": qv.value, "squeezing_db": squeezing_db(qv.value),
             "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
@@ -651,15 +641,6 @@ def sector_fock_tail(cov, fock_dim):
 FOCK_START = 16  # magnon levels a full-model run starts with
 FOCK_GROWTH = 8  # levels added each time the state reaches the edge
 GROWTH_TOL = 1e-12  # edge population p_{N-1} at which the run grows
-
-
-def _pad_magnon(state, fock_dim):
-    """A joint (magnon, qubit) state zero-padded to fock_dim magnon levels."""
-    n = state.dim // 2
-    rho = np.zeros((fock_dim, 2, fock_dim, 2), dtype=complex)
-    rho[:n, :, :n, :] = state.matrix.reshape(n, 2, n, 2)
-    return StateDensity(rho.reshape(2 * fock_dim, 2 * fock_dim), frame=state.frame,
-                        time=state.time)
 
 
 def _edge_above_tol(p):
@@ -698,7 +679,6 @@ def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
     times = np.asarray(sample_times, dtype=float)
     n = min(FOCK_START, fock_dim)
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=n)
-    rho0.frame = "rotating_half_pump"
     edge, segments, sizes = [], [], []
 
     def hook(t, rho):
@@ -716,8 +696,11 @@ def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
         if stopped is None:
             break
         times = times[len(segments[-1].times):]
-        n = min(n + FOCK_GROWTH, fock_dim)
-        rho0 = _pad_magnon(stopped, n)
+        # the stopped (magnon, qubit) state, zero-padded to the new N
+        k, n = n, min(n + FOCK_GROWTH, fock_dim)
+        rho = np.zeros((n, 2, n, 2), dtype=complex)
+        rho[:k, :, :k, :] = stopped.matrix.reshape(k, 2, k, 2)
+        rho0 = StateDensity(rho.reshape(2 * n, 2 * n), time=stopped.time)
 
     metas = [seg.metadata for seg in segments]
     meta = dict(metas[-1])
@@ -734,7 +717,7 @@ def conditional_squeezing_run(params, fock_dim=80, sample_times=None):
         times=all_times,
         observables={key: np.concatenate([seg.observables.get(key, []) for seg in segments])
                      for key in segments[-1].observables},
-        frame=rho0.frame, metadata=meta)
+        metadata=meta)
 
 
 _TAYLOR_DEGREE = 18  # remainder below 1/19! ~ 8e-18 at a scaled norm of 1
@@ -971,7 +954,8 @@ def conditional_superposition_run(
     tests' oracle, and benchmark/spans.py traces it.
 
     Returns a TrajectoryResult with series p_g/p_e and per-sample
-    post-selected magnon states in states_g / states_e metadata lists.
+    post-selected magnon density matrices in states_g / states_e metadata
+    lists.
     An outcome with (numerically) zero weight -- e at t = 0, where the
     joint state is exactly |0>(x)|g> -- has no conditional state; its
     probability is recorded as 0.0 and None is appended to the state list.
@@ -982,11 +966,10 @@ def conditional_superposition_run(
     states_g, states_e = [], []
 
     def hook(t, rho_joint):
-        state = StateDensity(rho_joint, frame="drive_interaction", time=float(t))
         out = {}
         for outcome, bucket in (("g", states_g), ("e", states_e)):
             try:
-                p, rho_m = postselect_qubit(state, outcome)
+                p, rho_m = postselect_qubit(rho_joint, outcome)
             except NumericalError:
                 p, rho_m = 0.0, None
             bucket.append(rho_m)

@@ -28,8 +28,10 @@ Physics conventions (also see qops):
   (both subsystems rotated at omega_p/2: rho~ = V rho V^dag with
   V = exp[+i(m^dag m + sb_z) omega_p t / 2]), and "drive_interaction"
   (additionally rotated by exp[+i(Omega/2) sb_x t]).  All frames coincide
-  at t = 0.  The full model runs in rotating_half_pump, and frame_transform
-  converts between the last two; the lab frame serves the tests' oracles.
+  at t = 0.  A frame belongs to the model, not to the state: the full model
+  runs in rotating_half_pump and the effective model in drive_interaction,
+  frame_transform converts between those two when told which one a state
+  is in, and the lab frame serves the tests' oracles.
 
 * Internal units: angular frequencies in rad/ns, times in ns.  The
   user-facing parameter container holds linear frequencies (GHz/MHz/kHz)
@@ -180,18 +182,11 @@ class SplitHamiltonian:
     static part and each term's -i H_k and -i H_k^dag into the columns of
     one coefficient array on a fixed sparsity pattern, combined with
     e^{+i w_k t} and e^{-i w_k t} at each call, and refuses a static part
-    that is not Hermitian; at(t) is the dense matrix at one time.
+    that is not Hermitian.
     """
 
     static: np.ndarray = None
     terms: tuple = ()
-
-    def at(self, t):
-        h = 0.0 if self.static is None else np.array(self.static, dtype=complex)
-        for hk, w in self.terms:
-            x = np.exp(1.0j * w * t) * hk
-            h = h + x + x.conj().T
-        return h
 
 
 def build_H_rot(params, fock_dim):
@@ -290,24 +285,25 @@ def _drive_interaction_unitary(params, t, n):
     return kron(np.eye(n, dtype=complex), v2)
 
 
-def frame_transform(state, to_frame, params):
-    """Re-express a joint StateDensity in another frame at its current time.
+def frame_transform(state, from_frame, to_frame, params):
+    """Re-express a joint StateDensity, written in from_frame, in to_frame
+    at its time; a state does not record its frame, so the caller names it.
 
     Converts between rotating_half_pump and drive_interaction only: rho ->
     V rho V^dag with V = exp[+i (Omega/2) sb_x t], or back.  Any other frame
     raises FrameError.  Trace and spectrum are preserved exactly; only the
     representation changes.
     """
-    for frame in (state.frame, to_frame):
+    for frame in (from_frame, to_frame):
         if frame not in ("rotating_half_pump", "drive_interaction"):
             raise FrameError(f"frame_transform converts between rotating_half_pump and "
                              f"drive_interaction only, not {frame!r}")
     t = state.time
-    if to_frame == state.frame:
-        return StateDensity(state.matrix.copy(), frame=to_frame, time=t)
+    if to_frame == from_frame:
+        return StateDensity(state.matrix.copy(), time=t)
     v = _drive_interaction_unitary(params, t, state.dim // 2)
     if to_frame == "drive_interaction":
         rho = v @ state.matrix @ v.conj().T
     else:
         rho = v.conj().T @ state.matrix @ v
-    return StateDensity(rho, frame=to_frame, time=t)
+    return StateDensity(rho, time=t)

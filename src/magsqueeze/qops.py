@@ -8,9 +8,11 @@ Conventions fixed here and relied on everywhere else:
   ``sigma_z = diag(-1, +1)`` and ``sigma_plus = |e><g|``.
 * Composite operators are magnon (x) qubit, so a joint basis index is
   ``n * 2 + q`` with n the Fock index and q in {0: g, 1: e}.
+* A state is a density matrix and its time.  The frame it is written in
+  is fixed by the model that evolves it (model.py), not stored with it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +21,10 @@ from .errors import DimensionError, NumericalError
 
 @dataclass
 class StateDensity:
-    """A density matrix tagged with its reference frame and time.
-
-    frame is one of "lab", "rotating_half_pump", "drive_interaction"
-    (all frames coincide at t = 0).
-    """
+    """A density matrix at a time (ns)."""
 
     matrix: np.ndarray
-    frame: str = "lab"
     time: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -67,28 +63,9 @@ def annihilation(fock_dim):
     return m
 
 
-def creation(fock_dim):
-    return annihilation(fock_dim).conj().T
-
-
 def number_op(fock_dim):
     n = int(fock_dim)
     return np.diag(np.arange(n, dtype=float)).astype(complex)
-
-
-def fock_state(n, fock_dim):
-    """Fock state |n> as a vector of length fock_dim."""
-    if not 0 <= n < fock_dim:
-        raise DimensionError(f"Fock index {n} outside truncation {fock_dim}")
-    v = np.zeros(fock_dim, dtype=complex)
-    v[n] = 1.0
-    return v
-
-
-def parity_operator(fock_dim):
-    """Photon-number parity (-1)^n on the magnon space."""
-    n = int(fock_dim)
-    return np.diag((-1.0) ** np.arange(n)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +89,6 @@ def herm_eig(op, atol=1e-10):
     if dev > atol * scale:
         raise NumericalError(f"operator not Hermitian (max deviation {dev:.3e})")
     return eigh(op)
-
-
-def expectation(rho, op):
-    """<op> = Tr(rho op); returns a real number for Hermitian op
-    (imaginary part must be numerical noise), complex otherwise."""
-    val = np.einsum("ij,ji->", np.asarray(rho), np.asarray(op))
-    if np.max(np.abs(op - np.asarray(op).conj().T)) < 1e-10 * max(np.max(np.abs(op)), 1.0):
-        return float(val.real)
-    return complex(val)
 
 
 def density_from_vector(psi):

@@ -1,5 +1,6 @@
 """Analytic magnon states: squeezed vacua, their even/odd superpositions,
-and the joint magnon-qubit start of the protocols.
+and the joint magnon-qubit start of the protocols, a density matrix at
+t = 0, where every frame of model.py coincides.
 
 All states are built by direct Fock-coefficient recurrence (numerically
 stable at any truncation); the tests cross-check it against a truncated
@@ -130,18 +131,13 @@ _QUBIT_KETS = {
 
 
 def joint_initial_state(qubit="plus_x", fock_dim=80):
-    """Initial joint density matrix |0><0| (x) |qubit><qubit|, magnon vacuum.
-
-    Tagged with frame "lab" at t=0, where all frames coincide.  The qubit
-    convention |+-> = (|g> +- |e>)/sqrt(2) is recorded in the metadata.
+    """Initial joint density matrix |0><0| (x) |qubit><qubit|, magnon vacuum,
+    at t = 0, with the qubit convention |+-> = (|g> +- |e>)/sqrt(2).
     """
     if qubit not in _QUBIT_KETS:
         raise DimensionError(f"unsupported qubit option {qubit!r}")
     psi_m = np.zeros(fock_dim, dtype=complex)
     psi_m[0] = 1.0
     psi = np.kron(psi_m, _QUBIT_KETS[qubit])
-    state = StateDensity(density_from_vector(psi), frame="lab", time=0.0)
-    state.meta["qubit_convention"] = "|+-> = (|g> +- |e>)/sqrt(2)"
-    state.meta["qubit_init"] = qubit
-    return state
+    return StateDensity(density_from_vector(psi))
 

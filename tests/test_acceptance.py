@@ -44,7 +44,6 @@ from magsqueeze.coupling import (
 from magsqueeze.dynamics import (
     SolverConfig,
     conditional_squeezing_run,
-    evolve_master,
     sector_covariance_squeezing,
     sector_fock_tail,
 )
@@ -72,6 +71,7 @@ from magsqueeze.scenarios import (
     superposition_fidelity_series,
 )
 from magsqueeze.states import MIXED_TAIL_TOL, squeezed_vacuum_fock, superposition_pm
+from test_dynamics import evolve_states  # test-local: the sampled states of a run
 from test_model import analytic_propagator  # test-local oracle of the ideal propagator
 from test_model import james_effective  # test-local oracle of the averaged model
 from test_scenarios_cli import sweep_digests, write_per_cell_sweep  # per-cell sweep CSVs
@@ -146,16 +146,14 @@ def test_check_04_propagator_oracle():
     worst = 1.0
     from magsqueeze.states import StateDensity
     for t in (5.0, 10.0, 15.0, 21.0):  # r up to 0.99
-        rho0 = StateDensity(np.outer(ket0, ket0.conj()), frame="drive_interaction")
-        res = evolve_master(
+        rho0 = StateDensity(np.outer(ket0, ket0.conj()))
+        _, states = evolve_states(
             h, None, rho0,
-            solver=SolverConfig(rel_tol=1e-10, abs_tol=1e-12,
-                                sample_times=np.array([t])),
-            store_states=True,
+            SolverConfig(rel_tol=1e-10, abs_tol=1e-12, sample_times=np.array([t])),
         )
         psi = analytic_propagator(params, t, nf, delta_eff=0.0) @ ket0
         f = math.sqrt(max(0.0, float(np.real(
-            psi.conj() @ res.states[-1].matrix @ psi
+            psi.conj() @ states[-1] @ psi
         ))))
         worst = min(worst, f)
     dt = time.perf_counter() - t0

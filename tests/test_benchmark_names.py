@@ -4,6 +4,8 @@ would break every traced benchmark run, so each entry must still resolve,
 and the span counters must still find the result fields they read.
 Likewise every config the benchmark writes (benchmark/workloads.py) must
 still load: a dropped config key would fail every operation with exit 2.
+The other way round, every name the package defines must still be read by
+the package or the benchmark: a name only the tests read belongs in them.
 """
 
 import ast
@@ -81,6 +83,42 @@ def test_pinned_imports_are_still_traced():
     assert pinned, f"no import marked {PINNED_MARK!r}"
     patched = {(owner, attr) for owner, attr, *_ in SPANS.PATCHES}
     assert [p for p in pinned if p not in patched] == []
+
+
+def python_files(top):
+    for folder, _, fnames in os.walk(top):
+        yield from (os.path.join(folder, f) for f in sorted(fnames) if f.endswith(".py"))
+
+
+def test_every_src_name_has_a_caller():
+    # names, not scopes: a name counts as read once any Name or attribute of
+    # that spelling is loaded anywhere in src/ or benchmark/ (an import alone
+    # is no read), or PATCHES names it, which Tracer.install reads by getattr
+    read = {attr for _, attr, *_ in SPANS.PATCHES}
+    for path in [*python_files(PACKAGE_DIR), *python_files(BENCHMARK_DIR)]:
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    # top-level defs, classes and constants of each module, and the methods
+    # of its classes; dunders are called by Python itself
+    defined = []
+    for path in python_files(PACKAGE_DIR):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            body = ast.parse(fh.read()).body
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+                defined += [(f"{module}.{node.name}", sub.name) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    assert [f"{owner}.{name}" for owner, name in defined if name not in read] == []
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))

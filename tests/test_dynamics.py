@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -95,7 +96,12 @@ from magsqueeze.states import (
 from magsqueeze.config import Config, RunOptions
 from magsqueeze.scenarios import (ScenarioConfig, _effective_leg, _sector_tail,
                                   run as run_scenario, superposition_fidelity_series)
-from test_model import analytic_propagator, build_H_tot, lab_leg  # test-local oracles
+from test_model import (  # test-local oracles
+    analytic_propagator,
+    build_H_tot,
+    hamiltonian_at,
+    lab_leg,
+)
 from test_observables import uhlmann_fidelity  # test-local oracle
 
 DB_PER_NEPER = 10.0 / math.log(10.0) * 2.0  # 8.6859 dB per unit squeezing parameter
@@ -108,11 +114,23 @@ NODISS = PhysicalParams(kappa=0.0, gamma=0.0, gamma_phi=0.0)
 def sector_rho0(fock_dim):
     rho = np.zeros((fock_dim, fock_dim), dtype=complex)
     rho[0, 0] = 1.0
-    return StateDensity(rho, frame="drive_interaction")
+    return StateDensity(rho)
 
 
 def solver_for(times, **kw):
     return SolverConfig(sample_times=np.asarray(times, dtype=float), **kw)
+
+
+def evolve_states(h, dissipators, rho0, solver, sample_hook=None, **kw):
+    """evolve_master, with the density matrix of each sample collected
+    through its sample_hook: (result, [matrix per sample])."""
+    states = []
+
+    def hook(t, rho):
+        states.append(rho)
+        return {} if sample_hook is None else sample_hook(t, rho)
+
+    return evolve_master(h, dissipators, rho0, solver=solver, sample_hook=hook, **kw), states
 
 
 def sector_split(params, fock_dim, delta_eff, sector=+1):
@@ -135,8 +153,7 @@ def effective_model(params, qubit_init, fock_dim, delta_eff):
             magnon_thermal_dissipators(params, fock_dim), sector_rho0(fock_dim))
 
 
-def sector_master_equation(params, sector, fock_dim, times, delta_eff, store_states=False,
-                           **tol):
+def sector_master_equation(params, sector, fock_dim, times, delta_eff, **tol):
     """Test-local oracle: the pinned sector run as one master equation on
     N x N magnon matrices from |0><0|, with min_quadrature_variance's
     metrics at each sample.  tol: SolverConfig tolerances."""
@@ -148,8 +165,7 @@ def sector_master_equation(params, sector, fock_dim, times, delta_eff, store_sta
                 "theta_star": qv.angle, "n_magnon": qv.n_mean}
 
     return evolve_master(*effective_model(params, init, fock_dim, delta_eff),
-                         solver=solver_for(times, **tol), sample_hook=metrics,
-                         store_states=store_states)
+                         solver=solver_for(times, **tol), sample_hook=metrics)
 
 
 def dense_lindblad_rhs(h_of_t, channels):
@@ -312,9 +328,9 @@ def test_detailed_balance_steady_state():
     hot = PhysicalParams(temperature=300.0)
     dh = derive(hot)
     nf = 50
-    res = evolve_master(None, magnon_thermal_dissipators(hot, nf), sector_rho0(nf),
-                        solver=solver_for([6000.0]), store_states=True)
-    rho = res.states[-1].matrix
+    _, states = evolve_states(None, magnon_thermal_dissipators(hot, nf), sector_rho0(nf),
+                              solver_for([6000.0]))
+    rho = states[-1]
     pops = np.real(np.diag(rho))
     n_final = float(np.arange(nf) @ pops)
     assert n_final == pytest.approx(dh.n_bar_m, rel=1e-2)
@@ -324,11 +340,11 @@ def test_detailed_balance_steady_state():
 def test_unitary_limit_matches_analytic_propagator(params):
     nf = 60
     ket0 = np.kron(np.eye(nf, 1).ravel(), KET_PLUS_X).astype(complex)
-    rho0 = StateDensity(np.outer(ket0, ket0.conj()), frame="drive_interaction")
+    rho0 = StateDensity(np.outer(ket0, ket0.conj()))
     h = build_H_cs(params, nf, delta_eff=0.0)
-    res = evolve_master(h, None, rho0, solver=solver_for([10.0]), store_states=True)
+    res, states = evolve_states(h, None, rho0, solver_for([10.0]))
     u = analytic_propagator(params, 10.0, nf, delta_eff=0.0)
-    assert_allclose(res.states[-1].matrix, u @ rho0.matrix @ u.conj().T, atol=1e-7)
+    assert_allclose(states[-1], u @ rho0.matrix @ u.conj().T, atol=1e-7)
     assert res.metadata["max_trace_drift"] < 1e-10
     assert res.metadata["min_eigenvalue"] > -1e-7
 
@@ -370,8 +386,8 @@ def test_evolve_master_refuses_non_hermitian_inputs(params):
     # within the tolerance, the exact Hermitian part of rho0 is integrated
     near = sector_rho0(nf)
     near.matrix[0, 1] = 1e-14
-    res = evolve_master(h, diss, near, solver=solver_for([0.0]), store_states=True)
-    assert res.states[0].matrix[0, 1] == res.states[0].matrix[1, 0] == 0.5e-14
+    _, states = evolve_states(h, diss, near, solver_for([0.0]))
+    assert states[0][0, 1] == states[0][1, 0] == 0.5e-14
 
 
 def test_evolve_master_refuses_a_weighted_rtol_below_the_floor(params):
@@ -445,7 +461,7 @@ def test_builder_splits_match_dense_oracle(builder, fock_dim, t, seed):
     y = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))
     y = (y + y.conj().T).ravel()
     upper, _, diag = _triangle(dim)
-    ref = dense_lindblad_rhs(split.at, channels)(t, y)[upper]
+    ref = dense_lindblad_rhs(partial(hamiltonian_at, split), channels)(t, y)[upper]
     out = rhs(t, y[upper])
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
     # the diagonal is exactly real; the samples that evolve_master rebuilds
@@ -466,15 +482,14 @@ def test_full_rotating_states_match_the_dense_oracle(params):
     h = build_H_rot(params, nf)
     dissipators = build_dissipators_full(params, nf)
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
-    res = evolve_master(h, dissipators, rho0,
-                        solver=solver_for(times, rel_tol=1e-10, abs_tol=1e-12),
-                        store_states=True)
-    ref = solve_ivp(dense_lindblad_rhs(h.at, dissipators.active()), (0.0, times[-1]),
+    _, states = evolve_states(h, dissipators, rho0,
+                              solver_for(times, rel_tol=1e-10, abs_tol=1e-12))
+    ref = solve_ivp(dense_lindblad_rhs(partial(hamiltonian_at, h), dissipators.active()), (0.0, times[-1]),
                     rho0.matrix.ravel().astype(complex), method="DOP853", t_eval=times,
                     rtol=1e-10, atol=1e-12)
     assert ref.success
-    for y, state in zip(ref.y.T, res.states):
-        assert_allclose(state.matrix, y.reshape(2 * nf, 2 * nf), rtol=0.0, atol=1e-10)
+    for y, rho in zip(ref.y.T, states):
+        assert_allclose(rho, y.reshape(2 * nf, 2 * nf), rtol=0.0, atol=1e-10)
 
 
 HOT = PhysicalParams(kappa=2.0, temperature=300.0, gamma=300.0, gamma_phi=100.0)
@@ -493,17 +508,17 @@ def test_upper_vector_run_matches_the_stacked_oracle(params, fock_dim, t_max):
     h = build_H_rot(params, fock_dim)
     dissipators = build_dissipators_full(params, fock_dim)
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
-    res = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True)
+    res, states = evolve_states(h, dissipators, rho0, solver_for(times))
     rhs, dim = stacked_lindblad_rhs(h, dissipators.active())
     cfg = SolverConfig()
     ref = solve_ivp(rhs, (0.0, times[-1]), rho0.matrix.ravel().astype(complex),
                     method="DOP853", t_eval=times, rtol=cfg.rel_tol, atol=cfg.abs_tol)
     assert ref.success
     assert res.metadata["n_rhs_evals"] == ref.nfev
-    for y, state in zip(ref.y.T, res.states):
-        assert_allclose(state.matrix, y.reshape(dim, dim), rtol=0.0, atol=1e-12)
+    for y, rho in zip(ref.y.T, states):
+        assert_allclose(rho, y.reshape(dim, dim), rtol=0.0, atol=1e-12)
         # each sample is rebuilt by its mirrors: Hermitian bit for bit
-        np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
+        np.testing.assert_array_equal(rho, rho.conj().T)
 
 
 def scipy_dop853(rhs, y0, t_grid, rtol, atol):
@@ -711,15 +726,14 @@ def test_joint_run_sectors_match_pinned_runs(run):
     params, _, fock_dim, delta = run
     times = np.arange(0.0, 6.0 + 1.5, 1.5)
     tight = solver_for(times, rel_tol=1e-10, abs_tol=1e-12)
-    joint = evolve_master(*_effective_model(params, "plus_plus_minus", fock_dim, delta),
-                          solver=tight, store_states=True)
+    _, joint = evolve_states(*_effective_model(params, "plus_plus_minus", fock_dim, delta),
+                             tight)
     for init, ket in (("plus_x", KET_PLUS_X), ("minus_x", KET_MINUS_X)):
-        pinned = evolve_master(*effective_model(params, init, fock_dim, delta),
-                               solver=tight, store_states=True)
-        for state, ref in zip(joint.states, pinned.states):
+        _, pinned = evolve_states(*effective_model(params, init, fock_dim, delta), tight)
+        for rho, ref in zip(joint, pinned):
             block = np.einsum("a,iajb,b->ij", ket.conj(),
-                              state.matrix.reshape(fock_dim, 2, fock_dim, 2), ket)
-            assert_allclose(block, 0.5 * ref.matrix, atol=1e-8)
+                              rho.reshape(fock_dim, 2, fock_dim, 2), ket)
+            assert_allclose(block, 0.5 * ref, atol=1e-8)
 
 
 def test_positivity_monitor_aborts(params):
@@ -731,7 +745,7 @@ def test_positivity_monitor_aborts(params):
     with pytest.raises(NumericalError, match="positivity violated at t = 0.000"):
         evolve_master(sector_split(params, nf, None),
                       magnon_thermal_dissipators(params, nf),
-                      StateDensity(rho, frame="drive_interaction"),
+                      StateDensity(rho),
                       solver=solver_for([0.0, 1.0]))
 
 
@@ -794,12 +808,10 @@ def test_postselect_product_state(rng):
     joint = np.kron(rho_m, np.outer(KET_PLUS_X, KET_PLUS_X.conj()))
     p, cond = postselect_qubit(joint, "plus_x")
     assert p == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(cond.matrix, rho_m, atol=1e-12)
-    assert cond.meta["outcome"] == "plus_x"
-    assert cond.meta["probability"] == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(cond, rho_m, atol=1e-12)
     p_g, cond_g = postselect_qubit(joint, "g")
     assert p_g == pytest.approx(0.5, abs=1e-12)
-    assert_allclose(cond_g.matrix, rho_m, atol=1e-12)
+    assert_allclose(cond_g, rho_m, atol=1e-12)
     with pytest.raises(NumericalError):
         postselect_qubit(joint, "minus_x")  # orthogonal outcome, p = 0
 
@@ -821,13 +833,12 @@ def test_plus_x_postselection_is_blind_to_the_drive_frame(nf, t, seed):
     a = rng.normal(size=(2 * nf, 2 * nf)) + 1.0j * rng.normal(size=(2 * nf, 2 * nf))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    state = StateDensity(rho, frame="rotating_half_pump", time=t)
-    p, block = postselect_qubit(state, "plus_x")
-    p_ref, block_ref = postselect_qubit(
-        frame_transform(state, "drive_interaction", PhysicalParams()), "plus_x")
+    p, block = postselect_qubit(rho, "plus_x")
+    moved = frame_transform(StateDensity(rho, time=t), "rotating_half_pump",
+                            "drive_interaction", PhysicalParams())
+    p_ref, block_ref = postselect_qubit(moved.matrix, "plus_x")
     assert p == pytest.approx(p_ref, rel=1e-13)
-    assert_allclose(block.matrix, block_ref.matrix, rtol=0.0,
-                    atol=1e-13 * np.abs(block_ref.matrix).max())
+    assert_allclose(block, block_ref, rtol=0.0, atol=1e-13 * np.abs(block_ref).max())
     metrics = _plus_x_metrics(t, rho)
     assert metrics["p_plus"] == p
 
@@ -850,7 +861,7 @@ def test_postselect_conditional_squeezing_anchor(params, derived):
     xi = -1j * derived.g_cs * t
     for cond, sign in ((cond_g, +1), (cond_e, -1)):
         target = superposition_pm(xi, sign, nf)
-        overlap = float(np.real(target.conj() @ cond.matrix @ target))
+        overlap = float(np.real(target.conj() @ cond @ target))
         assert overlap > 1.0 - 1e-9
 
 
@@ -961,12 +972,12 @@ def test_gaussian_populations_match_the_master_equation_diagonal(params):
     # the pinned master equation at fock 120 holds all but 5e-11 of the
     # state over 0..45 ns: its diagonal is the Gaussian p_n
     times = np.array([0.0, 10.0, 25.0, 42.5])
-    me = sector_master_equation(params, +1, 120, times, DELTA_OP, store_states=True,
-                                rel_tol=1e-10, abs_tol=1e-12)
+    _, states = evolve_states(*effective_model(params, "plus_x", 120, DELTA_OP),
+                              solver_for(times, rel_tol=1e-10, abs_tol=1e-12))
     cov = sector_covariance_squeezing(params, times, DELTA_OP)
     p = gaussian_fock_populations(cov["n_magnon"], cov["s_abs"], 120)
-    for state, row in zip(me.states, p):
-        assert_allclose(np.diag(state.matrix).real, row, rtol=0.0, atol=1e-9)
+    for rho, row in zip(states, p):
+        assert_allclose(np.diag(rho).real, row, rtol=0.0, atol=1e-9)
 
 
 @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), temperature=st.floats(10.0, 300.0),
@@ -1010,15 +1021,14 @@ def test_joint_run_reduces_to_sector():
     # sb_x sectors)
     qdiss_off = PhysicalParams(gamma=0.0, gamma_phi=0.0)
     times = np.arange(0.0, 20.0 + 2.0, 2.0)
-    joint = evolve_master(*_effective_model(qdiss_off, "plus_plus_minus", 40, DELTA_OP),
-                          solver=solver_for(times), sample_hook=_plus_x_metrics,
-                          store_states=True)
+    joint, states = evolve_states(*_effective_model(qdiss_off, "plus_plus_minus", 40, DELTA_OP),
+                                  solver_for(times), sample_hook=_plus_x_metrics)
     sector = sector_master_equation(qdiss_off, +1, 40, times, DELTA_OP)
     # nothing feeds the entries outside the four n + 2q mod 4 class blocks:
     # they stay exact zeros
     outside = ~class_support(40, magnon_jumps=True, qubit_jumps=False)
-    for state in joint.states:
-        assert np.all(state.matrix[outside] == 0.0)
+    for rho in states:
+        assert np.all(rho[outside] == 0.0)
     assert_allclose(joint.observables["p_plus"], 0.5, atol=1e-9)
     for key in ("zeta_sq", "squeezing_db", "n_magnon"):
         assert_allclose(joint.observables[key], sector.observables[key], atol=1e-8)
@@ -1037,29 +1047,27 @@ def test_block_runs_match_dense_joint_oracle():
     times = np.arange(0.0, 12.0 + 1.0, 1.0)
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     rho0 = joint_initial_state(qubit="plus_plus_minus", fock_dim=nf).matrix
-    rhs = dense_lindblad_rhs(build_H_cs(hot_qubit, nf, delta_eff=delta).at,
+    rhs = dense_lindblad_rhs(partial(hamiltonian_at, build_H_cs(hot_qubit, nf, delta_eff=delta)),
                              build_dissipators_effective(hot_qubit, nf).channels)
     ref = solve_ivp(rhs, (0.0, times[-1]), rho0.ravel().astype(complex), method="DOP853",
                     t_eval=times, rtol=1e-10, atol=1e-12)
     assert ref.success
-    dense = [StateDensity(0.5 * (x + x.conj().T), frame="drive_interaction")
-             for x in ref.y.T.reshape(len(times), 2 * nf, 2 * nf)]
-    squeeze = evolve_master(*_effective_model(hot_qubit, "plus_plus_minus", nf, delta),
-                            solver=solver_for(times, **tight),
-                            sample_hook=_plus_x_metrics, store_states=True)
+    dense = [0.5 * (x + x.conj().T) for x in ref.y.T.reshape(len(times), 2 * nf, 2 * nf)]
+    squeeze, squeeze_states = evolve_states(
+        *_effective_model(hot_qubit, "plus_plus_minus", nf, delta),
+        solver_for(times, **tight), sample_hook=_plus_x_metrics)
     sup = conditional_superposition_run(hot_qubit, times, fock_dim=nf, delta_eff=delta,
                                         solver=SolverConfig(**tight))
-    for i, state in enumerate(dense):
-        assert_allclose(squeeze.states[i].matrix, state.matrix, atol=1e-8)
-        p_plus, rho_plus = postselect_qubit(state, "plus_x")
+    for i, rho in enumerate(dense):
+        assert_allclose(squeeze_states[i], rho, atol=1e-8)
+        p_plus, rho_plus = postselect_qubit(rho, "plus_x")
         assert squeeze.observables["p_plus"][i] == pytest.approx(p_plus, abs=1e-8)
-        n_plus = float(np.real(np.trace(number_op(nf) @ rho_plus.matrix)))
+        n_plus = float(np.real(np.trace(number_op(nf) @ rho_plus)))
         assert squeeze.observables["n_magnon"][i] == pytest.approx(n_plus, abs=1e-8)
         for outcome in ("g", "e") if i else ("g",):
-            p_out, rho_out = postselect_qubit(state, outcome)
+            p_out, rho_out = postselect_qubit(rho, outcome)
             assert sup.observables[f"p_{outcome}"][i] == pytest.approx(p_out, abs=1e-8)
-            assert_allclose(sup.metadata[f"states_{outcome}"][i].matrix, rho_out.matrix,
-                            atol=1e-8)
+            assert_allclose(sup.metadata[f"states_{outcome}"][i], rho_out, atol=1e-8)
     # without the qubit channel the coherence survives and p_g comes out
     # visibly different, so the comparison above does test the damping
     cold = conditional_superposition_run(PhysicalParams(gamma=0.0), times, fock_dim=nf,
@@ -1300,16 +1308,16 @@ def test_full_lab_matches_full_rotating(params):
     times = np.arange(0.0, 10.0 + 2.0, 2.0)
 
     def lab_hook(t, rho):
-        return _plus_x_metrics(t, lab_leg(StateDensity(rho, frame="lab", time=float(t)),
+        return _plus_x_metrics(t, lab_leg(StateDensity(rho, time=float(t)), "lab",
                                           params).matrix)
 
-    lab = evolve_master(build_H_tot(params, 20), build_dissipators_full(params, 20),
-                        joint_initial_state(qubit="plus_x", fock_dim=20),
-                        solver=solver_for(times), sample_hook=lab_hook, store_states=True)
-    rot = full_rotating_states(params, 20, times, sample_hook=_plus_x_metrics)
+    lab, lab_states = evolve_states(build_H_tot(params, 20), build_dissipators_full(params, 20),
+                                    joint_initial_state(qubit="plus_x", fock_dim=20),
+                                    solver_for(times), sample_hook=lab_hook)
+    rot, rot_states = full_rotating_states(params, 20, times, sample_hook=_plus_x_metrics)
     # the full models fill the whole joint space
-    for run in (lab, rot):
-        assert np.count_nonzero(run.states[-1].matrix) == (2 * 20) ** 2
+    for states in (lab_states, rot_states):
+        assert np.count_nonzero(states[-1]) == (2 * 20) ** 2
     assert np.max(np.abs(lab.observables["squeezing_db"]
                          - rot.observables["squeezing_db"])) < 1e-5
     assert np.max(np.abs(lab.observables["p_plus"] - rot.observables["p_plus"])) < 1e-6
@@ -1328,31 +1336,25 @@ def test_full_model_squeezes_at_twice_the_reduced_rate(params):
 
 
 def full_rotating_states(params, fock_dim, times, sample_hook=None):
-    """The master equation of conditional_squeezing_run, with its joint
-    states stored: |0> (x) |+x> under build_H_rot in the
-    rotating_half_pump frame."""
+    """The master equation of conditional_squeezing_run, |0> (x) |+x> under
+    build_H_rot in the rotating_half_pump frame, as (result, the joint
+    state at each sample)."""
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=fock_dim)
-    rho0.frame = "rotating_half_pump"
-    return evolve_master(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
-                         rho0, solver=solver_for(times), sample_hook=sample_hook,
-                         store_states=True)
+    return evolve_states(build_H_rot(params, fock_dim), build_dissipators_full(params, fock_dim),
+                         rho0, solver_for(times), sample_hook=sample_hook)
 
 
 def test_run_store_states(params):
-    # the full model's master equation stores its joint states in the frame
-    # it integrates, and the run's series are those states postselected
+    # the joint states of the full model's master equation, collected at its
+    # samples: the run's series are those states postselected
     times = np.arange(0.0, 2.0 + 1.0, 1.0)
-    res = full_rotating_states(params, 6, times)
+    res, states = full_rotating_states(params, 6, times)
     run = conditional_squeezing_run(params, fock_dim=6, sample_times=times)
-    assert res.frame == run.frame == "rotating_half_pump"
-    assert run.states is None
-    for st, p_plus in zip(res.states, run.observables["p_plus"]):
-        assert postselect_qubit(st, "plus_x")[0] == p_plus
-    assert len(res.states) == len(times)
-    for t, st in zip(times, res.states):
-        assert st.frame == "rotating_half_pump"
-        assert st.time == pytest.approx(t)
-        assert st.matrix.shape == (12, 12)
+    assert np.array_equal(res.times, times)
+    assert len(states) == len(times)
+    for rho, p_plus in zip(states, run.observables["p_plus"]):
+        assert postselect_qubit(rho, "plus_x")[0] == p_plus
+        assert rho.shape == (12, 12)
 
 
 def test_full_run_records_its_fock_edge_population():
@@ -1361,8 +1363,8 @@ def test_full_run_records_its_fock_edge_population():
     nf = 8
     times = np.arange(0.0, 3.0 + 0.5, 0.5)
     run = conditional_squeezing_run(HOT, fock_dim=nf, sample_times=times)
-    edge = [np.real(np.diag(state.matrix)).reshape(nf, 2).sum(axis=1)[-1]
-            for state in full_rotating_states(HOT, nf, times).states]
+    edge = [np.real(np.diag(rho)).reshape(nf, 2).sum(axis=1)[-1]
+            for rho in full_rotating_states(HOT, nf, times)[1]]
     worst = int(np.argmax(edge))
     assert edge[worst] > 1e-8
     assert run.metadata["max_edge_population"] == edge[worst]
@@ -1377,23 +1379,19 @@ def test_evolve_master_starts_at_the_state_time(params):
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
     times = np.arange(0.0, 2.0 + 0.25, 0.5)
     tol = dict(rel_tol=1e-10, abs_tol=1e-12)
-    whole = evolve_master(h, dissipators, rho0, solver=solver_for(times, **tol),
-                          store_states=True)
-    first = evolve_master(h, dissipators, rho0, solver=solver_for(times[:3], **tol),
-                          store_states=True)
-    split = first.states[-1]
-    assert split.time == times[2]
-    second = evolve_master(h, dissipators, split, solver=solver_for(times[3:], **tol),
-                           store_states=True)
+    _, whole = evolve_states(h, dissipators, rho0, solver_for(times, **tol))
+    _, first = evolve_states(h, dissipators, rho0, solver_for(times[:3], **tol))
+    split = StateDensity(first[-1], time=times[2])
+    second, rest = evolve_states(h, dissipators, split, solver_for(times[3:], **tol))
     assert np.array_equal(second.times, times[3:])
-    for a, b in zip(whole.states[3:], second.states):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
-    at_zero = evolve_master(h, dissipators, replace(split, time=0.0),
-                            solver=solver_for(times[3:] - times[2], **tol), store_states=True)
-    assert np.max(np.abs(at_zero.states[-1].matrix - whole.states[-1].matrix)) > 1e-3
+    for a, b in zip(whole[3:], rest):
+        assert np.max(np.abs(a - b)) < 1e-9
+    _, at_zero = evolve_states(h, dissipators, replace(split, time=0.0),
+                               solver_for(times[3:] - times[2], **tol))
+    assert np.max(np.abs(at_zero[-1] - whole[-1])) > 1e-3
     # a sample at the start is the start itself; one before it is refused
-    same = evolve_master(h, dissipators, split, solver=solver_for([times[2]]), store_states=True)
-    assert np.array_equal(same.states[0].matrix, split.matrix)
+    _, same = evolve_states(h, dissipators, split, solver_for([times[2]]))
+    assert np.array_equal(same[0], split.matrix)
     with pytest.raises(DimensionError, match="precedes the start"):
         evolve_master(h, dissipators, split, solver=solver_for(times[1:]))
 
@@ -1406,8 +1404,8 @@ def test_evolve_master_stops_before_the_step_its_test_refuses(params):
     h, dissipators = build_H_rot(HOT, nf), build_dissipators_full(HOT, nf)
     rho0 = joint_initial_state(qubit="plus_x", fock_dim=nf)
     times = np.arange(0.0, 3.0 + 0.25, 0.5)
-    whole = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True)
-    edge = [np.real(np.diag(st.matrix))[-2:].sum() for st in whole.states]
+    whole, whole_states = evolve_states(h, dissipators, rho0, solver_for(times))
+    edge = [np.real(np.diag(rho))[-2:].sum() for rho in whole_states]
     tol = 0.5 * (edge[2] + edge[3])
     seen = []
 
@@ -1415,18 +1413,17 @@ def test_evolve_master_stops_before_the_step_its_test_refuses(params):
         seen.append(p[-2] + p[-1])
         return seen[-1] > tol
 
-    part = evolve_master(h, dissipators, rho0, solver=solver_for(times), store_states=True,
-                         stop=stop)
+    part, part_states = evolve_states(h, dissipators, rho0, solver_for(times), stop=stop)
     state = part.metadata["stopped_state"]
     assert np.array_equal(part.times, times[:3])
     assert times[2] <= state.time < times[3]
     assert np.real(np.diag(state.matrix))[-2:].sum() <= tol < seen[-1]
     assert whole.metadata["stopped_state"] is None
-    for a, b in zip(part.states, whole.states):
-        assert np.array_equal(a.matrix, b.matrix)
-    rest = evolve_master(h, dissipators, state, solver=solver_for(times[3:]), store_states=True)
-    for a, b in zip(rest.states, whole.states[3:]):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+    for a, b in zip(part_states, whole_states):
+        assert np.array_equal(a, b)
+    _, rest = evolve_states(h, dissipators, state, solver_for(times[3:]))
+    for a, b in zip(rest, whole_states[3:]):
+        assert np.max(np.abs(a - b)) < 1e-7
 
 
 # bounds of the grown run against the fixed-fock oracle: measured worst
@@ -1446,7 +1443,7 @@ def test_grown_run_matches_the_fixed_fock_oracle(kappa, temperature, t_max, fock
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     times = np.linspace(0.0, t_max, 6)
     run = conditional_squeezing_run(params, fock_dim=fock_dim, sample_times=times)
-    ref = full_rotating_states(params, fock_dim, times, sample_hook=_plus_x_metrics)
+    ref, _ = full_rotating_states(params, fock_dim, times, sample_hook=_plus_x_metrics)
     sizes, starts = zip(*run.metadata["fock_sizes"])
     assert list(sizes) == [min(FOCK_START + FOCK_GROWTH * i, fock_dim) for i in range(len(sizes))]
     assert starts[0] == 0.0 and np.all(np.diff(starts) > 0.0) and starts[-1] < t_max
@@ -1466,7 +1463,7 @@ def test_run_at_or_below_the_start_size_is_one_fixed_run(params, fock_dim):
     # for bit
     times = np.arange(0.0, 2.0 + 0.25, 0.5)
     run = conditional_squeezing_run(HOT, fock_dim=fock_dim, sample_times=times)
-    ref = full_rotating_states(HOT, fock_dim, times, sample_hook=_plus_x_metrics)
+    ref, _ = full_rotating_states(HOT, fock_dim, times, sample_hook=_plus_x_metrics)
     assert run.metadata["fock_sizes"] == [(fock_dim, 0.0)]
     assert run.metadata["n_rhs_evals"] == ref.metadata["n_rhs_evals"]
     assert np.array_equal(run.times, ref.times)
@@ -1482,7 +1479,7 @@ def test_run_at_or_below_the_start_size_is_one_fixed_run(params, fock_dim):
     dict(model="effective", qubit_init="plus_plus_minus"),
     dict(model="effective", store_states=True),
     dict(delta_eff=DELTA_OP),  # the full model has no effective detuning
-    dict(store_states=True),  # the states are evolve_master's to store
+    dict(store_states=True),  # no run stores its states
 ], ids=["adiabatic", "full_lab", "effective_from_g", "effective_from_plus_plus_minus",
         "stored_states_with_kappa", "full_with_delta_eff", "stored_states"])
 def test_run_refuses_requests_off_its_two_paths(params, monkeypatch, refused):
@@ -1515,7 +1512,7 @@ def sector_exact_states(params, fock_dim, sector, delta_eff, times):
     (_, w), = h.terms
     delta = -0.5 * w  # the term oscillates at w = -2 Delta
     n_even = np.arange(0, fock_dim, 2, dtype=float)
-    gen = h.at(0.0)[::2, ::2] + delta * np.diag(n_even)
+    gen = hamiltonian_at(h, 0.0)[::2, ::2] + delta * np.diag(n_even)
     evals, vecs = herm_eig(gen)
     times = np.asarray(times, dtype=float)
     # <v_k|0> is conj(vecs[0, k])
@@ -1552,7 +1549,7 @@ def test_sector_exact_states_match_full_exponential(sector, delta):
     h = sector_split(NODISS, nf, delta, sector)
     n = np.arange(nf, dtype=float)
     for t, psi, ket in zip(times, psis, kets):
-        u = expm(-1.0j * (h.at(0.0) + delta * np.diag(n)) * t)
+        u = expm(-1.0j * (hamiltonian_at(h, 0.0) + delta * np.diag(n)) * t)
         exact = np.exp(1.0j * delta * n * t) * u[:, 0]
         assert_allclose(psi, exact, atol=1e-12)
         assert np.all(psi[1::2] == 0.0)
@@ -1637,8 +1634,7 @@ def test_conditional_superposition_run_ideal_limit(derived):
     targets, = ideal_superposition_targets(NODISS, [8.0], 60, delta_eff=0.0)
     for outcome, bucket in (("g", "states_g"), ("e", "states_e")):
         ket = targets[outcome][1]
-        fid = uhlmann_fidelity(np.outer(ket, ket.conj()),
-                               res.metadata[bucket][-1].matrix)
+        fid = uhlmann_fidelity(np.outer(ket, ket.conj()), res.metadata[bucket][-1])
         assert fid > 1.0 - 1e-7
 
 
@@ -1703,9 +1699,9 @@ def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, d
     params = PhysicalParams(kappa=kappa, temperature=temperature)
     nf = converged_fock(params, t, delta)
     h, dissipators, rho0 = _effective_model(params, "plus_plus_minus", nf, delta)
-    rho = evolve_master(h, dissipators, rho0, store_states=True,
-                        solver=solver_for([t], rel_tol=1e-12, abs_tol=1e-15)).states[0]
-    r4 = rho.matrix.reshape(nf, 2, nf, 2)
+    _, (rho,) = evolve_states(h, dissipators, rho0,
+                              solver_for([t], rel_tol=1e-12, abs_tol=1e-15))
+    r4 = rho.reshape(nf, 2, nf, 2)
     coherence = np.einsum("a,iajb,b->ij", KET_PLUS_X.conj(), r4, KET_MINUS_X)
 
     blocks = blocks_at(superposition_blocks(params, [t], delta))
@@ -1714,7 +1710,7 @@ def test_superposition_blocks_match_the_master_equation(t, kappa, temperature, d
     for outcome in ("g", "e"):
         p, state = postselect_qubit(rho, outcome)
         assert grids[outcome][0] == pytest.approx(p, abs=1e-8)
-        oracle = wigner(state.matrix, SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
+        oracle = wigner(state, SUPERPOSITION_AXIS, SUPERPOSITION_AXIS)
         assert_allclose(grids[outcome][1].values, oracle.values, rtol=0, atol=1e-7)
 
 
@@ -1785,7 +1781,7 @@ def test_superposition_fidelity_matches_the_master_equation(frac, kappa, tempera
     (row,) = superposition_fidelity_series(params, [t], delta)
     for i, outcome in enumerate(("g", "e")):
         ket = targets[outcome][1]
-        rho = run.metadata[f"states_{outcome}"][0].matrix
+        rho = run.metadata[f"states_{outcome}"][0]
         assert row[1 + i] == pytest.approx(run.observables[f"p_{outcome}"][0], abs=1e-9)
         assert row[3 + i] == pytest.approx(
             math.sqrt(np.vdot(ket, rho @ ket).real), abs=1e-9)

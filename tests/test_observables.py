@@ -28,14 +28,14 @@ from magsqueeze.observables import (
     wigner,
     wigner_negativity_volume,
 )
-from magsqueeze.qops import (
-    annihilation,
-    density_from_vector,
+from magsqueeze.qops import annihilation, density_from_vector
+from magsqueeze.states import squeezed_vacuum_dyad, squeezed_vacuum_fock
+from test_qops import (  # test-local oracles
+    displacement_operator,
     fock_state,
+    matrix_sqrt_psd,
     parity_operator,
 )
-from magsqueeze.states import squeezed_vacuum_dyad, squeezed_vacuum_fock
-from test_qops import displacement_operator, matrix_sqrt_psd  # test-local oracles
 
 
 # test-local oracles: the package itself needs neither

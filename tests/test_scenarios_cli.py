@@ -26,7 +26,7 @@ from magsqueeze.config import _KEYS, Config, RunOptions, load_config
 from magsqueeze.coupling import LoopGeometry
 from magsqueeze.constants import TWO_PI
 from magsqueeze.dynamics import sector_covariance_squeezing
-from magsqueeze.errors import ConfigError, DimensionError, FrameError
+from magsqueeze.errors import ConfigError, DimensionError
 from magsqueeze.model import PhysicalParams, derive, squeezing_parameter
 from magsqueeze.observables import gaussian_wigner, wigner
 from magsqueeze.scenarios import (
@@ -710,10 +710,9 @@ def test_cli_start_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("error", [DimensionError, FrameError])
-def test_cli_dimension_and_frame_errors_exit_code(tmp_path, capsys, monkeypatch, error):
+def test_cli_dimension_error_exit_code(tmp_path, capsys, monkeypatch):
     def fail(sc):
-        raise error("bad setup")
+        raise DimensionError("bad setup")
 
     monkeypatch.setattr(cli.scenarios, "run", fail)
     assert cli.main(["squeeze", "--out", str(tmp_path / "o")]) == 2

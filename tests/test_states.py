@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsqueeze.errors import DimensionError, TruncationError
-from magsqueeze.qops import annihilation, fock_state, number_op, parity_operator
+from magsqueeze.qops import annihilation, number_op
 from magsqueeze.states import (
     gaussian_fock_populations,
     joint_initial_state,
@@ -25,6 +25,7 @@ from magsqueeze.states import (
     superposition_pm,
 )
 from test_model import squeeze_operator  # test-local oracle
+from test_qops import fock_state, parity_operator  # test-local oracles
 
 
 # test-local oracles: the package itself needs none of these
@@ -285,7 +286,6 @@ def test_logical_codewords():
 
 def test_joint_initial_state_structure():
     state = joint_initial_state(qubit="plus_x", fock_dim=10)
-    assert state.frame == "lab"
     assert state.time == 0.0
     rho = state.matrix
     assert np.trace(rho) == pytest.approx(1.0)
