@@ -652,8 +652,9 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys, data):
     "[DEFAULT]\nfock_dim = 20\n[physical]\nkappa = 1 MHz\n",
 ], ids=["alone", "beside-physical"])
 def test_cli_refuses_a_default_section(tmp_path, capsys, text):
-    # configparser would copy [DEFAULT]'s keys into every section: alone it
-    # ran on fock_dim 80, beside [physical] it read as physical.fock_dim
+    # configparser copies [DEFAULT]'s keys into every section, so alone the
+    # file would run on the defaults, and beside [physical] fock_dim would
+    # read as physical.fock_dim
     ini = write_ini(tmp_path, text)
     assert cli.main(["converge", "--config", ini]) == 2
     assert "config error: unknown config section [DEFAULT]" in capsys.readouterr().err
